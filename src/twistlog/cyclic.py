@@ -11,49 +11,50 @@ writes the derivation commutator directly on nu-invariant tensors.
 
 from __future__ import annotations
 
-from .rationals import Rat
-from .tensor import AlgebraContext, Tensor, intersection
+from math import lcm
+
+from .tensor import Tensor, scaled_terms, tensor_from_scaled
+
+
+def _rotations_into(out: dict, mono: tuple, coeff: int) -> None:
+    """Add coeff to each of the p rotations of a degree-p monomial."""
+    p = len(mono)
+    doubled = mono + mono
+    get = out.get
+    for shift in range(p):
+        key = doubled[shift : shift + p]
+        out[key] = get(key, 0) + coeff
 
 
 def nu(t: Tensor) -> Tensor:
     """Left rotation, monomial-wise; identity on degrees 0 and 1."""
+    num, den = scaled_terms(t)
     out = {}
-    for mono, coeff in t.terms.items():
+    for mono, coeff in num.items():
         key = mono[1:] + mono[:1] if len(mono) > 1 else mono
-        acc = out.get(key)
-        out[key] = coeff if acc is None else acc + coeff
-    return Tensor._make(t.ctx, {m: c for m, c in out.items() if c})
+        out[key] = out.get(key, 0) + coeff
+    return tensor_from_scaled(t.ctx, out, den)
 
 
 def cyclic_n(t: Tensor) -> Tensor:
     """N: degree-p part goes to the sum of its p rotations; degree 0 dies."""
+    num, den = scaled_terms(t)
     out = {}
-    for mono, coeff in t.terms.items():
-        p = len(mono)
-        if p == 0:
-            continue
-        doubled = mono + mono
-        for shift in range(p):
-            key = doubled[shift : shift + p]
-            acc = out.get(key)
-            out[key] = coeff if acc is None else acc + coeff
-    return Tensor._make(t.ctx, {m: c for m, c in out.items() if c})
+    for mono, coeff in num.items():
+        if mono:
+            _rotations_into(out, mono, coeff)
+    return tensor_from_scaled(t.ctx, out, den)
 
 
 def cyclic_n_hat(t: Tensor) -> Tensor:
     """N-hat: degreewise (1/p) N; the identity on the image of N."""
+    num, den = scaled_terms(t)
+    common = lcm(*{len(m) for m in num if m})
     out = {}
-    for mono, coeff in t.terms.items():
-        p = len(mono)
-        if p == 0:
-            continue
-        share = coeff / p
-        doubled = mono + mono
-        for shift in range(p):
-            key = doubled[shift : shift + p]
-            acc = out.get(key)
-            out[key] = share if acc is None else acc + share
-    return Tensor._make(t.ctx, {m: c for m, c in out.items() if c})
+    for mono, coeff in num.items():
+        if mono:
+            _rotations_into(out, mono, coeff * (common // len(mono)))
+    return tensor_from_scaled(t.ctx, out, den * common)
 
 
 def is_nu_invariant(t: Tensor) -> bool:
@@ -80,14 +81,19 @@ def necklace_bracket(u: Tensor, v: Tensor) -> Tensor:
         if not is_nu_invariant(t):
             raise ValueError(f"necklace_bracket: {name} input is not nu-invariant")
     cap = ctx.truncation
+    nu_, du = scaled_terms(u)
+    nv, dv = scaled_terms(v)
+    # weights 1/(n m) over the degree pairs present, on one common denominator
+    degrees_v = {len(y) for y in nv}
+    common = lcm(*{len(x) * m for x in nu_ for m in degrees_v})
     out = {}
-    for x, cx in u.terms.items():
+    for x, cx in nu_.items():
         n = len(x)
-        for y, dy in v.terms.items():
+        for y, dy in nv.items():
             m = len(y)
             if n + m - 2 > cap:
                 continue
-            weight = (cx * dy) / (n * m)
+            weight = cx * dy * (common // (n * m))
             for i in range(n):
                 xi = x[i]
                 # partner index under the symplectic pairing: A_k <-> B_k
@@ -96,15 +102,9 @@ def necklace_bracket(u: Tensor, v: Tensor) -> Tensor:
                 for j in range(m):
                     if y[j] != partner:
                         continue
-                    pairing = intersection(ctx, xi, y[j])
                     word = x_rest + y[j + 1 :] + y[:j]
-                    p = len(word)
-                    if p == 0:
+                    if not word:
                         continue  # N kills degree 0
-                    coeff = -pairing * weight
-                    doubled = word + word
-                    for shift in range(p):
-                        key = doubled[shift : shift + p]
-                        acc = out.get(key)
-                        out[key] = coeff if acc is None else acc + coeff
-    return Tensor._make(ctx, {k: c for k, c in out.items() if c})
+                    # -(x_i . y_j): -(A_k . B_k) = -1, -(B_k . A_k) = +1
+                    _rotations_into(out, word, weight if xi % 2 else -weight)
+    return tensor_from_scaled(ctx, out, du * dv * common)

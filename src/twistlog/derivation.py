@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import heapq
 from itertools import product
+from math import lcm
 
 from .rationals import ONE, Rat
 from .tensor import (
     AlgebraContext,
     Tensor,
-    basis_tensor,
     graded_part,
+    scaled_terms,
     symplectic_form,
     tensor_from_json,
+    tensor_from_scaled,
     tensor_to_json,
     zero_tensor,
 )
@@ -96,27 +98,28 @@ def from_tensor(t: Tensor) -> Derivation:
     if t.coefficient(()):
         raise ValueError("derivation tensor must have zero constant term")
     ctx = t.ctx
+    num, den = scaled_terms(t)
     buckets = [{} for _ in range(ctx.dim)]
-    for mono, coeff in t.terms.items():
+    for mono, coeff in num.items():
         first, tail = mono[0], mono[1:]
         target = first ^ 1
         buckets[target][tail] = -coeff if first % 2 == 0 else coeff
-    return Derivation(ctx, [Tensor._make(ctx, b) for b in buckets])
+    return Derivation(ctx, [tensor_from_scaled(ctx, b, den) for b in buckets])
 
 
 def to_tensor(d: Derivation) -> Tensor:
     """Inverse of from_tensor: sum_i B_i D(A_i) - A_i D(B_i)."""
     ctx = d.ctx
+    scaled = [scaled_terms(v) for v in d.values]
+    den = lcm(*(den for _, den in scaled))
     out = {}
-    for i in range(ctx.genus):
-        a, b = 2 * i, 2 * i + 1
-        for mono, coeff in d.values[a].terms.items():
+    for j, (num, vden) in enumerate(scaled):
+        # the value on A_i is prefixed by B_i, the value on B_i by -A_i
+        head, factor = (j ^ 1,), (den // vden) * (1 if j % 2 == 0 else -1)
+        for mono, coeff in num.items():
             if len(mono) + 1 <= ctx.truncation:
-                out[(b,) + mono] = coeff
-        for mono, coeff in d.values[b].terms.items():
-            if len(mono) + 1 <= ctx.truncation:
-                out[(a,) + mono] = -coeff
-    return Tensor._make(ctx, out)
+                out[head + mono] = coeff * factor
+    return tensor_from_scaled(ctx, out, den)
 
 
 def graded_component(d: Derivation, k: int) -> Derivation:
@@ -134,20 +137,25 @@ def apply(d: Derivation, t: Tensor) -> Tensor:
     if t.ctx != d.ctx:
         raise ValueError("context mismatch")
     cap = d.ctx.truncation
-    values = d.values
+    num, den = scaled_terms(t)
+    scaled = [scaled_terms(v) for v in d.values]
+    vden = lcm(*(vd for _, vd in scaled))
+    # each value's items on the common denominator vden
+    values = [
+        [(m, c * (vden // vd)) for m, c in vnum.items()] for vnum, vd in scaled
+    ]
     out = {}
-    for mono, coeff in t.terms.items():
+    get = out.get
+    for mono, coeff in num.items():
+        room = cap - len(mono) + 1
         for k, letter in enumerate(mono):
             prefix, suffix = mono[:k], mono[k + 1 :]
-            room = cap - len(mono) + 1
-            for vmono, vc in values[letter].terms.items():
+            for vmono, vc in values[letter]:
                 if len(vmono) > room:
                     continue
                 key = prefix + vmono + suffix
-                acc = out.get(key)
-                val = coeff * vc
-                out[key] = val if acc is None else acc + val
-    return Tensor._make(d.ctx, {m: c for m, c in out.items() if c})
+                out[key] = get(key, 0) + coeff * vc
+    return tensor_from_scaled(d.ctx, out, den * vden)
 
 
 def commutator(d1: Derivation, d2: Derivation) -> Derivation:
@@ -270,7 +278,7 @@ def omega_ideal_reduce(t: Tensor, ideal: OmegaIdealContext) -> Tensor:
     for mono, coeff in t.terms.items():
         if len(mono) < 2:
             out[mono] = coeff
-    return Tensor._make(t.ctx, out)
+    return Tensor(t.ctx, out)
 
 
 def omega_ideal_equal(t1: Tensor, t2: Tensor, ideal: OmegaIdealContext) -> bool:

@@ -13,7 +13,16 @@ in degrees < p, so e_i = U(X_i) is solved one degree at a time.
 from __future__ import annotations
 
 from .rationals import Rat
-from .tensor import AlgebraContext, Tensor, graded_part, one_tensor, truncate, zero_tensor
+from .tensor import (
+    AlgebraContext,
+    Tensor,
+    basis_tensor,
+    graded_part,
+    one_tensor,
+    scaled_terms,
+    truncate,
+    zero_tensor,
+)
 
 
 class Endomorphism:
@@ -39,11 +48,12 @@ class Endomorphism:
         if t.ctx != self.ctx:
             raise ValueError("context mismatch")
         values = self.h_values
+        num, den = scaled_terms(t)
         cache = {(): one_tensor(self.ctx)}
         out = zero_tensor(self.ctx)
         # plain tuple sort puts each monomial right after its prefixes,
         # maximizing cache reuse
-        for mono in sorted(t.terms):
+        for mono in sorted(num):
             prod = cache.get(mono)
             if prod is None:
                 # walk down the longest cached prefix
@@ -55,8 +65,8 @@ class Endomorphism:
                     prod = prod * values[idx]
                     k += 1
                     cache[mono[:k]] = prod
-            out = out + prod.scale(t.terms[mono])
-        return out
+            out = out + prod.scale(num[mono])
+        return out.scale(Rat(1, den))
 
     def log_h_values(self) -> list:
         """(log U)(X_j) for each basis vector, via the finite series
@@ -64,7 +74,7 @@ class Endomorphism:
         series stops by the truncation."""
         out = []
         for j in range(self.ctx.dim):
-            term = self.h_values[j] - _basis(self.ctx, j)
+            term = self.h_values[j] - basis_tensor(self.ctx, j)
             acc = term
             k = 1
             while term:
@@ -76,10 +86,6 @@ class Endomorphism:
                     raise ArithmeticError("log series failed to terminate")
             out.append(acc)
         return out
-
-
-def _basis(ctx, j):
-    return Tensor._make(ctx, {(j,): Rat(1)})
 
 
 def solve_generator_images(ctx: AlgebraContext, sources, targets, cap: int | None = None):
@@ -107,7 +113,7 @@ def solve_generator_images(ctx: AlgebraContext, sources, targets, cap: int | Non
         v = truncate(v, work_ctx)
         if s.coefficient(()) or v.coefficient(()):
             raise ValueError("sources and targets must lie in T-hat_1")
-        if graded_part(s, 1) != _basis(work_ctx, i):
+        if graded_part(s, 1) != basis_tensor(work_ctx, i):
             raise ValueError(
                 f"source {i} is not unit-triangular (degree-1 part must be X_{i})"
             )

@@ -24,15 +24,17 @@ from importlib import resources
 
 from .endomorphism import Endomorphism, solve_generator_images
 from .lie import bracket, exp, is_lie, log, _phi_monomial
-from .rationals import Rat, rat_from_string
+from .rationals import rat_from_string
 from .tensor import (
     AlgebraContext,
     Tensor,
     basis_tensor,
     graded_part,
     one_tensor,
+    scaled_terms,
     symplectic_form,
     tensor_from_json,
+    tensor_from_scaled,
     tensor_to_json,
     truncate,
     zero_tensor,
@@ -304,37 +306,32 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
         pass_ctx = AlgebraContext(genus, m)
         defect = log(_boundary_value(pass_ctx, [truncate(t, pass_ctx) for t in logs]))
         defect = defect - truncate(omega, pass_ctx)
-        if any(len(mono) < m for mono in defect.terms):
+        num, den = scaled_terms(defect)
+        if any(len(mono) < m for mono in num):
             # the previous passes cancelled every lower degree; a leftover
             # means the kernel miscomputed, not that the input was bad
             raise ArithmeticError(f"defect below degree {m} survived pass {m}")
         if not defect:
             continue
+        # corrections are numerators over den * m, the certificate over den
         corrections = {}
         check = {}
-        for mono in sorted(defect.terms):
-            coeff = defect.terms[mono]
+        for mono, coeff in num.items():
             first, tail = mono[0], mono[1:]
             # [first, Phi(tail)] summed with weight coeff/m rebuilds the
             # defect (Dynkin); each term is cancelled through the partner
             # generator of its first letter
-            factor = coeff / Rat(m)
-            target = first + 1 if first % 2 == 0 else first - 1
-            sign = -1 if first % 2 == 0 else 1
-            bucket = corrections.setdefault(target, {})
+            factor = -coeff if first % 2 == 0 else coeff
+            bucket = corrections.setdefault(first ^ 1, {})
             for sub, c in _phi_monomial(tail, phi_cache).items():
-                acc = bucket.get(sub)
-                val = factor * (sign * c)
-                bucket[sub] = val if acc is None else acc + val
+                bucket[sub] = bucket.get(sub, 0) + factor * c
             for sub, c in _phi_monomial(mono, phi_cache).items():
                 check[sub] = check.get(sub, 0) + coeff * c
         # Dynkin certificate: Phi(defect) = m * defect for Lie input
-        if Tensor(pass_ctx, check) != defect.scale(m):
+        if tensor_from_scaled(pass_ctx, check, den) != defect.scale(m):
             raise ArithmeticError(f"degree-{m} defect failed the Lie certificate")
         for target, bucket in corrections.items():
-            logs[target] = logs[target] + Tensor._make(
-                work_ctx, {mono: c for mono, c in bucket.items() if c}
-            )
+            logs[target] = logs[target] + tensor_from_scaled(work_ctx, bucket, den * m)
     return Expansion(ctx, [truncate(t, ctx) for t in logs], kind="built")
 
 
@@ -421,9 +418,13 @@ def expansion_from_json(obj: dict) -> Expansion:
             raise ValueError(f"expansion JSON missing field {field!r}")
     ctx = AlgebraContext(obj["genus"], obj["truncation"])
     kind = obj["kind"]
+    if not isinstance(obj["generators"], list):
+        raise ValueError("expansion JSON 'generators' must be a list")
     logs = [None] * ctx.dim
     seen = set()
     for entry in obj["generators"]:
+        if not isinstance(entry, dict) or "log" not in entry:
+            raise ValueError(f"generator entry must be an object with 'name' and 'log': {entry!r}")
         name = entry.get("name")
         index = _gen_index(ctx, name)
         if index in seen:

@@ -33,6 +33,7 @@ from .tensor import (
     filtration_degree,
     graded_part,
     one_tensor,
+    tensor_from_scaled,
     truncate,
     zero_tensor,
 )
@@ -199,9 +200,7 @@ def homology_action(phi: FreeAutomorphism, ctx: AlgebraContext) -> list:
         counts = {}
         for g, s in im.letters:
             counts[g] = counts.get(g, 0) + s
-        out.append(
-            Tensor._make(ctx, {(g,): Rat(c) for g, c in counts.items() if c})
-        )
+        out.append(tensor_from_scaled(ctx, {(g,): c for g, c in counts.items()}))
     return out
 
 
@@ -227,8 +226,7 @@ def _homology_inverse(phi: FreeAutomorphism, ctx: AlgebraContext) -> list:
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[c])]
     return [
-        Tensor._make(ctx, {(i,): inv[i][j] for i in range(n) if inv[i][j]})
-        for j in range(n)
+        Tensor(ctx, {(i,): inv[i][j] for i in range(n)}) for j in range(n)
     ]
 
 
@@ -244,7 +242,7 @@ class JohnsonComponent:
         for v in values:
             if v.ctx != ctx:
                 raise ValueError("context mismatch in component values")
-            if any(len(m) != k + 1 for m in v.terms):
+            if v.degrees() not in ([], [k + 1]):
                 raise ValueError(f"component {k} values must be homogeneous of degree {k + 1}")
         self.ctx = ctx
         self.k = k

@@ -12,13 +12,15 @@ test of this module instead of an input to it.
 
 from __future__ import annotations
 
+import heapq
+
 from .rationals import ONE, Rat
 from .tensor import (
     Tensor,
     basis_tensor,
-    graded_part,
     one_tensor,
-    scalar_tensor,
+    scaled_terms,
+    tensor_from_scaled,
     zero_tensor,
 )
 
@@ -53,25 +55,25 @@ def phi(t: Tensor, _cache: dict | None = None) -> Tensor:
     """Bracketing map Phi(X_1...X_n) = [X_1,[...[X_{n-1},X_n]...]], linear
     extension; the identity on degree 1.  Errors on a nonzero constant term
     (Phi has no sensible value there)."""
-    if t.coefficient(()):
+    num, den = scaled_terms(t)
+    if () in num:
         raise ValueError("phi: nonzero constant term")
     cache = _cache if _cache is not None else {}
     out = {}
-    for mono, coeff in t.terms.items():
+    get = out.get
+    for mono, coeff in num.items():
         for m2, c2 in _phi_monomial(mono, cache).items():
-            acc = out.get(m2)
-            val = coeff * c2
-            out[m2] = val if acc is None else acc + val
-    return Tensor._make(t.ctx, {m: c for m, c in out.items() if c})
+            out[m2] = get(m2, 0) + coeff * c2
+    return tensor_from_scaled(t.ctx, out, den)
 
 
 def is_lie(t: Tensor) -> bool:
     """Dynkin-Specht-Wever test, degreewise: Phi(u_n) = n*u_n for every
     homogeneous component, and no constant term."""
-    if t.coefficient(()):
+    num, den = scaled_terms(t)
+    if () in num:
         return False
-    scaled = Tensor._make(t.ctx, {m: c * len(m) for m, c in t.terms.items()})
-    return phi(t) == scaled
+    return phi(t) == tensor_from_scaled(t.ctx, {m: c * len(m) for m, c in num.items()}, den)
 
 
 def exp(t: Tensor) -> Tensor:
@@ -122,32 +124,41 @@ def bch(u: Tensor, v: Tensor) -> Tensor:
 # -- Lyndon-basis display form ----------------------------------------------
 
 
-def _lyndon_words(dim: int, n: int) -> list:
-    """Duval's algorithm: all Lyndon words of length n over 0..dim-1."""
-    out = []
-    w = [-1]
-    while w:
-        w[-1] += 1
-        m = len(w)
-        if m == n:
-            out.append(tuple(w))
-        while len(w) < n:
-            w.append(w[-m])
-        while w and w[-1] == dim - 1:
-            w.pop()
-    return out
+def _lyndon_bracketing(word: tuple, cache: dict) -> tuple:
+    """(standard bracketing, its integer expansion) of a Lyndon word.
+
+    The bracketing splits the word at its longest proper Lyndon suffix into
+    a nested (left, right) tree with int leaves; the expansion maps
+    monomials to int coefficients.  Raises ValueError unless the word is
+    strictly less than each of its proper rotations."""
+    n = len(word)
+    if not n or any(word >= word[k:] + word[:k] for k in range(1, n)):
+        raise ValueError(f"not a Lyndon word: {word}")
+    return _standard_bracketing(word, cache)
 
 
-def _lyndon_bracketing(word: tuple) -> object:
-    """Standard bracketing: split a Lyndon word at its longest proper Lyndon
-    suffix; returns a nested (left, right) tree with int leaves."""
+def _standard_bracketing(word: tuple, cache: dict) -> tuple:
+    # for a Lyndon word the longest proper Lyndon suffix is also its least
+    # proper suffix, and both factors are again Lyndon words
+    hit = cache.get(word)
+    if hit is not None:
+        return hit
     if len(word) == 1:
-        return word[0]
-    for cut in range(1, len(word)):
-        suffix = word[cut:]
-        if all(suffix < suffix[k:] + suffix[:k] for k in range(1, len(suffix))):
-            return (_lyndon_bracketing(word[:cut]), _lyndon_bracketing(suffix))
-    raise ValueError(f"not a Lyndon word: {word}")
+        hit = (word[0], {word: 1})
+    else:
+        cut = min(range(1, len(word)), key=lambda k: word[k:])
+        left_tree, left = _standard_bracketing(word[:cut], cache)
+        right_tree, right = _standard_bracketing(word[cut:], cache)
+        left, right = left.items(), right.items()
+        # u + v is distinct for distinct pairs of equal-length u, v
+        out = {u + v: cu * cv for u, cu in left for v, cv in right}
+        get = out.get
+        for u, cu in left:
+            for v, cv in right:
+                out[v + u] = get(v + u, 0) - cu * cv
+        hit = ((left_tree, right_tree), {m: c for m, c in out.items() if c})
+    cache[word] = hit
+    return hit
 
 
 def bracket_tree_tensor(ctx, tree) -> Tensor:
@@ -160,23 +171,38 @@ def bracket_tree_tensor(ctx, tree) -> Tensor:
 
 def lyndon_bracket_form(t: Tensor) -> list:
     """Rewrite a Lie tensor as [(coeff, bracket-tree), ...] over the Lyndon
-    basis.  Works degreewise by peeling the lexicographically least monomial,
-    which for a Lie element is always a Lyndon word with the same coefficient
-    as its standard bracketing.  Raises ValueError on non-Lie input."""
+    basis, in ascending order of the Lyndon words.
+
+    The standard bracketing of a Lyndon word w expands to w plus strictly
+    greater monomials of the same length (Chen-Fox-Lyndon), so eliminating
+    monomials in ascending order, in place, peels one basis element per
+    Lyndon word: the least surviving monomial of a Lie remainder is always
+    Lyndon.  Raises ValueError on non-Lie input, at the first surviving
+    monomial that is not a Lyndon word."""
+    num, den = scaled_terms(t)
+    if () in num:
+        raise ValueError("constant term is not Lie")
+    rem = dict(num)  # zeros stay in, so each monomial enters the heap once
+    heap = list(rem)
+    heapq.heapify(heap)
+    cache = {}
     out = []
-    rem = t
-    guard = 0
-    while rem:
-        mono = min(rem.terms)
-        if not mono:
-            raise ValueError("constant term is not Lie")
-        coeff = rem.terms[mono]
-        tree = _lyndon_bracketing(mono)  # raises if mono is not Lyndon
-        out.append((coeff, tree))
-        rem = rem - bracket_tree_tensor(t.ctx, tree).scale(coeff)
-        guard += 1
-        if guard > 10000:
-            raise ValueError("bracket rewrite did not terminate; input not Lie?")
+    while heap:
+        mono = heapq.heappop(heap)
+        coeff = rem.pop(mono)
+        if not coeff:
+            continue
+        tree, expansion = _lyndon_bracketing(mono, cache)
+        out.append((Rat(coeff, den), tree))
+        for m2, c2 in expansion.items():
+            if m2 == mono:
+                continue  # coefficient 1: the leading term cancels exactly
+            acc = rem.get(m2)
+            if acc is None:
+                rem[m2] = -coeff * c2
+                heapq.heappush(heap, m2)
+            else:
+                rem[m2] = acc - coeff * c2
     return out
 
 

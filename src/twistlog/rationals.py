@@ -1,16 +1,22 @@
 """Exact rational scalars.
 
 Everything in this package is computed over Q, with coefficients kept in
-lowest terms; there is no floating point anywhere.  Two interchangeable
-backends provide the scalar type:
+lowest terms; there is no floating point anywhere.  The tensor kernel
+(``twistlog.tensor``) does its arithmetic on Python ints over one common
+denominator per tensor, so the scalar type below appears only where
+coefficients are handed out one by one: the ``Tensor.terms`` view, single
+coefficients, and parsing and printing.  Two interchangeable backends
+provide it:
 
-* ``gmpy2.mpq`` (default when installed) -- C-implemented, roughly an order
-  of magnitude faster on the dict-heavy product kernels;
+* ``gmpy2.mpq`` (default when installed) -- C-implemented;
 * ``fractions.Fraction`` -- pure stdlib fallback.
 
 Set ``TWISTLOG_RATIONALS=fraction`` (or ``gmpy2``) to force a backend.
 Both are exact and auto-normalized, so results are bit-identical; only the
-runtime differs.  ``benchmarks/bench_rationals.py`` compares them.
+runtime differs.  ``benchmarks/bench_rationals.py`` compares them.  Its
+gmpy2 figures in the README were taken before the integer kernel; with
+the kernel no longer doing per-term rational arithmetic, how much gmpy2
+still gains has not been measured (the reference machine has no gmpy2).
 """
 
 from __future__ import annotations

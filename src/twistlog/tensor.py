@@ -7,16 +7,32 @@ completed algebra is modelled by truncating every product at a hard degree
 bound N carried by the ambient context.  Tensors are immutable values and
 every operation is a pure function, so concurrent evaluation needs no
 coordination.
+
+Coefficients are stored scaled: Python-int numerators over one positive
+common denominator per tensor, kept canonical by gcd(den, *numerators) == 1
+(den == 1 for the zero tensor).  Every kernel operation works on ints and
+reduces once per result instead of once per term.  ``Tensor.terms`` is the
+read-only monomial -> Rat view of the same data, built on first use; other
+modules that need the ints go through ``scaled_terms`` and
+``tensor_from_scaled``.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial, gcd, lcm
+from types import MappingProxyType
 from typing import Iterable
 
-from .rationals import ONE, Rat, rat_from_string, rat_to_string
+from .rationals import ONE, ZERO, Rat, rat_from_string, rat_to_string
 
 Monomial = tuple  # tuple of basis indices; length is the tensor degree
+
+
+def _exact_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class AlgebraContext:
@@ -25,6 +41,8 @@ class AlgebraContext:
     __slots__ = ("genus", "truncation", "dim")
 
     def __init__(self, genus: int, truncation: int):
+        genus = _exact_int(genus, "genus")
+        truncation = _exact_int(truncation, "truncation")
         if genus < 1:
             raise ValueError(f"genus must be >= 1, got {genus}")
         if truncation < 2:
@@ -75,6 +93,43 @@ def intersection(ctx: AlgebraContext, x: int, y: int):
     return ONE if x % 2 == 0 else -ONE
 
 
+def _as_rat(value):
+    """An exact rational from an int, a rational or a fraction string; floats
+    are refused, since their binary expansion is rarely what was meant."""
+    if isinstance(value, float):
+        raise ValueError(f"float coefficient {value!r}: pass an int, a Rat or a 'p/q' string")
+    return value if isinstance(value, type(ONE)) else Rat(value)
+
+
+def _split(value) -> tuple:
+    """(numerator, denominator) as Python ints, denominator positive."""
+    if type(value) is int:
+        return value, 1
+    q = _as_rat(value)
+    return int(q.numerator), int(q.denominator)
+
+
+def _scaled(ctx: AlgebraContext, num: dict, den: int) -> "Tensor":
+    # trusted: monomials valid, no zero numerators, den > 0, canonical
+    t = object.__new__(Tensor)
+    t.ctx = ctx
+    t._num = num
+    t._den = den
+    t._terms = None
+    return t
+
+
+def _reduced(ctx: AlgebraContext, num: dict, den: int) -> "Tensor":
+    # trusted: monomials valid, no zero numerators, den > 0; one gcd pass
+    if not num:
+        return _scaled(ctx, num, 1)
+    g = gcd(den, *num.values()) if den != 1 else 1
+    if g != 1:
+        num = {m: c // g for m, c in num.items()}
+        den //= g
+    return _scaled(ctx, num, den)
+
+
 class Tensor:
     """Element of the tensor algebra truncated at the context's degree bound.
 
@@ -83,11 +138,10 @@ class Tensor:
     monomial of degree above the truncation.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_num", "_den", "_terms")
 
     def __init__(self, ctx: AlgebraContext, terms: dict | None = None):
-        self.ctx = ctx
-        clean = {}
+        parts = {}
         if terms:
             for mono, coeff in terms.items():
                 mono = tuple(mono)
@@ -97,39 +151,47 @@ class Tensor:
                     )
                 for idx in mono:
                     ctx.check_index(idx)
-                coeff = coeff if isinstance(coeff, type(ONE)) else Rat(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+                p, q = _split(coeff)
+                if p:
+                    parts[mono] = (p, q)
+        den = lcm(*(q for _, q in parts.values()))
+        # reduced fractions over the lcm of their denominators are canonical
+        self.ctx = ctx
+        self._num = {m: p * (den // q) for m, (p, q) in parts.items()}
+        self._den = den
+        self._terms = None
 
-    @classmethod
-    def _make(cls, ctx: AlgebraContext, terms: dict) -> "Tensor":
-        # trusted constructor: terms already pruned, monomials already tuples
-        t = object.__new__(cls)
-        t.ctx = ctx
-        t.terms = terms
-        return t
+    @property
+    def terms(self):
+        """Read-only monomial -> Rat view, built once per tensor."""
+        if self._terms is None:
+            den = self._den
+            self._terms = MappingProxyType({m: Rat(c, den) for m, c in self._num.items()})
+        return self._terms
 
     # -- queries ----------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             if other == 0:
-                return not self.terms
+                return not self._num
             other = scalar_tensor(self.ctx, other)
-        return self.ctx == other.ctx and self.terms == other.terms
+        return (
+            self.ctx == other.ctx and self._den == other._den and self._num == other._num
+        )
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return hash((self.ctx, self._den, frozenset(self._num.items())))
 
     def coefficient(self, mono: Iterable[int]):
-        return self.terms.get(tuple(mono), Rat(0))
+        c = self._num.get(tuple(mono))
+        return ZERO if c is None else Rat(c, self._den)
 
     def degrees(self):
-        return sorted({len(m) for m in self.terms})
+        return sorted({len(m) for m in self._num})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -141,23 +203,29 @@ class Tensor:
         if not isinstance(other, Tensor):
             other = scalar_tensor(self.ctx, other)
         self._check_same(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono)
+        # both sides over lcm(d1, d2) = d1 * f1 = d2 * f2
+        g = gcd(self._den, other._den)
+        f1, f2 = other._den // g, self._den // g
+        out = {m: c * f1 for m, c in self._num.items()} if f1 != 1 else dict(self._num)
+        get = out.get
+        for mono, c in other._num.items():
+            if f2 != 1:
+                c *= f2
+            acc = get(mono)
             if acc is None:
-                out[mono] = coeff
+                out[mono] = c
             else:
-                acc = acc + coeff
+                acc += c
                 if acc:
                     out[mono] = acc
                 else:
                     del out[mono]
-        return Tensor._make(self.ctx, out)
+        return _reduced(self.ctx, out, self._den * f1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Tensor._make(self.ctx, {m: -c for m, c in self.terms.items()})
+        return _scaled(self.ctx, {m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, Tensor):
@@ -173,37 +241,52 @@ class Tensor:
         self._check_same(other)
         cap = self.ctx.truncation
         buckets = {}
-        for mono, coeff in other.terms.items():
+        for mono, coeff in other._num.items():
             buckets.setdefault(len(mono), []).append((mono, coeff))
         degrees = sorted(buckets)
         out = {}
         get = out.get
-        for m1, c1 in self.terms.items():
+        for m1, c1 in self._num.items():
             room = cap - len(m1)
             for deg in degrees:
                 if deg > room:
                     break
                 for m2, c2 in buckets[deg]:
                     key = m1 + m2
-                    acc = get(key)
-                    out[key] = c1 * c2 if acc is None else acc + c1 * c2
-        return Tensor._make(self.ctx, {m: c for m, c in out.items() if c})
+                    out[key] = get(key, 0) + c1 * c2
+        out = {m: c for m, c in out.items() if c}
+        return _reduced(self.ctx, out, self._den * other._den)
 
     def __rmul__(self, other):
         # scalars commute; Tensor*Tensor never reaches here
         return self.scale(other)
 
     def scale(self, scalar):
-        scalar = scalar if isinstance(scalar, type(ONE)) else Rat(scalar)
-        if not scalar:
-            return Tensor._make(self.ctx, {})
-        return Tensor._make(self.ctx, {m: c * scalar for m, c in self.terms.items()})
+        p, q = _split(scalar)
+        if not p or not self._num:
+            return zero_tensor(self.ctx)
+        # cancel p against den and q against the numerators up front, so the
+        # product needs no further reduction
+        den = self._den
+        g = gcd(p, den)
+        if g != 1:
+            p //= g
+            den //= g
+        num = self._num
+        if q != 1:
+            g = gcd(q, *num.values())
+            if g != 1:
+                q //= g
+                num = {m: c // g for m, c in num.items()}
+        if p != 1:
+            num = {m: c * p for m, c in num.items()}
+        return _scaled(self.ctx, num, den * q)
 
     def __truediv__(self, scalar):
-        return self.scale(ONE / Rat(scalar))
+        return self.scale(ONE / _as_rat(scalar))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return "Tensor(0)"
         bits = []
         for mono in sorted(self.terms):
@@ -212,16 +295,34 @@ class Tensor:
         return "Tensor(" + " + ".join(bits) + ")"
 
 
+# -- the scaled form ---------------------------------------------------------
+
+
+def scaled_terms(t: Tensor) -> tuple:
+    """(numerators, den): t's terms are numerators[m] / den, with den > 0 and
+    gcd(den, *numerators) == 1.  The dict is t's own; never mutate it."""
+    return t._num, t._den
+
+
+def tensor_from_scaled(ctx: AlgebraContext, numerators: dict, den: int = 1) -> Tensor:
+    """Tensor with terms numerators[m] / den, for int numerators and an int
+    den > 0.  Monomials are trusted to be valid tuples for ``ctx``; zero
+    numerators are dropped and the result is reduced to canonical form."""
+    if den <= 0:
+        raise ValueError(f"denominator must be positive, got {den}")
+    return _reduced(ctx, {m: c for m, c in numerators.items() if c}, den)
+
+
 # -- constructors ----------------------------------------------------------
 
 
 def zero_tensor(ctx: AlgebraContext) -> Tensor:
-    return Tensor._make(ctx, {})
+    return _scaled(ctx, {}, 1)
 
 
 def scalar_tensor(ctx: AlgebraContext, value) -> Tensor:
-    value = value if isinstance(value, type(ONE)) else Rat(value)
-    return Tensor._make(ctx, {(): value} if value else {})
+    p, q = _split(value)
+    return _reduced(ctx, {(): p} if p else {}, q)
 
 
 def one_tensor(ctx: AlgebraContext) -> Tensor:
@@ -230,7 +331,7 @@ def one_tensor(ctx: AlgebraContext) -> Tensor:
 
 def basis_tensor(ctx: AlgebraContext, index: int) -> Tensor:
     ctx.check_index(index)
-    return Tensor._make(ctx, {(index,): ONE})
+    return _scaled(ctx, {(index,): 1}, 1)
 
 
 def monomial_tensor(ctx: AlgebraContext, mono: Iterable[int], coeff=1) -> Tensor:
@@ -243,9 +344,9 @@ def symplectic_form(ctx: AlgebraContext) -> Tensor:
     terms = {}
     for i in range(ctx.genus):
         a, b = 2 * i, 2 * i + 1
-        terms[(a, b)] = ONE
-        terms[(b, a)] = -ONE
-    return Tensor._make(ctx, terms)
+        terms[(a, b)] = 1
+        terms[(b, a)] = -1
+    return _scaled(ctx, terms, 1)
 
 
 # -- grading ---------------------------------------------------------------
@@ -254,14 +355,14 @@ def symplectic_form(ctx: AlgebraContext) -> Tensor:
 def graded_part(t: Tensor, m: int) -> Tensor:
     if not 0 <= m <= t.ctx.truncation:
         raise ValueError(f"degree {m} out of range [0, {t.ctx.truncation}]")
-    return Tensor._make(t.ctx, {k: c for k, c in t.terms.items() if len(k) == m})
+    return _reduced(t.ctx, {k: c for k, c in t._num.items() if len(k) == m}, t._den)
 
 
 def filtration_degree(t: Tensor) -> int:
     """Least degree with a nonzero term; N+1 for the zero tensor."""
-    if not t.terms:
+    if not t._num:
         return t.ctx.truncation + 1
-    return min(len(m) for m in t.terms)
+    return min(len(m) for m in t._num)
 
 
 def truncate(t: Tensor, ctx: AlgebraContext) -> Tensor:
@@ -273,7 +374,9 @@ def truncate(t: Tensor, ctx: AlgebraContext) -> Tensor:
     if ctx == t.ctx:
         return t
     cap = ctx.truncation
-    return Tensor._make(ctx, {m: c for m, c in t.terms.items() if len(m) <= cap})
+    if cap >= t.ctx.truncation:
+        return _scaled(ctx, t._num, t._den)
+    return _reduced(ctx, {m: c for m, c in t._num.items() if len(m) <= cap}, t._den)
 
 
 # -- antisymmetrization ----------------------------------------------------
@@ -289,7 +392,7 @@ def _perm_signs(k: int):
             inv = sum(
                 1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j]
             )
-            cached.append((perm, -ONE if inv % 2 else ONE))
+            cached.append((perm, -1 if inv % 2 else 1))
         _SIGNS[k] = cached
     return cached
 
@@ -311,7 +414,7 @@ def wedge_embed(vectors, k: int | None = None) -> Tensor:
     for v in vectors:
         if v.ctx != ctx:
             raise ValueError("context mismatch in wedge")
-        if any(len(m) != 1 for m in v.terms):
+        if any(len(m) != 1 for m in v._num):
             raise ValueError("wedge_embed inputs must be homogeneous of degree 1")
     out = zero_tensor(ctx)
     for perm, sign in _perm_signs(k):
@@ -325,18 +428,22 @@ def wedge_embed(vectors, k: int | None = None) -> Tensor:
 def antisymmetrize(t: Tensor) -> Tensor:
     """Degreewise projector onto the image of wedge_embed:
     (1/k!) sum over permutations of sign(s) . (permuted monomial)."""
+    num = t._num
+    top = max((len(m) for m in num), default=0)
+    whole = factorial(top)  # a multiple of every k! below
     out = {}
-    for mono, coeff in t.terms.items():
+    get = out.get
+    for mono, coeff in num.items():
         k = len(mono)
         if k <= 1:
-            out[mono] = out.get(mono, Rat(0)) + coeff
+            out[mono] = get(mono, 0) + coeff * whole
             continue
         signs = _perm_signs(k)
-        share = coeff / len(signs)
+        share = coeff * (whole // len(signs))
         for perm, sign in signs:
             key = tuple(mono[p] for p in perm)
-            out[key] = out.get(key, Rat(0)) + sign * share
-    return Tensor._make(t.ctx, {m: c for m, c in out.items() if c})
+            out[key] = get(key, 0) + sign * share
+    return tensor_from_scaled(t.ctx, out, t._den * whole)
 
 
 # -- serialization ---------------------------------------------------------
@@ -364,9 +471,15 @@ def tensor_from_json(obj: dict, ctx: AlgebraContext | None = None) -> Tensor:
     parsed = AlgebraContext(obj["genus"], obj["truncation"])
     if ctx is not None and ctx != parsed:
         raise ValueError(f"tensor JSON context {parsed} does not match expected {ctx}")
+    if not isinstance(obj["terms"], list):
+        raise ValueError("tensor JSON 'terms' must be a list")
     terms = {}
     for entry in obj["terms"]:
-        mono = tuple(entry["mono"])
+        if not isinstance(entry, dict) or "mono" not in entry or "coeff" not in entry:
+            raise ValueError(f"tensor JSON term must be an object with 'mono' and 'coeff': {entry!r}")
+        if not isinstance(entry["mono"], list):
+            raise ValueError(f"tensor JSON monomial must be a list: {entry['mono']!r}")
+        mono = tuple(_exact_int(i, "monomial index") for i in entry["mono"])
         if mono in terms:
             raise ValueError(f"duplicate monomial {list(mono)} in tensor JSON")
         coeff = rat_from_string(entry["coeff"])

@@ -1,8 +1,14 @@
 """End-to-end command line behavior: exit codes, JSON output, file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import twistlog
 
 from twistlog.cli import main
 from twistlog.derivation import derivation_from_json
@@ -98,6 +104,37 @@ def test_check_expansion_bad_input(tmp_path, capsys):
     corrupt.write_text("{not json")
     assert main(["check-expansion", "--in", str(corrupt)]) == 2
     capsys.readouterr()
+
+
+def _malformed_generators(theta_json, case):
+    if case == "genus-string":
+        return dict(theta_json, genus=str(theta_json["genus"]))
+    first = theta_json["generators"][0]
+    if case == "generator-without-log":
+        return dict(theta_json, generators=[{"name": first["name"]}])
+    return dict(theta_json, generators=[first["name"]])  # a bare string
+
+
+@pytest.mark.parametrize(
+    "case", ["genus-string", "generator-without-log", "generator-bare-string"]
+)
+def test_check_expansion_malformed_json_exits_two(case, tmp_path):
+    # a fresh interpreter, so that an uncaught exception would show as a
+    # traceback on stderr and exit 1
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(_malformed_generators(expansion_to_json(exponential_expansion(1, 3)), case)))
+    pkg_root = str(Path(twistlog.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": pkg_root + (os.pathsep + inherited if inherited else "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistlog.cli", "check-expansion", "--in", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("twistlog: error:")
 
 
 def test_johnson_component_json(capsys):

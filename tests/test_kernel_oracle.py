@@ -1,0 +1,165 @@
+"""The scaled-integer kernel against a slow dict/Fraction oracle.
+
+The oracle below is the plain textbook arithmetic on monomial -> Fraction
+dicts, with no shared code path with ``twistlog.tensor``.  Random tensors
+at genus 1-2 and truncation <= 5 carry random rationals.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+from twistlog.cyclic import cyclic_n
+from twistlog.derivation import Derivation, apply
+from twistlog.lie import exp, log, phi
+from twistlog.tensor import (
+    AlgebraContext,
+    Tensor,
+    monomial_tensor,
+    scaled_terms,
+    zero_tensor,
+)
+
+# -- the oracle -----------------------------------------------------------------
+
+
+def o_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def o_mul(a, b, cap):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if len(m1) + len(m2) <= cap:
+                out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def o_cyclic_n(a):
+    out = {}
+    for m, c in a.items():
+        for k in range(len(m)):
+            out = o_add(out, {m[k:] + m[:k]: c})
+    return out
+
+
+def o_phi(a):
+    def bracketed(m):  # [m_1, [m_2, ... m_n]] as a dict
+        if len(m) == 1:
+            return {m: 1}
+        inner = bracketed(m[1:])
+        left = {(m[0],) + w: c for w, c in inner.items()}
+        return o_add(left, {w + (m[0],): -c for w, c in inner.items()})
+
+    out = {}
+    for m, c in a.items():
+        out = o_add(out, {w: c * e for w, e in bracketed(m).items()})
+    return out
+
+
+# -- strategies -----------------------------------------------------------------
+
+contexts = st.builds(AlgebraContext, st.integers(1, 2), st.integers(2, 5))
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def fraction_dicts(draw, ctx, min_degree=0):
+    mono = st.lists(
+        st.integers(0, ctx.dim - 1), min_size=min_degree, max_size=ctx.truncation
+    ).map(tuple)
+    raw = draw(st.dictionaries(mono, rationals, max_size=8))
+    return {m: c for m, c in raw.items() if c}
+
+
+@st.composite
+def tensor_pairs(draw, min_degree=0, count=2):
+    ctx = draw(contexts)
+    return ctx, [draw(fraction_dicts(ctx, min_degree)) for _ in range(count)]
+
+
+def assert_canonical(t):
+    num, den = scaled_terms(t)
+    assert den > 0
+    assert all(type(c) is int and c for c in num.values())
+    assert gcd(den, *num.values()) == 1
+
+
+def checked(t, expected):
+    assert_canonical(t)
+    assert dict(t.terms) == expected
+    return t
+
+
+# -- kernel == oracle -----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_pairs(), rationals)
+def test_kernel_ops_match_the_oracle(case, q):
+    ctx, (a, b) = case
+    ta, tb = Tensor(ctx, a), Tensor(ctx, b)
+    checked(ta, a)
+    checked(ta + tb, o_add(a, b))
+    checked(ta - tb, o_add(a, {m: -c for m, c in b.items()}))
+    checked(ta * tb, o_mul(a, b, ctx.truncation))
+    checked(ta.scale(q), {m: c * q for m, c in a.items() if c * q})
+    checked(cyclic_n(ta), o_cyclic_n({m: c for m, c in a.items() if m}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_pairs(min_degree=1, count=1))
+def test_phi_matches_the_oracle(case):
+    ctx, (a,) = case
+    checked(phi(Tensor(ctx, a)), o_phi(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_pairs(count=1))
+def test_fraction_built_and_kernel_built_tensors_are_one_value(case):
+    ctx, (a,) = case
+    from_fractions = Tensor(ctx, a)
+    from_ops = zero_tensor(ctx)
+    for m, c in a.items():
+        from_ops = from_ops + monomial_tensor(ctx, m).scale(c)
+    assert_canonical(from_ops)
+    assert from_ops == from_fractions
+    assert hash(from_ops) == hash(from_fractions)
+    assert scaled_terms(from_ops) == scaled_terms(from_fractions)
+
+
+# -- algebraic laws -------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(tensor_pairs(count=3))
+def test_product_is_associative(case):
+    ctx, dicts = case
+    a, b, c = (Tensor(ctx, d) for d in dicts)
+    assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tensor_pairs(min_degree=1, count=1))
+def test_exp_inverts_log(case):
+    ctx, (u,) = case
+    x = Tensor(ctx, {**u, (): 1})
+    assert exp(log(x)) == x
+    assert log(exp(Tensor(ctx, u))) == Tensor(ctx, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_derivation_apply_obeys_leibniz(data):
+    ctx = data.draw(contexts)
+    # values without constant terms never lower degree, so truncation
+    # commutes with the derivation and Leibniz holds exactly
+    values = [Tensor(ctx, data.draw(fraction_dicts(ctx, 1))) for _ in range(ctx.dim)]
+    d = Derivation(ctx, values)
+    a, b = (Tensor(ctx, data.draw(fraction_dicts(ctx))) for _ in range(2))
+    assert apply(d, a * b) == apply(d, a) * b + a * apply(d, b)

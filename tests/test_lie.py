@@ -1,5 +1,6 @@
 """Lie structure: bracketing map, membership test, exp/log, BCH, Lyndon form."""
 
+import functools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from twistlog.lie import (
 from twistlog.rationals import Rat
 from twistlog.tensor import (
     AlgebraContext,
+    Tensor,
     basis_tensor,
     graded_part,
     monomial_tensor,
@@ -156,3 +158,67 @@ def test_format_bracket_tree():
     ((coeff, tree),) = lyndon_bracket_form(t)
     assert coeff == 1
     assert format_bracket_tree(ctx, tree) == "[A1,[B1,A2]]"
+
+
+def test_lyndon_bracket_form_names_the_first_non_lyndon_word():
+    ctx = AlgebraContext(1, 3)
+    a, b = basis_tensor(ctx, 0), basis_tensor(ctx, 1)
+    # A1 B1 peels [A1,B1] and leaves B1 A1, which is not a Lyndon word
+    with pytest.raises(ValueError, match="not a Lyndon word"):
+        lyndon_bracket_form(a * b)
+    with pytest.raises(ValueError, match="not a Lyndon word"):
+        lyndon_bracket_form(monomial_tensor(ctx, (1, 0, 0)))
+
+
+
+def _lyndon_words(dim, n):
+    """Brute force: words strictly less than each proper rotation."""
+    words = [()]
+    for _ in range(n):
+        words = [w + (x,) for w in words for x in range(dim)]
+    return [w for w in words if all(w < w[k:] + w[:k] for k in range(1, n))]
+
+
+def _standard_tree(w, lyndon):
+    """Split at the longest proper suffix that is a Lyndon word."""
+    if len(w) == 1:
+        return w[0]
+    cut = next(k for k in range(1, len(w)) if w[k:] in lyndon)
+    return (_standard_tree(w[:cut], lyndon), _standard_tree(w[cut:], lyndon))
+
+
+@functools.lru_cache(maxsize=None)
+def _expand(tree):
+    """Integer expansion of a bracket tree, as a monomial -> int dict."""
+    if isinstance(tree, int):
+        return {(tree,): 1}
+    out = {}
+    for u, cu in _expand(tree[0]).items():
+        for v, cv in _expand(tree[1]).items():
+            out[u + v] = out.get(u + v, 0) + cu * cv
+            out[v + u] = out.get(v + u, 0) - cu * cv
+    return out
+
+
+def _combine(pairs):
+    out = {}
+    for coeff, tree in pairs:
+        for m, c in _expand(tree).items():
+            out[m] = out.get(m, 0) + coeff * c
+    return out
+
+
+def test_lyndon_bracket_form_round_trips_beyond_ten_thousand_terms():
+    # genus 2 has 11464 Lyndon words in degrees 1..8; with a nonzero
+    # coefficient on each, the Lyndon form has one term per word.  The
+    # coefficients are k/12, summed as integers k and divided once.
+    rng = random.Random(11464)
+    ctx = AlgebraContext(2, 8)
+    words = [w for n in range(1, 9) for w in _lyndon_words(ctx.dim, n)]
+    assert len(words) == 11464
+    lyndon = set(words)
+    wanted = [(rng.choice([-5, -3, -1, 1, 2, 7]), _standard_tree(w, lyndon)) for w in sorted(words)]
+    t = Tensor(ctx, {m: Rat(k, 12) for m, k in _combine(wanted).items()})
+    form = lyndon_bracket_form(t)
+    # wanted -> t -> form is the round trip: form gives back every term
+    assert form == [(Rat(k, 12), tree) for k, tree in wanted]

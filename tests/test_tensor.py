@@ -224,3 +224,41 @@ def test_json_validation():
     zero = dict(good, terms=[{"mono": [0], "coeff": "0/1"}])
     with pytest.raises(ValueError):
         tensor_from_json(zero)
+
+
+def test_float_coefficients_are_refused():
+    ctx = AlgebraContext(1, 3)
+    a = basis_tensor(ctx, 0)
+    for make in (
+        lambda: Tensor(ctx, {(0,): 0.1}),
+        lambda: monomial_tensor(ctx, (0, 1), 0.5),
+        lambda: scalar_tensor(ctx, 2.0),
+        lambda: a.scale(0.5),
+        lambda: a * 0.5,
+        lambda: 0.5 * a,
+        lambda: a / 2.0,
+    ):
+        with pytest.raises(ValueError, match="float"):
+            make()
+    # exact inputs still go through
+    assert Tensor(ctx, {(0,): "1/10"}) == a.scale(Rat(1, 10))
+
+
+def test_json_monomial_indices_must_be_ints():
+    ctx = AlgebraContext(1, 2)
+    good = tensor_to_json(basis_tensor(ctx, 0))
+    for index in (0.0, True, "0"):
+        bad = dict(good, terms=[{"mono": [index], "coeff": "1/1"}])
+        with pytest.raises(ValueError, match="monomial index"):
+            tensor_from_json(bad)
+    for terms in (5, [["mono", [0]]], [{"mono": [0]}], [{"mono": 0, "coeff": "1/1"}]):
+        with pytest.raises(ValueError):
+            tensor_from_json(dict(good, terms=terms))
+
+
+def test_context_fields_must_be_ints():
+    for genus, truncation in (("2", 3), (2, 3.0), (True, 3), (None, 3)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            AlgebraContext(genus, truncation)
+    with pytest.raises(ValueError):
+        tensor_from_json({"genus": "2", "truncation": 3, "terms": []})
