@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .derivation import derivation_to_json
@@ -57,8 +58,35 @@ SOURCES = (
 )
 
 
+# Largest monomial count that the ``build`` and ``builtin:*`` expansion
+# sources and ``build-expansion`` accept: the count sum(dim**k for k <= N+1)
+# of the algebra one degree above the truncation N, where the builder and
+# the loop invariant work.  It admits genus 2 through degree 8 (349525
+# monomials; the build takes 3.4 s) and genus 3 through degree 6 (335923;
+# 0.3 s).  Beyond it, genus 2 at degree 9 (1.4M) took 27 s and 3.6 GiB to
+# build, and the count grows by a factor 2g with each degree.
+MAX_MONOMIALS = 400_000
+
+
 class UsageError(Exception):
     pass
+
+
+def _check_size(genus: int, degree: int) -> None:
+    """Refuse a genus and degree whose monomial count exceeds MAX_MONOMIALS.
+
+    The count (dim**(N+2) - 1) / (dim - 1) is compared by its logarithm, so
+    an absurd degree is refused at once instead of being raised to a power."""
+    if genus < 1 or degree < 0:
+        return  # invalid on its own; the context constructor says why
+    dim = 2 * genus
+    log_count = (degree + 2) * math.log10(dim) - math.log10(dim - 1)
+    if log_count > math.log10(MAX_MONOMIALS):
+        raise UsageError(
+            f"genus {genus} at degree {degree} spans about 10^{log_count:.1f} "
+            f"monomials (the sum of (2g)^k for k <= degree + 1), above the "
+            f"limit of {MAX_MONOMIALS}"
+        )
 
 
 def _resolve_expansion(source: str, genus, degree) -> Expansion:
@@ -90,6 +118,8 @@ def _resolve_expansion(source: str, genus, degree) -> Expansion:
             return fixture_massuyeau_partial(2 if genus is None else genus, degree)
         genus = 2 if genus is None else genus
         degree = 5 if degree is None else degree
+        if source in ("builtin:standard", "builtin:exp", "build"):
+            _check_size(genus, degree)
         if source == "builtin:standard":
             return standard_expansion(genus, degree)
         if source == "builtin:exp":
@@ -195,6 +225,7 @@ def _cmd_build_expansion(args) -> int:
         raise UsageError("--genus must be >= 1")
     if args.degree < 2:
         raise UsageError("--degree must be >= 2")
+    _check_size(args.genus, args.degree)
     theta = build_symplectic(args.genus, args.degree)
     payload = json.dumps(expansion_to_json(theta), sort_keys=True, indent=2)
     try:

@@ -98,12 +98,14 @@ def from_tensor(t: Tensor) -> Derivation:
     if t.coefficient(()):
         raise ValueError("derivation tensor must have zero constant term")
     ctx = t.ctx
-    num, den = scaled_terms(t)
+    blocks, den = scaled_terms(t)
     buckets = [{} for _ in range(ctx.dim)]
-    for mono, coeff in num.items():
-        first, tail = mono[0], mono[1:]
-        target = first ^ 1
-        buckets[target][tail] = -coeff if first % 2 == 0 else coeff
+    for p, block in blocks.items():
+        top = ctx.dim ** (p - 1)
+        for x, coeff in block.items():
+            first, tail = divmod(x, top)
+            target = buckets[first ^ 1].setdefault(p - 1, {})
+            target[tail] = -coeff if first % 2 == 0 else coeff
     return Derivation(ctx, [tensor_from_scaled(ctx, b, den) for b in buckets])
 
 
@@ -113,12 +115,15 @@ def to_tensor(d: Derivation) -> Tensor:
     scaled = [scaled_terms(v) for v in d.values]
     den = lcm(*(den for _, den in scaled))
     out = {}
-    for j, (num, vden) in enumerate(scaled):
+    for j, (blocks, vden) in enumerate(scaled):
         # the value on A_i is prefixed by B_i, the value on B_i by -A_i
-        head, factor = (j ^ 1,), (den // vden) * (1 if j % 2 == 0 else -1)
-        for mono, coeff in num.items():
-            if len(mono) + 1 <= ctx.truncation:
-                out[head + mono] = coeff * factor
+        head, factor = j ^ 1, (den // vden) * (1 if j % 2 == 0 else -1)
+        for q, block in blocks.items():
+            if q + 1 <= ctx.truncation:
+                lead = head * ctx.dim**q
+                target = out.setdefault(q + 1, {})
+                for x, coeff in block.items():
+                    target[lead + x] = coeff * factor
     return tensor_from_scaled(ctx, out, den)
 
 
@@ -136,25 +141,35 @@ def apply(d: Derivation, t: Tensor) -> Tensor:
     products above the truncation are dropped."""
     if t.ctx != d.ctx:
         raise ValueError("context mismatch")
-    cap = d.ctx.truncation
-    num, den = scaled_terms(t)
+    cap, dim = d.ctx.truncation, d.ctx.dim
+    blocks, den = scaled_terms(t)
     scaled = [scaled_terms(v) for v in d.values]
     vden = lcm(*(vd for _, vd in scaled))
-    # each value's items on the common denominator vden
+    # each value's blocks, ascending in degree, on the common denominator vden
     values = [
-        [(m, c * (vden // vd)) for m, c in vnum.items()] for vnum, vd in scaled
+        [(q, dim**q, [(v, c * (vden // vd)) for v, c in b.items()]) for q, b in sorted(vb.items())]
+        for vb, vd in scaled
     ]
     out = {}
-    get = out.get
-    for mono, coeff in num.items():
-        room = cap - len(mono) + 1
-        for k, letter in enumerate(mono):
-            prefix, suffix = mono[:k], mono[k + 1 :]
-            for vmono, vc in values[letter]:
-                if len(vmono) > room:
-                    continue
-                key = prefix + vmono + suffix
-                out[key] = get(key, 0) + coeff * vc
+    for p, block in blocks.items():
+        room = cap - p + 1
+        for x, coeff in block.items():
+            for k in range(p):
+                # x = prefix . letter . suffix, the suffix of degree p-1-k
+                after = dim ** (p - 1 - k)
+                prefix, rest = divmod(x, after * dim)
+                letter, suffix = divmod(rest, after)
+                for q, shift, items in values[letter]:
+                    if q > room:
+                        break
+                    acc = out.get(p - 1 + q)
+                    if acc is None:
+                        acc = out[p - 1 + q] = {}
+                    get = acc.get
+                    base = prefix * shift * after + suffix
+                    for v, vc in items:
+                        key = base + v * after
+                        acc[key] = get(key, 0) + coeff * vc
     return tensor_from_scaled(d.ctx, out, den * vden)
 
 

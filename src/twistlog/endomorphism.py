@@ -48,24 +48,25 @@ class Endomorphism:
         if t.ctx != self.ctx:
             raise ValueError("context mismatch")
         values = self.h_values
-        num, den = scaled_terms(t)
-        cache = {(): one_tensor(self.ctx)}
+        dim = self.ctx.dim
+        blocks, den = scaled_terms(t)
+        # (degree, code) of each prefix -> its product, built on demand
+        cache = {(0, 0): one_tensor(self.ctx)}
         out = zero_tensor(self.ctx)
-        # plain tuple sort puts each monomial right after its prefixes,
-        # maximizing cache reuse
-        for mono in sorted(num):
-            prod = cache.get(mono)
-            if prod is None:
-                # walk down the longest cached prefix
-                k = len(mono) - 1
-                while mono[:k] not in cache:
-                    k -= 1
-                prod = cache[mono[:k]]
-                for idx in mono[k:]:
-                    prod = prod * values[idx]
-                    k += 1
-                    cache[mono[:k]] = prod
-            out = out + prod.scale(num[mono])
+        for p, block in blocks.items():
+            for x, coeff in block.items():
+                prod = cache.get((p, x))
+                if prod is None:
+                    # walk down to the longest cached prefix, then back up
+                    k = p - 1
+                    while (k, x // dim ** (p - k)) not in cache:
+                        k -= 1
+                    prod = cache[k, x // dim ** (p - k)]
+                    for j in range(k + 1, p + 1):
+                        prefix = x // dim ** (p - j)
+                        prod = prod * values[prefix % dim]
+                        cache[j, prefix] = prod
+                out = out + prod.scale(coeff)
         return out.scale(Rat(1, den))
 
     def log_h_values(self) -> list:

@@ -21,9 +21,10 @@ from __future__ import annotations
 import json
 import os
 from importlib import resources
+from math import lcm
 
 from .endomorphism import Endomorphism, solve_generator_images
-from .lie import bracket, exp, is_lie, log, _phi_monomial
+from .lie import _bracket_expansion, _phi_code, exp, is_lie, log
 from .rationals import rat_from_string
 from .tensor import (
     AlgebraContext,
@@ -37,7 +38,6 @@ from .tensor import (
     tensor_from_scaled,
     tensor_to_json,
     truncate,
-    zero_tensor,
 )
 from .words import GroupWord, boundary_word, gen_name
 
@@ -192,12 +192,15 @@ def _data_text(filename: str) -> str:
     return resources.files("twistlog.data").joinpath(filename).read_text("utf-8")
 
 
-def _tree_tensor(ctx: AlgebraContext, tree) -> Tensor:
-    # a tree is a basis name ("A1") or a two-element list [left, right]
+def _tree_from_json(ctx: AlgebraContext, tree) -> tuple:
+    """(tree with int leaves, degree) of a data-file bracket tree: a basis
+    name ("A1") or a two-element list [left, right]."""
     if isinstance(tree, str):
-        return basis_tensor(ctx, ctx.basis_index(tree))
-    if isinstance(tree, (list, tuple)) and len(tree) == 2:
-        return bracket(_tree_tensor(ctx, tree[0]), _tree_tensor(ctx, tree[1]))
+        return ctx.basis_index(tree), 1
+    if isinstance(tree, list) and len(tree) == 2:
+        left, p = _tree_from_json(ctx, tree[0])
+        right, q = _tree_from_json(ctx, tree[1])
+        return (left, right), p + q
     raise ValueError(f"malformed bracket tree: {tree!r}")
 
 
@@ -234,14 +237,26 @@ def load_fixture(kind: str, truncation: int | None = None, genus: int | None = N
         raise ValueError(f"fixture {kind} has genus {file_genus}, requested {genus}")
     ctx = AlgebraContext(genus, truncation)
     logs = [None] * ctx.dim
+    expansions = {}
     for name, entries in payload["generators"].items():
-        index = 2 * int(name[1:]) - 2 + (1 if name[0] == "b" else 0)
-        acc = zero_tensor(ctx)
+        index = _gen_index(ctx, name)
+        # the log's numerators over the lcm of its coefficient denominators
+        terms = []
         for coeff, tree in entries:
-            term = _tree_tensor(ctx, tree)
-            if term:  # brackets above the truncation vanish entirely
-                acc = acc + term.scale(rat_from_string(coeff))
-        logs[index] = acc
+            tree, degree = _tree_from_json(ctx, tree)
+            if degree <= truncation:  # brackets above the truncation vanish
+                q = rat_from_string(coeff)
+                terms.append((int(q.numerator), int(q.denominator), tree))
+        den = lcm(*(q for _, q, _ in terms))
+        blocks = {}
+        for p, q, tree in terms:
+            degree, expansion = _bracket_expansion(ctx, tree, expansions)
+            acc = blocks.setdefault(degree, {})
+            get = acc.get
+            factor = p * (den // q)
+            for code, c in expansion.items():
+                acc[code] = get(code, 0) + factor * c
+        logs[index] = tensor_from_scaled(ctx, blocks, den)
     return Expansion(ctx, logs, kind=kind)
 
 
@@ -306,32 +321,33 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
         pass_ctx = AlgebraContext(genus, m)
         defect = log(_boundary_value(pass_ctx, [truncate(t, pass_ctx) for t in logs]))
         defect = defect - truncate(omega, pass_ctx)
-        num, den = scaled_terms(defect)
-        if any(len(mono) < m for mono in num):
+        blocks, den = scaled_terms(defect)
+        if any(p < m for p in blocks):
             # the previous passes cancelled every lower degree; a leftover
             # means the kernel miscomputed, not that the input was bad
             raise ArithmeticError(f"defect below degree {m} survived pass {m}")
         if not defect:
             continue
         # corrections are numerators over den * m, the certificate over den
+        top = ctx.dim ** (m - 1)
         corrections = {}
         check = {}
-        for mono, coeff in num.items():
-            first, tail = mono[0], mono[1:]
+        for x, coeff in blocks[m].items():
+            first, tail = divmod(x, top)
             # [first, Phi(tail)] summed with weight coeff/m rebuilds the
             # defect (Dynkin); each term is cancelled through the partner
             # generator of its first letter
             factor = -coeff if first % 2 == 0 else coeff
             bucket = corrections.setdefault(first ^ 1, {})
-            for sub, c in _phi_monomial(tail, phi_cache).items():
+            for sub, c in _phi_code(tail, m - 1, ctx.dim, phi_cache).items():
                 bucket[sub] = bucket.get(sub, 0) + factor * c
-            for sub, c in _phi_monomial(mono, phi_cache).items():
+            for sub, c in _phi_code(x, m, ctx.dim, phi_cache).items():
                 check[sub] = check.get(sub, 0) + coeff * c
         # Dynkin certificate: Phi(defect) = m * defect for Lie input
-        if tensor_from_scaled(pass_ctx, check, den) != defect.scale(m):
+        if tensor_from_scaled(pass_ctx, {m: check}, den) != defect.scale(m):
             raise ArithmeticError(f"degree-{m} defect failed the Lie certificate")
         for target, bucket in corrections.items():
-            logs[target] = logs[target] + tensor_from_scaled(work_ctx, bucket, den * m)
+            logs[target] = logs[target] + tensor_from_scaled(work_ctx, {m - 1: bucket}, den * m)
     return Expansion(ctx, [truncate(t, ctx) for t in logs], kind="built")
 
 

@@ -200,7 +200,7 @@ def homology_action(phi: FreeAutomorphism, ctx: AlgebraContext) -> list:
         counts = {}
         for g, s in im.letters:
             counts[g] = counts.get(g, 0) + s
-        out.append(tensor_from_scaled(ctx, {(g,): c for g, c in counts.items()}))
+        out.append(tensor_from_scaled(ctx, {1: counts}))
     return out
 
 

@@ -8,13 +8,22 @@ bound N carried by the ambient context.  Tensors are immutable values and
 every operation is a pure function, so concurrent evaluation needs no
 coordination.
 
-Coefficients are stored scaled: Python-int numerators over one positive
-common denominator per tensor, kept canonical by gcd(den, *numerators) == 1
-(den == 1 for the zero tensor).  Every kernel operation works on ints and
-reduces once per result instead of once per term.  ``Tensor.terms`` is the
-read-only monomial -> Rat view of the same data, built on first use; other
-modules that need the ints go through ``scaled_terms`` and
-``tensor_from_scaled``.
+Storage.  A monomial (i_1, ..., i_k) of degree k is coded by the base-dim
+integer i_1 dim^(k-1) + ... + i_k, dim = 2g; the empty monomial is code 0 of
+degree 0.  Codes are unique only within a degree, and within a degree code
+order is tuple-lex order.  In this encoding the product of monomials of
+degrees p and q is ``a * dim**q + b``, and the left rotation of a degree-p
+monomial is ``(x % dim**(p-1)) * dim + x // dim**(p-1)``.  A tensor holds
+per-degree blocks ``{degree: {code: numerator}}``: Python-int numerators
+over one positive common denominator, with no zero numerator and no empty
+block, kept canonical by gcd(den, *numerators) == 1 (den == 1 for the zero
+tensor).  Every kernel operation works on these ints and reduces once per
+result instead of once per term.
+
+``Tensor.terms`` is the read-only monomial -> Rat view of the same data,
+decoded on first use; other modules that need the ints go through
+``scaled_terms`` and ``tensor_from_scaled``, and through ``encode_monomial``
+and ``decode_monomial`` for single codes.
 """
 
 from __future__ import annotations
@@ -79,7 +88,7 @@ class AlgebraContext:
         return 2 * i - 2 + (1 if kind == "B" else 0)
 
     def check_index(self, index: int) -> None:
-        if not 0 <= index < self.dim:
+        if not 0 <= _exact_int(index, "basis index") < self.dim:
             raise ValueError(f"basis index {index} out of range for genus {self.genus}")
 
 
@@ -93,11 +102,36 @@ def intersection(ctx: AlgebraContext, x: int, y: int):
     return ONE if x % 2 == 0 else -ONE
 
 
+# -- monomial codes ----------------------------------------------------------
+
+
+def encode_monomial(mono: Iterable[int], dim: int) -> int:
+    """Base-dim code of a monomial; trusted to have indices in range."""
+    code = 0
+    for i in mono:
+        code = code * dim + i
+    return code
+
+
+def decode_monomial(code: int, degree: int, dim: int) -> tuple:
+    """The degree-``degree`` monomial with base-dim code ``code``."""
+    out = [0] * degree
+    for k in range(degree - 1, -1, -1):
+        code, out[k] = divmod(code, dim)
+    return tuple(out)
+
+
+# -- coefficients --------------------------------------------------------------
+
+
 def _as_rat(value):
     """An exact rational from an int, a rational or a fraction string; floats
-    are refused, since their binary expansion is rarely what was meant."""
-    if isinstance(value, float):
-        raise ValueError(f"float coefficient {value!r}: pass an int, a Rat or a 'p/q' string")
+    are refused, since their binary expansion is rarely what was meant, and
+    so are bools."""
+    if isinstance(value, (float, bool)):
+        raise ValueError(
+            f"{type(value).__name__} coefficient {value!r}: pass an int, a Rat or a 'p/q' string"
+        )
     return value if isinstance(value, type(ONE)) else Rat(value)
 
 
@@ -109,25 +143,40 @@ def _split(value) -> tuple:
     return int(q.numerator), int(q.denominator)
 
 
-def _scaled(ctx: AlgebraContext, num: dict, den: int) -> "Tensor":
-    # trusted: monomials valid, no zero numerators, den > 0, canonical
+def _scaled(ctx: AlgebraContext, blocks: dict, den: int) -> "Tensor":
+    # trusted: codes valid, no zero numerators or empty blocks, den > 0,
+    # canonical
     t = object.__new__(Tensor)
     t.ctx = ctx
-    t._num = num
+    t._blocks = blocks
     t._den = den
     t._terms = None
     return t
 
 
-def _reduced(ctx: AlgebraContext, num: dict, den: int) -> "Tensor":
-    # trusted: monomials valid, no zero numerators, den > 0; one gcd pass
-    if not num:
-        return _scaled(ctx, num, 1)
-    g = gcd(den, *num.values()) if den != 1 else 1
+def _common_factor(g: int, blocks: dict) -> int:
+    """gcd of g and every numerator, stopping early once it is 1."""
+    for block in blocks.values():
+        if g == 1:
+            break
+        g = gcd(g, *block.values())
+    return g
+
+
+def _divided(blocks: dict, g: int) -> dict:
+    return {d: {k: c // g for k, c in b.items()} for d, b in blocks.items()}
+
+
+def _reduced(ctx: AlgebraContext, blocks: dict, den: int) -> "Tensor":
+    # trusted: codes valid, no zero numerators or empty blocks, den > 0;
+    # one gcd pass
+    if not blocks:
+        return _scaled(ctx, blocks, 1)
+    g = _common_factor(den, blocks)
     if g != 1:
-        num = {m: c // g for m, c in num.items()}
+        blocks = _divided(blocks, g)
         den //= g
-    return _scaled(ctx, num, den)
+    return _scaled(ctx, blocks, den)
 
 
 class Tensor:
@@ -138,9 +187,10 @@ class Tensor:
     monomial of degree above the truncation.
     """
 
-    __slots__ = ("ctx", "_num", "_den", "_terms")
+    __slots__ = ("ctx", "_blocks", "_den", "_terms")
 
     def __init__(self, ctx: AlgebraContext, terms: dict | None = None):
+        dim = ctx.dim
         parts = {}
         if terms:
             for mono, coeff in terms.items():
@@ -153,45 +203,62 @@ class Tensor:
                     ctx.check_index(idx)
                 p, q = _split(coeff)
                 if p:
-                    parts[mono] = (p, q)
+                    parts[len(mono), encode_monomial(mono, dim)] = (p, q)
         den = lcm(*(q for _, q in parts.values()))
         # reduced fractions over the lcm of their denominators are canonical
+        blocks = {}
+        for (d, code), (p, q) in parts.items():
+            blocks.setdefault(d, {})[code] = p * (den // q)
         self.ctx = ctx
-        self._num = {m: p * (den // q) for m, (p, q) in parts.items()}
+        self._blocks = blocks
         self._den = den
         self._terms = None
 
     @property
     def terms(self):
-        """Read-only monomial -> Rat view, built once per tensor."""
+        """Read-only monomial -> Rat view, decoded once per tensor."""
         if self._terms is None:
-            den = self._den
-            self._terms = MappingProxyType({m: Rat(c, den) for m, c in self._num.items()})
+            den, dim = self._den, self.ctx.dim
+            self._terms = MappingProxyType({
+                decode_monomial(code, d, dim): Rat(c, den)
+                for d, block in self._blocks.items()
+                for code, c in block.items()
+            })
         return self._terms
 
     # -- queries ----------------------------------------------------------
 
     def __bool__(self):
-        return bool(self._num)
+        return bool(self._blocks)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             if other == 0:
-                return not self._num
+                return not self._blocks
             other = scalar_tensor(self.ctx, other)
         return (
-            self.ctx == other.ctx and self._den == other._den and self._num == other._num
+            self.ctx == other.ctx
+            and self._den == other._den
+            and self._blocks == other._blocks
         )
 
     def __hash__(self):
-        return hash((self.ctx, self._den, frozenset(self._num.items())))
+        return hash((
+            self.ctx,
+            self._den,
+            frozenset((d, frozenset(b.items())) for d, b in self._blocks.items()),
+        ))
 
     def coefficient(self, mono: Iterable[int]):
-        c = self._num.get(tuple(mono))
+        mono = tuple(mono)
+        for idx in mono:
+            self.ctx.check_index(idx)
+        block = self._blocks.get(len(mono))
+        c = None if block is None else block.get(encode_monomial(mono, self.ctx.dim))
         return ZERO if c is None else Rat(c, self._den)
 
     def degrees(self):
-        return sorted({len(m) for m in self._num})
+        return sorted(self._blocks)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -206,26 +273,38 @@ class Tensor:
         # both sides over lcm(d1, d2) = d1 * f1 = d2 * f2
         g = gcd(self._den, other._den)
         f1, f2 = other._den // g, self._den // g
-        out = {m: c * f1 for m, c in self._num.items()} if f1 != 1 else dict(self._num)
-        get = out.get
-        for mono, c in other._num.items():
+        out = {}
+        for d, block in self._blocks.items():
+            out[d] = {k: c * f1 for k, c in block.items()} if f1 != 1 else block
+        for d, block in other._blocks.items():
             if f2 != 1:
-                c *= f2
-            acc = get(mono)
+                block = {k: c * f2 for k, c in block.items()}
+            acc = out.get(d)
             if acc is None:
-                out[mono] = c
-            else:
-                acc += c
-                if acc:
-                    out[mono] = acc
+                out[d] = block
+                continue
+            acc = dict(acc) if f1 == 1 else acc  # never write into an input
+            get = acc.get
+            for k, c in block.items():
+                s = get(k, 0) + c
+                if s:
+                    acc[k] = s
                 else:
-                    del out[mono]
+                    del acc[k]
+            if acc:
+                out[d] = acc
+            else:
+                del out[d]
         return _reduced(self.ctx, out, self._den * f1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _scaled(self.ctx, {m: -c for m, c in self._num.items()}, self._den)
+        return _scaled(
+            self.ctx,
+            {d: {k: -c for k, c in b.items()} for d, b in self._blocks.items()},
+            self._den,
+        )
 
     def __sub__(self, other):
         if not isinstance(other, Tensor):
@@ -239,22 +318,40 @@ class Tensor:
         if not isinstance(other, Tensor):
             return self.scale(other)
         self._check_same(other)
-        cap = self.ctx.truncation
-        buckets = {}
-        for mono, coeff in other._num.items():
-            buckets.setdefault(len(mono), []).append((mono, coeff))
-        degrees = sorted(buckets)
+        cap, dim = self.ctx.truncation, self.ctx.dim
+        right = sorted(other._blocks.items())
         out = {}
-        get = out.get
-        for m1, c1 in self._num.items():
-            room = cap - len(m1)
-            for deg in degrees:
-                if deg > room:
+        merged = set()  # degrees fed by more than one pair of blocks
+        for p, left in self._blocks.items():
+            room = cap - p
+            for q, block in right:
+                if q > room:
                     break
-                for m2, c2 in buckets[deg]:
-                    key = m1 + m2
-                    out[key] = get(key, 0) + c1 * c2
-        out = {m: c for m, c in out.items() if c}
+                shift = dim**q
+                acc = out.get(p + q)
+                if acc is None:
+                    # one pair of degrees concatenates into distinct codes
+                    out[p + q] = {
+                        base + b: ca * cb
+                        for a, ca in left.items()
+                        for base in (a * shift,)
+                        for b, cb in block.items()
+                    }
+                    continue
+                merged.add(p + q)
+                get = acc.get
+                items = block.items()
+                for a, ca in left.items():
+                    base = a * shift
+                    for b, cb in items:
+                        key = base + b
+                        acc[key] = get(key, 0) + ca * cb
+        for d in merged:
+            block = {k: c for k, c in out[d].items() if c}
+            if block:
+                out[d] = block
+            else:
+                del out[d]
         return _reduced(self.ctx, out, self._den * other._den)
 
     def __rmul__(self, other):
@@ -263,7 +360,7 @@ class Tensor:
 
     def scale(self, scalar):
         p, q = _split(scalar)
-        if not p or not self._num:
+        if not p or not self._blocks:
             return zero_tensor(self.ctx)
         # cancel p against den and q against the numerators up front, so the
         # product needs no further reduction
@@ -272,21 +369,20 @@ class Tensor:
         if g != 1:
             p //= g
             den //= g
-        num = self._num
-        if q != 1:
-            g = gcd(q, *num.values())
-            if g != 1:
-                q //= g
-                num = {m: c // g for m, c in num.items()}
+        blocks = self._blocks
+        g = _common_factor(q, blocks)
+        if g != 1:
+            q //= g
+            blocks = _divided(blocks, g)
         if p != 1:
-            num = {m: c * p for m, c in num.items()}
-        return _scaled(self.ctx, num, den * q)
+            blocks = {d: {k: c * p for k, c in b.items()} for d, b in blocks.items()}
+        return _scaled(self.ctx, blocks, den * q)
 
     def __truediv__(self, scalar):
         return self.scale(ONE / _as_rat(scalar))
 
     def __repr__(self):
-        if not self._num:
+        if not self._blocks:
             return "Tensor(0)"
         bits = []
         for mono in sorted(self.terms):
@@ -299,18 +395,25 @@ class Tensor:
 
 
 def scaled_terms(t: Tensor) -> tuple:
-    """(numerators, den): t's terms are numerators[m] / den, with den > 0 and
-    gcd(den, *numerators) == 1.  The dict is t's own; never mutate it."""
-    return t._num, t._den
+    """(blocks, den): t's coefficient on the degree-d monomial with code k is
+    blocks[d][k] / den, with den > 0 and gcd(den, *numerators) == 1.  The
+    dicts are t's own; never mutate them."""
+    return t._blocks, t._den
 
 
-def tensor_from_scaled(ctx: AlgebraContext, numerators: dict, den: int = 1) -> Tensor:
-    """Tensor with terms numerators[m] / den, for int numerators and an int
-    den > 0.  Monomials are trusted to be valid tuples for ``ctx``; zero
-    numerators are dropped and the result is reduced to canonical form."""
+def tensor_from_scaled(ctx: AlgebraContext, blocks: dict, den: int = 1) -> Tensor:
+    """Tensor with coefficient blocks[d][k] / den on the degree-d monomial
+    with code k, for int numerators and an int den > 0.  Degrees and codes
+    are trusted to be valid for ``ctx``; zero numerators and empty blocks
+    are dropped and the result is reduced to canonical form."""
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
-    return _reduced(ctx, {m: c for m, c in numerators.items() if c}, den)
+    clean = {}
+    for d, block in blocks.items():
+        block = {k: c for k, c in block.items() if c}
+        if block:
+            clean[d] = block
+    return _reduced(ctx, clean, den)
 
 
 # -- constructors ----------------------------------------------------------
@@ -322,7 +425,7 @@ def zero_tensor(ctx: AlgebraContext) -> Tensor:
 
 def scalar_tensor(ctx: AlgebraContext, value) -> Tensor:
     p, q = _split(value)
-    return _reduced(ctx, {(): p} if p else {}, q)
+    return _reduced(ctx, {0: {0: p}} if p else {}, q)
 
 
 def one_tensor(ctx: AlgebraContext) -> Tensor:
@@ -331,7 +434,7 @@ def one_tensor(ctx: AlgebraContext) -> Tensor:
 
 def basis_tensor(ctx: AlgebraContext, index: int) -> Tensor:
     ctx.check_index(index)
-    return _scaled(ctx, {(index,): 1}, 1)
+    return _scaled(ctx, {1: {index: 1}}, 1)
 
 
 def monomial_tensor(ctx: AlgebraContext, mono: Iterable[int], coeff=1) -> Tensor:
@@ -341,12 +444,13 @@ def monomial_tensor(ctx: AlgebraContext, mono: Iterable[int], coeff=1) -> Tensor
 def symplectic_form(ctx: AlgebraContext) -> Tensor:
     """omega = sum_i A_i B_i - B_i A_i, the degree-2 dual of the intersection
     form; it is a Lie element ([A_i, B_i] summed over handles)."""
-    terms = {}
+    dim = ctx.dim
+    block = {}
     for i in range(ctx.genus):
         a, b = 2 * i, 2 * i + 1
-        terms[(a, b)] = 1
-        terms[(b, a)] = -1
-    return _scaled(ctx, terms, 1)
+        block[a * dim + b] = 1
+        block[b * dim + a] = -1
+    return _scaled(ctx, {2: block}, 1)
 
 
 # -- grading ---------------------------------------------------------------
@@ -355,14 +459,13 @@ def symplectic_form(ctx: AlgebraContext) -> Tensor:
 def graded_part(t: Tensor, m: int) -> Tensor:
     if not 0 <= m <= t.ctx.truncation:
         raise ValueError(f"degree {m} out of range [0, {t.ctx.truncation}]")
-    return _reduced(t.ctx, {k: c for k, c in t._num.items() if len(k) == m}, t._den)
+    block = t._blocks.get(m)
+    return _reduced(t.ctx, {m: block} if block else {}, t._den)
 
 
 def filtration_degree(t: Tensor) -> int:
     """Least degree with a nonzero term; N+1 for the zero tensor."""
-    if not t._num:
-        return t.ctx.truncation + 1
-    return min(len(m) for m in t._num)
+    return min(t._blocks, default=t.ctx.truncation + 1)
 
 
 def truncate(t: Tensor, ctx: AlgebraContext) -> Tensor:
@@ -375,8 +478,8 @@ def truncate(t: Tensor, ctx: AlgebraContext) -> Tensor:
         return t
     cap = ctx.truncation
     if cap >= t.ctx.truncation:
-        return _scaled(ctx, t._num, t._den)
-    return _reduced(ctx, {m: c for m, c in t._num.items() if len(m) <= cap}, t._den)
+        return _scaled(ctx, t._blocks, t._den)
+    return _reduced(ctx, {d: b for d, b in t._blocks.items() if d <= cap}, t._den)
 
 
 # -- antisymmetrization ----------------------------------------------------
@@ -414,7 +517,7 @@ def wedge_embed(vectors, k: int | None = None) -> Tensor:
     for v in vectors:
         if v.ctx != ctx:
             raise ValueError("context mismatch in wedge")
-        if any(len(m) != 1 for m in v._num):
+        if any(d != 1 for d in v._blocks):
             raise ValueError("wedge_embed inputs must be homogeneous of degree 1")
     out = zero_tensor(ctx)
     for perm, sign in _perm_signs(k):
@@ -428,21 +531,22 @@ def wedge_embed(vectors, k: int | None = None) -> Tensor:
 def antisymmetrize(t: Tensor) -> Tensor:
     """Degreewise projector onto the image of wedge_embed:
     (1/k!) sum over permutations of sign(s) . (permuted monomial)."""
-    num = t._num
-    top = max((len(m) for m in num), default=0)
-    whole = factorial(top)  # a multiple of every k! below
+    dim = t.ctx.dim
+    whole = factorial(max(t._blocks, default=0))  # a multiple of every k! below
     out = {}
-    get = out.get
-    for mono, coeff in num.items():
-        k = len(mono)
+    for k, block in t._blocks.items():
         if k <= 1:
-            out[mono] = get(mono, 0) + coeff * whole
+            out[k] = {code: c * whole for code, c in block.items()}
             continue
+        acc = out[k] = {}
+        get = acc.get
         signs = _perm_signs(k)
-        share = coeff * (whole // len(signs))
-        for perm, sign in signs:
-            key = tuple(mono[p] for p in perm)
-            out[key] = get(key, 0) + sign * share
+        for code, coeff in block.items():
+            mono = decode_monomial(code, k, dim)
+            share = coeff * (whole // len(signs))
+            for perm, sign in signs:
+                key = encode_monomial((mono[p] for p in perm), dim)
+                acc[key] = get(key, 0) + sign * share
     return tensor_from_scaled(t.ctx, out, t._den * whole)
 
 

@@ -2,15 +2,18 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import twistlog
 
-from twistlog.cli import main
+from twistlog.cli import _check_size, main
 from twistlog.derivation import derivation_from_json
 from twistlog.expansion import (
     evaluate,
@@ -209,3 +212,44 @@ def test_verify_selected_checks(capsys):
     assert len(lines) == 2 and all(line.startswith("PASS") for line in lines)
     assert main(["verify", "--suite", "no-such-check"]) == 2
     capsys.readouterr()
+
+
+def test_fixture_generator_names_are_checked(tmp_path, monkeypatch, capsys):
+    # a data file naming a generator c1 must not load as a1
+    for name in ("genus1.json", "genus2.json", "massuyeau_partial.json"):
+        with resources.as_file(resources.files("twistlog.data").joinpath(name)) as src:
+            shutil.copy(src, tmp_path / name)
+    payload = json.loads((tmp_path / "genus1.json").read_text())
+    payload["generators"]["c1"] = payload["generators"].pop("a1")
+    (tmp_path / "genus1.json").write_text(json.dumps(payload))
+    monkeypatch.setenv("TWISTLOG_DATA_DIR", str(tmp_path))
+    assert main(["eval", "--expansion", "fixture:g1", "--word", "a1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("twistlog: error:") and "'c1'" in err
+    assert len(err.splitlines()) == 1
+    # the untouched files in the same directory still load
+    assert main(["eval", "--expansion", "fixture:g2", "--word", "a1"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--expansion", "build", "--genus", "2", "--degree", "99", "--word", "a1"],
+    ["l-invariant", "--expansion", "build", "--genus", "5", "--degree", "9", "--word", "a1"],
+    ["eval", "--expansion", "builtin:exp", "--genus", "3", "--degree", "7", "--word", "a1"],
+    ["eval", "--expansion", "builtin:standard", "--genus", "2", "--degree", "1000000", "--word", "a1"],
+    ["build-expansion", "--genus", "2", "--degree", "9", "--out", "{out}"],
+])
+def test_oversized_algebras_are_refused_at_once(argv, tmp_path, capsys):
+    argv = [a.replace("{out}", str(tmp_path / "x.json")) for a in argv]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("twistlog: error:") and "monomials" in err and "10^" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_size_limit_admits_the_documented_sizes():
+    for genus, degree in ((2, 8), (3, 6), (4, 5), (1, 16)):
+        _check_size(genus, degree)

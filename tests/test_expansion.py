@@ -1,7 +1,9 @@
 """Magnus expansions: evaluation, fixtures, the symplectic builder, and
 connecting automorphisms."""
 
+import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -34,6 +36,7 @@ from twistlog.tensor import (
     one_tensor,
     symplectic_form,
     truncate,
+    zero_tensor,
 )
 from twistlog.words import (
     GroupWord,
@@ -256,3 +259,29 @@ def test_expansion_json_validation():
     bad_name = dict(good, generators=[dict(good["generators"][0], name="c1")])
     with pytest.raises(ValueError):
         expansion_from_json(bad_name)
+
+
+def _tree_by_products(ctx, tree):
+    if isinstance(tree, str):
+        return basis_tensor(ctx, ctx.basis_index(tree))
+    return bracket(_tree_by_products(ctx, tree[0]), _tree_by_products(ctx, tree[1]))
+
+
+@pytest.mark.parametrize("kind, filename", [
+    ("fixture-genus1", "genus1.json"),
+    ("fixture-genus2", "genus2.json"),
+    ("fixture-massuyeau-partial", "massuyeau_partial.json"),
+])
+def test_fixture_logs_equal_their_bracket_products(kind, filename):
+    # the loader expands each tree into integer numerators once; here every
+    # bracket is a tensor product instead, at each honest truncation
+    payload = json.loads(resources.files("twistlog.data").joinpath(filename).read_text())
+    for truncation in range(2, payload["max_trusted_degree"]):
+        theta = load_fixture(kind, truncation)
+        ctx = theta.ctx
+        for name, entries in payload["generators"].items():
+            acc = zero_tensor(ctx)
+            for coeff, tree in entries:
+                acc = acc + _tree_by_products(ctx, tree).scale(Rat(coeff))
+            index = 2 * int(name[1:]) - 2 + (name[0] == "b")
+            assert theta.logs[index] == acc

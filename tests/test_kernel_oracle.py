@@ -2,7 +2,8 @@
 
 The oracle below is the plain textbook arithmetic on monomial -> Fraction
 dicts, with no shared code path with ``twistlog.tensor``.  Random tensors
-at genus 1-2 and truncation <= 5 carry random rationals.
+at genus 1-3 and truncation <= 5 carry random rationals; genus 3 gives
+dim 6, so monomial codes are base 6, not a power of two.
 """
 
 from fractions import Fraction
@@ -10,12 +11,14 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from twistlog.cyclic import cyclic_n
+from twistlog.cyclic import cyclic_n, cyclic_n_hat
 from twistlog.derivation import Derivation, apply
 from twistlog.lie import exp, log, phi
 from twistlog.tensor import (
     AlgebraContext,
     Tensor,
+    decode_monomial,
+    encode_monomial,
     monomial_tensor,
     scaled_terms,
     zero_tensor,
@@ -48,6 +51,10 @@ def o_cyclic_n(a):
     return out
 
 
+def o_cyclic_n_hat(a):
+    return {w: c / len(w) for w, c in o_cyclic_n(a).items()}
+
+
 def o_phi(a):
     def bracketed(m):  # [m_1, [m_2, ... m_n]] as a dict
         if len(m) == 1:
@@ -64,7 +71,7 @@ def o_phi(a):
 
 # -- strategies -----------------------------------------------------------------
 
-contexts = st.builds(AlgebraContext, st.integers(1, 2), st.integers(2, 5))
+contexts = st.builds(AlgebraContext, st.integers(1, 3), st.integers(2, 5))
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 
 
@@ -84,10 +91,12 @@ def tensor_pairs(draw, min_degree=0, count=2):
 
 
 def assert_canonical(t):
-    num, den = scaled_terms(t)
+    blocks, den = scaled_terms(t)
+    nums = [c for block in blocks.values() for c in block.values()]
     assert den > 0
-    assert all(type(c) is int and c for c in num.values())
-    assert gcd(den, *num.values()) == 1
+    assert all(blocks.values())
+    assert all(type(c) is int and c for c in nums)
+    assert gcd(den, *nums) == 1
 
 
 def checked(t, expected):
@@ -110,6 +119,7 @@ def test_kernel_ops_match_the_oracle(case, q):
     checked(ta * tb, o_mul(a, b, ctx.truncation))
     checked(ta.scale(q), {m: c * q for m, c in a.items() if c * q})
     checked(cyclic_n(ta), o_cyclic_n({m: c for m, c in a.items() if m}))
+    checked(cyclic_n_hat(ta), o_cyclic_n_hat({m: c for m, c in a.items() if m}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,6 +141,39 @@ def test_fraction_built_and_kernel_built_tensors_are_one_value(case):
     assert from_ops == from_fractions
     assert hash(from_ops) == hash(from_fractions)
     assert scaled_terms(from_ops) == scaled_terms(from_fractions)
+
+
+# -- the monomial code ----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda g: st.lists(st.lists(st.integers(0, 2 * g - 1), max_size=6).map(tuple),
+                       min_size=2, max_size=2).map(lambda ms: (2 * g, ms))))
+def test_codes_round_trip_and_keep_tuple_order_per_degree(case):
+    dim, (m1, m2) = case
+    for m in (m1, m2):
+        assert decode_monomial(encode_monomial(m, dim), len(m), dim) == m
+    if len(m1) == len(m2):
+        assert (encode_monomial(m1, dim) < encode_monomial(m2, dim)) == (m1 < m2)
+
+
+PERIODIC = [(0, 1, 0, 1), (2, 2, 2), (0, 0, 1, 0, 0, 1), (1, 0, 1, 0), (5, 4, 5, 4)]
+
+
+def test_cyclic_operators_on_periodic_necklaces():
+    # orbits smaller than the degree, alone and mixed with their rotations
+    # and with aperiodic words of the same necklace length
+    ctx = AlgebraContext(3, 6)
+    cases = [{m: Fraction(1)} for m in PERIODIC]
+    cases.append({(0, 1, 0, 1): Fraction(2), (1, 0, 1, 0): Fraction(-1, 3), (0, 1, 1, 0): Fraction(5)})
+    cases.append({(2, 2, 2): Fraction(1, 2), (0, 0, 1, 0, 0, 1): Fraction(-7),
+                  (0, 1, 0, 0, 1, 0): Fraction(7), (3,): Fraction(4), (): Fraction(9)})
+    for a in cases:
+        t = Tensor(ctx, a)
+        positive = {m: c for m, c in a.items() if m}
+        checked(cyclic_n(t), o_cyclic_n(positive))
+        checked(cyclic_n_hat(t), o_cyclic_n_hat(positive))
 
 
 # -- algebraic laws -------------------------------------------------------------

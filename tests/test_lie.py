@@ -222,3 +222,14 @@ def test_lyndon_bracket_form_round_trips_beyond_ten_thousand_terms():
     form = lyndon_bracket_form(t)
     # wanted -> t -> form is the round trip: form gives back every term
     assert form == [(Rat(k, 12), tree) for k, tree in wanted]
+
+
+def test_bracket_tree_tensor_checks_its_tree():
+    ctx = AlgebraContext(1, 3)
+    a, b = basis_tensor(ctx, 0), basis_tensor(ctx, 1)
+    assert bracket_tree_tensor(ctx, (0, (0, 1))) == bracket(a, bracket(a, b))
+    assert bracket_tree_tensor(ctx, ((0, 1), (0, 1))) == 0  # [u, u]
+    assert bracket_tree_tensor(ctx, (0, (1, (0, 1)))) == 0  # above the truncation
+    for tree in ([0, 1], (0, 1, 0), (0, "B1"), (0, 2), (0, 1.0)):
+        with pytest.raises(ValueError):
+            bracket_tree_tensor(ctx, tree)

@@ -262,3 +262,36 @@ def test_context_fields_must_be_ints():
             AlgebraContext(genus, truncation)
     with pytest.raises(ValueError):
         tensor_from_json({"genus": "2", "truncation": 3, "terms": []})
+
+
+def test_monomial_indices_must_be_exact_ints():
+    ctx = AlgebraContext(1, 3)
+    t = monomial_tensor(ctx, (0, 1))
+    for make in (
+        lambda: Tensor(ctx, {(0.0, 1): 1}),
+        lambda: Tensor(ctx, {(True,): 1}),
+        lambda: basis_tensor(ctx, 1.0),
+        lambda: basis_tensor(ctx, True),
+        lambda: monomial_tensor(ctx, (0, 1.0)),
+        lambda: monomial_tensor(ctx, (False, 1)),
+        lambda: t.coefficient((0.0, 1)),
+        lambda: t.coefficient((False, True)),
+    ):
+        with pytest.raises(ValueError, match="basis index must be an integer"):
+            make()
+    with pytest.raises(ValueError, match="out of range"):
+        t.coefficient((0, 2))
+    assert t.coefficient((0, 1)) == 1
+
+
+def test_bool_coefficients_are_refused():
+    ctx = AlgebraContext(1, 3)
+    a = basis_tensor(ctx, 0)
+    for make in (
+        lambda: Tensor(ctx, {(0,): True}),
+        lambda: monomial_tensor(ctx, (0, 1), False),
+        lambda: scalar_tensor(ctx, True),
+        lambda: a.scale(True),
+    ):
+        with pytest.raises(ValueError, match="bool"):
+            make()
