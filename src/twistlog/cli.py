@@ -15,7 +15,6 @@ import sys
 from .derivation import derivation_to_json
 from .expansion import (
     Expansion,
-    boundary_log,
     build_symplectic,
     evaluate,
     expansion_from_json,
@@ -24,13 +23,13 @@ from .expansion import (
     fixture_genus1,
     fixture_genus2,
     fixture_massuyeau_partial,
-    is_group_like,
-    is_symplectic,
     standard_expansion,
+    symplectic_failures,
 )
 from .johnson import (
     Certificate,
     Curve,
+    certificate,
     certificate_to_json,
     conjugated_curve,
     curve_twist,
@@ -44,8 +43,8 @@ from .johnson import (
 from .lie import format_bracket_tree, is_lie, lyndon_bracket_form
 from .rationals import rat_to_string
 from .suite import run_suite, suite_names
-from .tensor import symplectic_form, tensor_to_json
-from .words import automorphism_from_json, word_from_string
+from .tensor import tensor_to_json
+from .words import automorphism_from_json, parse_count, word_from_string
 
 SOURCES = (
     "builtin:standard",
@@ -139,11 +138,10 @@ def _parse_curve(genus: int, descriptor: str) -> Curve:
     if descriptor == "nonsep":
         return nonsep_curve()
     if descriptor.startswith("sep:"):
-        try:
-            h = int(descriptor[4:])
-        except ValueError as exc:
-            raise UsageError(f"bad separating-curve descriptor {descriptor!r}") from exc
-        if not 1 <= h <= genus:
+        h = parse_count(descriptor[4:])
+        if h is None:
+            raise UsageError(f"bad separating-curve descriptor {descriptor!r}")
+        if h > genus:
             raise UsageError(f"sep:{h} needs 1 <= h <= genus ({genus})")
         return sep_curve(h)
     if descriptor.startswith("conj:"):
@@ -156,7 +154,12 @@ def _parse_curve(genus: int, descriptor: str) -> Curve:
             raise UsageError(f"conjugator file is not JSON: {exc}") from exc
         base = nonsep_curve()
         if isinstance(obj, dict) and "phi" in obj:
-            base = _parse_curve(genus, obj.get("base", "nonsep"))
+            base_descriptor = obj.get("base", "nonsep")
+            if not isinstance(base_descriptor, str):
+                raise UsageError(
+                    f"conjugator base must be a curve descriptor, got {base_descriptor!r}"
+                )
+            base = _parse_curve(genus, base_descriptor)
             obj = obj["phi"]
         try:
             phi = automorphism_from_json(obj)
@@ -202,19 +205,9 @@ def _emit_certificate(cert: Certificate, mode: str) -> None:
 
 def _symplectic_certificate(theta: Expansion) -> Certificate:
     params = {"genus": theta.genus, "truncation": theta.truncation, "kind": theta.kind}
-    failures = []
     if theta.partial:
         params["partial"] = True
-        if not is_group_like(theta):
-            failures.append("a generator log is not Lie")
-    else:
-        if not is_group_like(theta):
-            failures.append("a generator log is not Lie")
-        if boundary_log(theta) != symplectic_form(theta.ctx):
-            failures.append("ell(zeta) != omega")
-    status = "fail" if failures else "pass"
-    witness = "; ".join(failures) if failures else None
-    return Certificate("is-symplectic", params, status, witness)
+    return certificate("is-symplectic", params, symplectic_failures(theta))
 
 
 # -- subcommand bodies ---------------------------------------------------------

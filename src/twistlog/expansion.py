@@ -39,7 +39,7 @@ from .tensor import (
     tensor_to_json,
     truncate,
 )
-from .words import GroupWord, boundary_word, gen_name
+from .words import GroupWord, boundary_word, gen_name, generator_word, parse_name
 
 EXPANSION_KINDS = (
     "standard",
@@ -151,13 +151,24 @@ def boundary_log(theta: Expansion) -> Tensor:
     return log_evaluate(theta, boundary_word(theta.genus))
 
 
+def symplectic_failures(theta: Expansion) -> list:
+    """The witnesses against theta being symplectic: group-like, and
+    ell(zeta) = omega exactly at the truncation.  A partial expansion
+    leaves the boundary value undetermined, so only its determined logs
+    are tested."""
+    failures = []
+    if not is_group_like(theta):
+        failures.append("a generator log is not Lie")
+    if not theta.partial and boundary_log(theta) != symplectic_form(theta.ctx):
+        failures.append("ell(zeta) != omega")
+    return failures
+
+
 def is_symplectic(theta: Expansion) -> bool:
     """Group-like and ell(zeta) = omega, both exact at the truncation."""
     if theta.partial:
         raise ValueError("partial expansion: the boundary value is undetermined")
-    if not is_group_like(theta):
-        return False
-    return boundary_log(theta) == symplectic_form(theta.ctx)
+    return not symplectic_failures(theta)
 
 
 # -- built-in expansions -----------------------------------------------------
@@ -400,14 +411,10 @@ def connecting_automorphism(theta1: Expansion, theta2: Expansion) -> ConnectingA
         raise ValueError("partial expansions have no connecting automorphism")
     ctx = theta1.ctx
     one = one_tensor(ctx)
-    sources = [evaluate(theta1, _generator(ctx, i)) - one for i in range(ctx.dim)]
-    targets = [evaluate(theta2, _generator(ctx, i)) - one for i in range(ctx.dim)]
+    sources = [evaluate(theta1, generator_word(ctx.genus, i)) - one for i in range(ctx.dim)]
+    targets = [evaluate(theta2, generator_word(ctx.genus, i)) - one for i in range(ctx.dim)]
     values = solve_generator_images(ctx, sources, targets)
     return ConnectingAutomorphism(Endomorphism(ctx, values))
-
-
-def _generator(ctx: AlgebraContext, index: int) -> GroupWord:
-    return GroupWord(ctx.genus, [(index, 1)])
 
 
 # -- serialization -----------------------------------------------------------
@@ -451,12 +458,10 @@ def expansion_from_json(obj: dict) -> Expansion:
 
 
 def _gen_index(ctx: AlgebraContext, name) -> int:
-    if not isinstance(name, str) or len(name) < 2 or name[0] not in ("a", "b"):
-        raise ValueError(f"unknown generator name {name!r}")
-    try:
-        i = int(name[1:])
-    except ValueError:
-        raise ValueError(f"unknown generator name {name!r}") from None
-    if not 1 <= i <= ctx.genus:
-        raise ValueError(f"generator {name!r} out of range for genus {ctx.genus}")
-    return 2 * i - 2 + (1 if name[0] == "b" else 0)
+    return parse_name(
+        name,
+        ctx.genus,
+        "ab",
+        "unknown generator name {name}",
+        "generator {name} out of range for genus {genus}",
+    )[0]

@@ -21,7 +21,6 @@ from .derivation import (
     exp_derivation,
     from_tensor,
     graded_component,
-    to_tensor,
 )
 from .endomorphism import Endomorphism, solve_generator_images
 from .expansion import Expansion, evaluate, is_symplectic, log_evaluate
@@ -45,6 +44,8 @@ from .words import (
     gen_name,
     generator_word,
     handle_word,
+    homology_inverse,
+    homology_matrix,
     invert_automorphism,
     twist_nonseparating,
     twist_separating,
@@ -195,38 +196,10 @@ def total_johnson(theta: Expansion, phi: FreeAutomorphism) -> TotalJohnsonMap:
 
 def homology_action(phi: FreeAutomorphism, ctx: AlgebraContext) -> list:
     """[phi(x_j)] for each generator, as degree-1 tensors."""
-    out = []
-    for im in phi.images:
-        counts = {}
-        for g, s in im.letters:
-            counts[g] = counts.get(g, 0) + s
-        out.append(tensor_from_scaled(ctx, {1: counts}))
-    return out
-
-
-def _homology_inverse(phi: FreeAutomorphism, ctx: AlgebraContext) -> list:
-    """|phi|^{-1} on the basis of H, by exact Gauss-Jordan elimination."""
-    n = ctx.dim
-    mat = [[Rat(0)] * n for _ in range(n)]
-    for j, im in enumerate(phi.images):
-        for g, s in im.letters:
-            mat[g][j] = mat[g][j] + s
-    inv = [[Rat(1) if i == j else Rat(0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if mat[r][c])
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            inv[c], inv[pivot] = inv[pivot], inv[c]
-        scale = Rat(1) / mat[c][c]
-        mat[c] = [x * scale for x in mat[c]]
-        inv[c] = [x * scale for x in inv[c]]
-        for r in range(n):
-            if r != c and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[c])]
+    mat = homology_matrix(phi)
     return [
-        Tensor(ctx, {(i,): inv[i][j] for i in range(n)}) for j in range(n)
+        tensor_from_scaled(ctx, {1: {i: row[j] for i, row in enumerate(mat)}})
+        for j in range(ctx.dim)
     ]
 
 
@@ -274,12 +247,13 @@ def johnson_component(theta: Expansion, phi: FreeAutomorphism, k: int) -> Johnso
         raise ValueError(f"component {k} out of range at truncation {ctx.truncation}")
     tj = TotalJohnsonMap(theta, phi)
     values = tj._solve(cap=k + 1).h_values
-    inv = _homology_inverse(phi, ctx)
+    inv = homology_inverse(phi)
     out = []
     for j in range(ctx.dim):
         acc = zero_tensor(ctx)
-        for (i,), c in inv[j].terms.items():
-            acc = acc + values[i].scale(c)
+        for i, row in enumerate(inv):
+            if row[j]:
+                acc = acc + values[i].scale(row[j])
         out.append(graded_part(acc, k + 1))
     return JohnsonComponent(ctx, k, out)
 
@@ -373,7 +347,9 @@ def certificate_to_json(cert: Certificate) -> dict:
     return obj
 
 
-def _passfail(check: str, params: dict, failures: list) -> Certificate:
+def certificate(check: str, params: dict, failures: list) -> Certificate:
+    """A failing certificate whose witness joins ``failures``, or a passing
+    one when there are none."""
     if failures:
         return Certificate(check, params, "fail", "; ".join(failures))
     return Certificate(check, params, "pass")
@@ -400,7 +376,7 @@ def verify_dehn_twist_formula(theta: Expansion, curve: Curve) -> Certificate:
             degree = filtration_degree(lhs - rhs)
             failures.append(f"generator {gen_name(i)} first differs in degree {degree}")
             break
-    return _passfail("dehn_twist_formula", params, failures)
+    return certificate("dehn_twist_formula", params, failures)
 
 
 def verify_nilpotent_dependence(
@@ -425,18 +401,45 @@ def verify_nilpotent_dependence(
     for i in range(2, k + 2):
         if graded_part(t1, i) != graded_part(t2, i):
             failures.append(f"L_{i} differs")
-    return _passfail("nilpotent_dependence", params, failures)
+    return certificate("nilpotent_dependence", params, failures)
+
+
+def tau_formula_failures(theta: Expansion, tc: FreeAutomorphism, L: Derivation) -> list:
+    """Where the closed formulas for the twist tc along a non-separating
+    curve C, with L = L(C), fail on the basis of H:
+
+      tau_1(t_C) = -L3
+      tau_2(t_C) = -L4 + (1/2)[L2, L4] + (1/2) L3 L3
+    """
+    ctx = theta.ctx
+    l2, l3, l4 = (graded_component(L, m) for m in (2, 3, 4))
+    tau1 = johnson_component(theta, tc, 1)
+    tau2 = johnson_component(theta, tc, 2)
+    failures = []
+    for j in range(ctx.dim):
+        x = basis_tensor(ctx, j)
+        name = ctx.basis_name(j)
+        l2x, l3x, l4x = (apply_derivation(part, x) for part in (l2, l3, l4))
+        if tau1.values[j] != -l3x:
+            failures.append(f"tau_1 {name} != -L3 {name}")
+        rhs = (
+            -l4x
+            + (apply_derivation(l2, l4x) - apply_derivation(l4, l2x)).scale(Rat(1, 2))
+            + apply_derivation(l3, l3x).scale(Rat(1, 2))
+        )
+        if tau2.values[j] != rhs:
+            failures.append(f"tau_2 {name} formula mismatch")
+    return failures
 
 
 def verify_operator_identities(theta: Expansion, curve: Curve) -> Certificate:
     """The nilpotency and composition identities of the low components of
-    L(C) for non-separating C, plus the closed formulas for tau_1, tau_2:
+    L(C) for non-separating C, plus the closed formulas for tau_1, tau_2
+    (``tau_formula_failures``):
 
       L2 L2 = L2 L3 = L3 L2 = 0                     on H
       L2 L2 L2 L4 = L2 L2 L4 L2 = 0                 on H
       2 L2 L4 L2 = L2 L2 L4                         on H
-      tau_1(t_C) = -L3
-      tau_2(t_C) = -L4 + (1/2)[L2, L4] + (1/2) L3 L3
     """
     _require_symplectic(theta)
     base_kind = curve.base.kind if curve.kind == "conj" else curve.kind
@@ -449,7 +452,6 @@ def verify_operator_identities(theta: Expansion, curve: Curve) -> Certificate:
         "truncation": ctx.truncation,
     }
     word = curve_word(ctx.genus, curve)
-    tc = curve_twist(ctx.genus, curve)
     L = l_invariant(theta, word)
     l2 = graded_component(L, 2)
     l3 = graded_component(L, 3)
@@ -464,16 +466,14 @@ def verify_operator_identities(theta: Expansion, curve: Curve) -> Certificate:
     def l4_(t):
         return apply_derivation(l4, t)
 
-    tau1 = johnson_component(theta, tc, 1)
-    tau2 = johnson_component(theta, tc, 2)
     failures = []
     for j in range(ctx.dim):
         x = basis_tensor(ctx, j)
         name = ctx.basis_name(j)
-        l2x, l3x, l4x = l2_(x), l3_(x), l4_(x)
+        l2x, l4x = l2_(x), l4_(x)
         if l2_(l2x):
             failures.append(f"L2 L2 {name} != 0")
-        if l2_(l3x):
+        if l2_(l3_(x)):
             failures.append(f"L2 L3 {name} != 0")
         if l3_(l2x):
             failures.append(f"L3 L2 {name} != 0")
@@ -483,13 +483,5 @@ def verify_operator_identities(theta: Expansion, curve: Curve) -> Certificate:
             failures.append(f"L2 L2 L4 L2 {name} != 0")
         if l2_(l4_(l2x)).scale(2) != l2_(l2_(l4x)):
             failures.append(f"2 L2 L4 L2 {name} != L2 L2 L4 {name}")
-        if tau1.values[j] != -l3x:
-            failures.append(f"tau_1 {name} != -L3 {name}")
-        rhs = (
-            -l4x
-            + (l2_(l4x) - l4_(l2x)).scale(Rat(1, 2))
-            + l3_(l3x).scale(Rat(1, 2))
-        )
-        if tau2.values[j] != rhs:
-            failures.append(f"tau_2 {name} formula mismatch")
-    return _passfail("operator_identities", params, failures)
+    failures += tau_formula_failures(theta, curve_twist(ctx.genus, curve), L)
+    return certificate("operator_identities", params, failures)

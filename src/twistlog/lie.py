@@ -58,14 +58,14 @@ def _phi_code(x: int, n: int, dim: int, cache: dict) -> dict:
     return out
 
 
-def phi(t: Tensor, _cache: dict | None = None) -> Tensor:
+def phi(t: Tensor) -> Tensor:
     """Bracketing map Phi(X_1...X_n) = [X_1,[...[X_{n-1},X_n]...]], linear
     extension; the identity on degree 1.  Errors on a nonzero constant term
     (Phi has no sensible value there)."""
     blocks, den = scaled_terms(t)
     if 0 in blocks:
         raise ValueError("phi: nonzero constant term")
-    cache = _cache if _cache is not None else {}
+    cache = {}
     dim = t.ctx.dim
     out = {}
     for n, block in blocks.items():

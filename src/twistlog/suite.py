@@ -27,18 +27,19 @@ from .derivation import (
 )
 from .expansion import (
     Expansion,
-    boundary_log,
     build_symplectic,
     connecting_automorphism,
     evaluate,
     fixture_genus1,
     fixture_genus2,
-    is_group_like,
     is_symplectic,
+    load_fixture,
     log_evaluate,
+    symplectic_failures,
 )
 from .johnson import (
     Certificate,
+    certificate,
     conjugated_curve,
     curve_twist,
     curve_word,
@@ -51,6 +52,7 @@ from .johnson import (
     sep_curve,
     separating_tau_formula,
     sigma_act_log_square,
+    tau_formula_failures,
     total_johnson,
     verify_dehn_twist_formula,
     verify_operator_identities,
@@ -105,47 +107,18 @@ def variant_expansion(genus: int, truncation: int) -> Expansion:
     return _VARIANT[key]
 
 
-def _cert(check: str, params: dict, failures: list) -> Certificate:
-    if failures:
-        return Certificate(check, params, "fail", "; ".join(failures))
-    return Certificate(check, params, "pass")
-
-
 # -- the checks, in acceptance order ------------------------------------------
 
 
-def check_fixture_genus1() -> Certificate:
+def _check_fixture(genus: int) -> Certificate:
     t0 = time.perf_counter()
-    theta = fixture_genus1()
-    group_like = is_group_like(theta)
-    boundary_ok = boundary_log(theta) == symplectic_form(theta.ctx)
+    theta = load_fixture(f"fixture-genus{genus}")
+    failures = symplectic_failures(theta)
     seconds = time.perf_counter() - t0
-    failures = []
-    if not group_like:
-        failures.append("a generator log is not Lie")
-    if not boundary_ok:
-        failures.append("ell(zeta) != omega")
     if seconds >= 1.0:
         failures.append(f"runtime {seconds:.3f}s exceeded 1s")
-    params = {"genus": 1, "truncation": theta.truncation, "seconds": round(seconds, 4)}
-    return _cert("fixture-genus1", params, failures)
-
-
-def check_fixture_genus2() -> Certificate:
-    t0 = time.perf_counter()
-    theta = fixture_genus2()
-    group_like = is_group_like(theta)
-    boundary_ok = boundary_log(theta) == symplectic_form(theta.ctx)
-    seconds = time.perf_counter() - t0
-    failures = []
-    if not group_like:
-        failures.append("a generator log is not Lie")
-    if not boundary_ok:
-        failures.append("ell(zeta) != omega")
-    if seconds >= 1.0:
-        failures.append(f"runtime {seconds:.3f}s exceeded 1s")
-    params = {"genus": 2, "truncation": theta.truncation, "seconds": round(seconds, 4)}
-    return _cert("fixture-genus2", params, failures)
+    params = {"genus": genus, "truncation": theta.truncation, "seconds": round(seconds, 4)}
+    return certificate(f"fixture-genus{genus}", params, failures)
 
 
 def check_builder() -> Certificate:
@@ -161,7 +134,7 @@ def check_builder() -> Certificate:
             failures.append(f"build({genus}, 6) is not symplectic")
         if genus == 3 and seconds >= 60.0:
             failures.append(f"genus-3 build took {seconds:.1f}s, budget 60s")
-    return _cert("builder", params, failures)
+    return certificate("builder", params, failures)
 
 
 def _conjugated_curves(genus: int) -> list:
@@ -190,7 +163,7 @@ def check_dehn_twist() -> Certificate:
         "curves": [describe_curve(c) for c in curves],
         "expansions": [f"{label} N={theta.truncation}" for label, theta in expansions],
     }
-    return _cert("dehn-twist", params, failures)
+    return certificate("dehn-twist", params, failures)
 
 
 def check_transvection() -> Certificate:
@@ -208,51 +181,30 @@ def check_transvection() -> Certificate:
             for j in range(ctx.dim):
                 if action[j] != basis_tensor(ctx, j):
                     failures.append(f"genus {genus} sep:{h} on {ctx.basis_name(j)}")
-    return _cert("transvection", {"genera": [1, 2, 3]}, failures)
+    return certificate("transvection", {"genera": [1, 2, 3]}, failures)
 
 
-def _tau_formula_failures(label: str, theta: Expansion) -> list:
-    ctx = theta.ctx
-    tc = twist_nonseparating(ctx.genus)
-    L = l_invariant(theta, generator_word(ctx.genus, 0))
-    l2 = graded_component(L, 2)
-    l3 = graded_component(L, 3)
-    l4 = graded_component(L, 4)
-    tau1 = johnson_component(theta, tc, 1)
-    tau2 = johnson_component(theta, tc, 2)
-    failures = []
-    for j in range(ctx.dim):
-        x = basis_tensor(ctx, j)
-        name = ctx.basis_name(j)
-        l2x, l3x, l4x = (
-            apply_derivation(l2, x),
-            apply_derivation(l3, x),
-            apply_derivation(l4, x),
-        )
-        if tau1.values[j] != -l3x:
-            failures.append(f"{label}: tau_1 != -L3 on {name}")
-        rhs = (
-            -l4x
-            + (apply_derivation(l2, l4x) - apply_derivation(l4, l2x)).scale(Rat(1, 2))
-            + apply_derivation(l3, l3x).scale(Rat(1, 2))
-        )
-        if tau2.values[j] != rhs:
-            failures.append(f"{label}: tau_2 formula fails on {name}")
-    return failures
-
-
-def check_tau_formulas() -> Certificate:
-    first = built_expansion(2, 5)
-    second = variant_expansion(2, 5)
+def _built_and_variant(truncation: int) -> tuple:
+    """The built and the variant genus-2 expansions, labelled, with the
+    failures of the premise that they differ and are both symplectic."""
+    first = built_expansion(2, truncation)
+    second = variant_expansion(2, truncation)
     failures = []
     if first == second:
         failures.append("the two expansions coincide; premise broken")
     if not is_symplectic(second):
         failures.append("variant expansion is not symplectic; premise broken")
-    failures += _tau_formula_failures("built", first)
-    failures += _tau_formula_failures("variant", second)
+    return (("built", first), ("variant", second)), failures
+
+
+def check_tau_formulas() -> Certificate:
+    expansions, failures = _built_and_variant(5)
+    for label, theta in expansions:
+        L = l_invariant(theta, generator_word(2, 0))
+        for failure in tau_formula_failures(theta, twist_nonseparating(2), L):
+            failures.append(f"{label}: {failure}")
     params = {"genus": 2, "truncation": 5, "expansions": ["built", "variant"]}
-    return _cert("tau-formulas", params, failures)
+    return certificate("tau-formulas", params, failures)
 
 
 def check_separating_series() -> Certificate:
@@ -271,7 +223,7 @@ def check_separating_series() -> Certificate:
             if list(direct.values) != morita:
                 failures.append("k=2 does not equal -L4")
     params = {"genus": 2, "truncation": 6, "h": 1, "k": [1, 2, 3, 4]}
-    return _cert("separating-series", params, failures)
+    return certificate("separating-series", params, failures)
 
 
 def _random_nu_invariant(rng: random.Random, ctx: AlgebraContext, degree: int) -> Tensor:
@@ -303,7 +255,7 @@ def check_necklace_oracle() -> Certificate:
             failures.append(f"pair {checked}: degrees ({du},{dv}), genus {genus}")
         checked += 1
     params = {"pairs": checked, "max_total_degree": 5, "seed": 853835}
-    return _cert("necklace-oracle", params, failures)
+    return certificate("necklace-oracle", params, failures)
 
 
 def _random_word(rng: random.Random, genus: int, length: int) -> GroupWord:
@@ -330,7 +282,7 @@ def check_l_invariance() -> Certificate:
             failures.append(f"inversion broke invariance at word {checked}")
         checked += 1
     params = {"words": checked, "max_length": 8, "genus": 2, "truncation": 5, "seed": 911}
-    return _cert("l-invariance", params, failures)
+    return certificate("l-invariance", params, failures)
 
 
 def check_sigma_key_formula() -> Certificate:
@@ -351,7 +303,7 @@ def check_sigma_key_formula() -> Certificate:
         if lhs != lb.scale(-2):
             failures.append(f"genus {genus}: sigma and -2 L disagree")
     params = {"genera": [1, 2], "truncation": 5}
-    return _cert("sigma-key-formula", params, failures)
+    return certificate("sigma-key-formula", params, failures)
 
 
 def check_disjointness() -> Certificate:
@@ -365,23 +317,17 @@ def check_disjointness() -> Certificate:
         if apply_derivation(L, log_evaluate(theta, w)):
             failures.append(f"L(a1) ell({name}) != 0")
     params = {"genus": 2, "truncation": 5, "words": ["a1", "a2", "b2"]}
-    return _cert("disjointness", params, failures)
+    return certificate("disjointness", params, failures)
 
 
 def check_operator_identities() -> Certificate:
-    first = built_expansion(2, 6)
-    second = variant_expansion(2, 6)
-    failures = []
-    if first == second:
-        failures.append("the two expansions coincide; premise broken")
-    if not is_symplectic(second):
-        failures.append("variant expansion is not symplectic; premise broken")
-    for label, theta in (("built", first), ("variant", second)):
+    expansions, failures = _built_and_variant(6)
+    for label, theta in expansions:
         cert = verify_operator_identities(theta, nonsep_curve())
         if not cert.passed:
             failures.append(f"{label}: {cert.witness}")
     params = {"genus": 2, "truncation": 6, "expansions": ["built", "variant"]}
-    return _cert("operator-identities", params, failures)
+    return certificate("operator-identities", params, failures)
 
 
 def check_omega_ideal() -> Certificate:
@@ -409,7 +355,7 @@ def check_omega_ideal() -> Certificate:
                     f"on generator {i}"
                 )
     params = {"genus": 2, "truncation": 4, "curves": ["nonsep", "sep:1"]}
-    return _cert("omega-ideal", params, failures)
+    return certificate("omega-ideal", params, failures)
 
 
 def _connecting_failures(
@@ -450,12 +396,12 @@ def check_connecting() -> Certificate:
         "truncation": 5,
         "pairs": ["built/fixture", "built/variant"],
     }
-    return _cert("connecting", params, failures)
+    return certificate("connecting", params, failures)
 
 
 SUITE = (
-    ("fixture-genus1", check_fixture_genus1),
-    ("fixture-genus2", check_fixture_genus2),
+    ("fixture-genus1", lambda: _check_fixture(1)),
+    ("fixture-genus2", lambda: _check_fixture(2)),
     ("builder", check_builder),
     ("dehn-twist", check_dehn_twist),
     ("transvection", check_transvection),

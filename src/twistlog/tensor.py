@@ -34,6 +34,7 @@ from types import MappingProxyType
 from typing import Iterable
 
 from .rationals import ONE, ZERO, Rat, rat_from_string, rat_to_string
+from .words import parse_name
 
 Monomial = tuple  # tuple of basis indices; length is the tensor degree
 
@@ -79,13 +80,13 @@ class AlgebraContext:
         return f"{letter}{index // 2 + 1}"
 
     def basis_index(self, name: str) -> int:
-        kind, num = name[:1], name[1:]
-        if kind not in ("A", "B") or not num.isdigit():
-            raise ValueError(f"unknown basis vector {name!r}")
-        i = int(num)
-        if not 1 <= i <= self.genus:
-            raise ValueError(f"basis vector {name!r} out of range for genus {self.genus}")
-        return 2 * i - 2 + (1 if kind == "B" else 0)
+        return parse_name(
+            name,
+            self.genus,
+            "AB",
+            "unknown basis vector {name}",
+            "basis vector {name} out of range for genus {genus}",
+        )[0]
 
     def check_index(self, index: int) -> None:
         if not 0 <= _exact_int(index, "basis index") < self.dim:

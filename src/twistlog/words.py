@@ -16,15 +16,41 @@ A1..Bg denoting inverse letters; the empty string is the identity.
 from __future__ import annotations
 
 import re
+from math import gcd
 
 from .rationals import Rat
 
-_TOKEN = re.compile(r"^([abAB])([1-9][0-9]*)$")
+# ASCII only: the classes name code points, so no other script's digits match
+_COUNT = "[1-9][0-9]*"
+_NAME = re.compile(f"([abAB])({_COUNT})")
 
 
 def gen_name(index: int) -> str:
     letter = "a" if index % 2 == 0 else "b"
     return f"{letter}{index // 2 + 1}"
+
+
+def parse_name(name, genus: int, letters: str, unknown: str, too_big: str) -> tuple:
+    """(flat index, letter) of a generator or basis name.
+
+    The name must match ``[abAB][1-9][0-9]*`` in full with its letter in
+    ``letters``, and its number i must be at most ``genus``; the flat index
+    is 2i-2 for a_i and A_i, 2i-1 for b_i and B_i.  Otherwise ValueError is
+    raised with ``unknown`` or ``too_big``, formatted with the keys
+    ``name`` (the name's repr) and ``genus``.
+    """
+    m = _NAME.fullmatch(name) if isinstance(name, str) else None
+    if m is None or m[1] not in letters:
+        raise ValueError(unknown.format(name=repr(name), genus=genus))
+    i = int(m[2])
+    if i > genus:
+        raise ValueError(too_big.format(name=repr(name), genus=genus))
+    return 2 * i - 2 + (m[1] in "bB"), m[1]
+
+
+def parse_count(text: str) -> int | None:
+    """The positive integer written ``[1-9][0-9]*`` in ASCII, or None."""
+    return int(text) if re.fullmatch(_COUNT, text) else None
 
 
 class GroupWord:
@@ -87,18 +113,14 @@ def word_from_string(genus: int, text: str) -> GroupWord:
     """Parse the token syntax; errors carry the 1-based token position."""
     letters = []
     for pos, token in enumerate(text.split(), start=1):
-        m = _TOKEN.match(token)
-        if not m:
-            raise ValueError(f"token {pos}: {token!r} is not a generator letter")
-        kind, num = m.groups()
-        i = int(num)
-        if i > genus:
-            raise ValueError(
-                f"token {pos}: {token!r} exceeds genus {genus}"
-            )
-        gen = 2 * i - 2 + (1 if kind in ("b", "B") else 0)
-        sign = 1 if kind.islower() else -1
-        letters.append((gen, sign))
+        gen, letter = parse_name(
+            token,
+            genus,
+            "abAB",
+            f"token {pos}: " + "{name} is not a generator letter",
+            f"token {pos}: " + "{name} exceeds genus {genus}",
+        )
+        letters.append((gen, 1 if letter.islower() else -1))
     return GroupWord(genus, letters)
 
 
@@ -138,10 +160,7 @@ def commutator(x: GroupWord, y: GroupWord) -> GroupWord:
 
 def boundary_word(genus: int) -> GroupWord:
     """zeta = [a1,b1][a2,b2]...[ag,bg], the boundary of the surface."""
-    w = GroupWord(genus)
-    for i in range(genus):
-        w = concat(w, commutator(generator_word(genus, 2 * i), generator_word(genus, 2 * i + 1)))
-    return w
+    return handle_word(genus, genus)
 
 
 def handle_word(genus: int, h: int) -> GroupWord:
@@ -179,7 +198,7 @@ class FreeAutomorphism:
         self.genus = genus
         self.images = tuple(images)
         self.factorization = tuple(factorization) if factorization is not None else None
-        if _homology_determinant(self) == 0:
+        if homology_inverse(self) is None:
             raise ValueError("generator images are singular on homology")
         zeta = boundary_word(genus)
         self.boundary_preserving = apply_automorphism(self, zeta) == zeta
@@ -278,31 +297,40 @@ def invert_automorphism(phi: FreeAutomorphism) -> FreeAutomorphism:
     return out
 
 
-def _homology_determinant(phi: FreeAutomorphism):
-    """Determinant of the abelianized map (exact, small Gaussian elimination)."""
+def homology_matrix(phi: FreeAutomorphism) -> list:
+    """The integer matrix of phi on H: entry [i][j] is the exponent sum of
+    generator i in phi(x_j)."""
     n = 2 * phi.genus
-    cols = []
-    for im in phi.images:
-        col = [0] * n
+    mat = [[0] * n for _ in range(n)]
+    for j, im in enumerate(phi.images):
         for gen, sign in im.letters:
-            col[gen] += sign
-        cols.append(col)
-    mat = [[Rat(cols[j][i]) for j in range(n)] for i in range(n)]
-    det = Rat(1)
+            mat[gen][j] += sign
+    return mat
+
+
+def homology_inverse(phi: FreeAutomorphism) -> list | None:
+    """The inverse of ``homology_matrix(phi)`` as rows of exact rationals,
+    or None when the matrix is singular.
+
+    Gauss-Jordan elimination on [M | I] in integers: a row update
+    multiplies through by the pivot instead of dividing by it, and divides
+    out the row's gcd, so only the last step makes fractions."""
+    mat = homology_matrix(phi)
+    n = len(mat)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     for c in range(n):
-        pivot = next((r for r in range(c, n) if mat[r][c]), None)
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
         if pivot is None:
-            return Rat(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det = det * mat[c][c]
-        inv = 1 / mat[c][c]
-        for r in range(c + 1, n):
-            if mat[r][c]:
-                factor = mat[r][c] * inv
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[c])]
-    return det
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        p = rows[c][c]
+        for r in range(n):
+            a = rows[r][c]
+            if r != c and a:
+                row = [p * x - a * y for x, y in zip(rows[r], rows[c])]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
+    return [[Rat(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
 
 # -- serialization -----------------------------------------------------------
@@ -326,19 +354,33 @@ def automorphism_from_json(obj: dict) -> FreeAutomorphism:
     if not isinstance(obj, dict) or "genus" not in obj:
         raise ValueError("automorphism JSON must be an object with a genus")
     genus = obj["genus"]
+    if type(genus) is not int or genus < 1:
+        raise ValueError(f"automorphism JSON genus must be a positive integer, got {genus!r}")
     fact = None
     if obj.get("factorization") is not None:
+        if not isinstance(obj["factorization"], list):
+            raise ValueError("automorphism JSON 'factorization' must be a list")
         fact = []
         for entry in obj["factorization"]:
+            if not isinstance(entry, dict):
+                raise ValueError(f"factorization entry must be an object: {entry!r}")
             kind = entry.get("kind")
             if kind not in ("nonsep", "sep"):
                 raise ValueError(f"unknown twist kind {kind!r} in factorization")
             h = entry.get("h")
             power = entry.get("power", 1)
-            if kind == "sep" and not isinstance(h, int):
+            if kind == "sep" and type(h) is not int:
                 raise ValueError("separating twist descriptor needs an integer h")
+            if kind == "nonsep" and h is not None:
+                raise ValueError("non-separating twist descriptor takes no h")
+            if type(power) is not int:
+                raise ValueError(f"twist power must be an integer, got {power!r}")
             fact.append((kind, h, power))
     if "images" in obj and obj["images"] is not None:
+        if not isinstance(obj["images"], list) or not all(
+            isinstance(s, str) for s in obj["images"]
+        ):
+            raise ValueError("automorphism JSON 'images' must be a list of words")
         images = [word_from_string(genus, s) for s in obj["images"]]
         phi = FreeAutomorphism(genus, images, factorization=fact)
         if fact is not None:

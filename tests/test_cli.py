@@ -115,22 +115,22 @@ def _malformed_generators(theta_json, case):
     first = theta_json["generators"][0]
     if case == "generator-without-log":
         return dict(theta_json, generators=[{"name": first["name"]}])
+    if case.startswith("name:"):
+        # rename the generator whose letter the bad name starts with
+        name = case[5:]
+        gens = [dict(g, name=name) if g["name"][0] == name[0] else g for g in theta_json["generators"]]
+        return dict(theta_json, generators=gens)
     return dict(theta_json, generators=[first["name"]])  # a bare string
 
 
-@pytest.mark.parametrize(
-    "case", ["genus-string", "generator-without-log", "generator-bare-string"]
-)
-def test_check_expansion_malformed_json_exits_two(case, tmp_path):
+def _assert_usage_error_in_fresh_interpreter(*argv):
     # a fresh interpreter, so that an uncaught exception would show as a
     # traceback on stderr and exit 1
-    path = tmp_path / "theta.json"
-    path.write_text(json.dumps(_malformed_generators(expansion_to_json(exponential_expansion(1, 3)), case)))
     pkg_root = str(Path(twistlog.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": pkg_root + (os.pathsep + inherited if inherited else "")}
     proc = subprocess.run(
-        [sys.executable, "-m", "twistlog.cli", "check-expansion", "--in", str(path)],
+        [sys.executable, "-m", "twistlog.cli", *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -138,6 +138,48 @@ def test_check_expansion_malformed_json_exits_two(case, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("twistlog: error:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "genus-string",
+        "generator-without-log",
+        "generator-bare-string",
+        # generator names are ASCII [ab][1-9][0-9]*, matched in full
+        "name:a+1",
+        "name:a 1",
+        "name:a01",
+        "name:b\u0661",
+    ],
+)
+def test_check_expansion_malformed_json_exits_two(case, tmp_path):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(_malformed_generators(expansion_to_json(exponential_expansion(1, 3)), case)))
+    _assert_usage_error_in_fresh_interpreter("check-expansion", "--in", str(path))
+
+
+@pytest.mark.parametrize(
+    "conjugator",
+    [
+        {"genus": 2, "factorization": [{"kind": "nonsep", "power": 1.5}]},
+        {"genus": 2, "factorization": [{"kind": "nonsep", "power": "2"}]},
+        {"genus": 2, "factorization": ["nonsep"]},
+        {"genus": "2", "images": ["a1", "b1", "a2", "b2"]},
+        {"genus": True, "images": ["a1", "b1"]},
+        {"genus": 2, "factorization": [{"kind": "sep", "h": True, "power": 1}]},
+        {"genus": 2, "factorization": {"kind": "nonsep"}},
+        {"genus": 2, "images": ["a1", "b1", "a2", 4]},
+        {"phi": {"genus": 2, "factorization": []}, "base": 1},
+    ],
+)
+def test_johnson_malformed_conjugator_exits_two(conjugator, tmp_path):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(conjugator))
+    _assert_usage_error_in_fresh_interpreter(
+        "johnson", "--curve", f"conj:{path}", "--k", "1", "--expansion", "fixture:g2"
+    )
 
 
 def test_johnson_component_json(capsys):
@@ -157,6 +199,9 @@ def test_johnson_component_errors(tmp_path, capsys):
     assert main(base + ["--curve", "sep:9", "--k", "1"]) == 2
     assert main(base + ["--curve", "conj:" + str(tmp_path / "nope.json"), "--k", "1"]) == 2
     assert main(base + ["--curve", "wiggly", "--k", "1"]) == 2
+    # h is an ASCII numeral [1-9][0-9]*, matched in full
+    for descriptor in ("sep:+1", "sep: 1", "sep:\u0661", "sep:01", "sep:0", "sep:"):
+        assert main(base + ["--curve", descriptor, "--k", "1"]) == 2, descriptor
     capsys.readouterr()
 
 

@@ -51,10 +51,10 @@ def test_basis_names_round_trip():
     assert names == ["A1", "B1", "A2", "B2", "A3", "B3"]
     for i, name in enumerate(names):
         assert ctx.basis_index(name) == i
-    with pytest.raises(ValueError):
-        ctx.basis_index("C1")
-    with pytest.raises(ValueError):
-        ctx.basis_index("A4")
+    # names are ASCII [AB][1-9][0-9]*, matched in full
+    for bad in ("C1", "A4", "a1", "A01", "A\u0661", "A+1", "A 1", "A1 ", "A", ""):
+        with pytest.raises(ValueError):
+            ctx.basis_index(bad)
     with pytest.raises(ValueError):
         ctx.basis_name(6)
 

@@ -1,5 +1,6 @@
 """Free-group words, adapted Dehn twists, and automorphism serialization."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from twistlog.words import (
     gen_name,
     generator_word,
     handle_word,
+    homology_inverse,
+    homology_matrix,
     identity_automorphism,
     invert,
     invert_automorphism,
@@ -143,10 +146,50 @@ def test_apply_automorphism_respects_words():
 
 def test_singular_images_rejected():
     a1 = generator_word(1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular"):
         FreeAutomorphism(1, [a1, a1])
     with pytest.raises(ValueError):
         FreeAutomorphism(1, [a1])
+
+
+def _leibniz_determinant(mat):
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= mat[i][perm[i]]
+        total += term
+    return total
+
+
+def test_homology_inverse_against_leibniz_determinant():
+    # images drawn from short random words, so that singular, unimodular and
+    # non-unimodular matrices all occur
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(300):
+        genus = rng.choice((1, 2))
+        images = [random_word(rng, genus, rng.randint(0, 3)) for _ in range(2 * genus)]
+        n = 2 * genus
+        mat = [[0] * n for _ in range(n)]
+        for j, image in enumerate(images):
+            for gen, sign in image.letters:
+                mat[gen][j] += sign
+        det = _leibniz_determinant(mat)
+        seen.add("singular" if det == 0 else "unimodular" if abs(det) == 1 else "other")
+        if det == 0:
+            with pytest.raises(ValueError, match="singular"):
+                FreeAutomorphism(genus, images)
+            continue
+        phi = FreeAutomorphism(genus, images)
+        assert homology_matrix(phi) == mat
+        inv = homology_inverse(phi)
+        for i in range(n):
+            for j in range(n):
+                assert sum(mat[i][k] * inv[k][j] for k in range(n)) == (i == j)
+    assert seen == {"singular", "unimodular", "other"}
 
 
 def test_automorphism_json_round_trip():
