@@ -7,19 +7,16 @@ Y -> (Y . X) u, summed over the terms of t.  Both views are kept exactly:
 ``values`` is the source of truth, the defining tensor round-trips through
 to_tensor / from_tensor without loss.
 
-The omega-ideal machinery reduces tensors modulo the two-sided ideal
-generated by omega, degree by degree, against a row-reduced basis with
-lexicographically least pivots; residuals are canonical representatives of
-the quotient.
+The omega ideal, the two-sided ideal generated by omega, is decided by
+rewriting: every tensor reduces to a unique normal form modulo the ideal.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import product
 from math import lcm
 
-from .rationals import ONE, Rat
+from .rationals import Rat
 from .tensor import (
     AlgebraContext,
     Tensor,
@@ -218,82 +215,64 @@ def exp_derivation(d: Derivation, t: Tensor, max_terms: int | None = None) -> Te
 
 
 class OmegaIdealContext:
-    """Row-reduced bases, one per degree, of the two-sided ideal generated
-    by omega.  Rows are sparse monomial->coefficient maps normalized to a
-    unit coefficient at their lexicographically least monomial; reduction
-    eliminates pivot monomials in increasing order, and every monomial a
-    row introduces is strictly greater than its pivot, so the sweep
-    terminates with a canonical residual.
+    """The rewriting rule A_1 B_1 -> B_1 A_1 - sum_{i>=2} [A_i, B_i] that
+    decides the two-sided ideal generated by omega.
+
+    ``rule`` lists the codes of omega's other monomials with their
+    coefficients in the right-hand side, each +1 or -1.  The word A_1 B_1
+    overlaps no copy of itself, so the rule has no ambiguities and, by
+    Bergman's diamond lemma, the words avoiding A_1 B_1 form a basis of the
+    quotient: the normal form is unique and the ideal is exactly its kernel.
     """
 
-    __slots__ = ("ctx", "pivots")
+    __slots__ = ("ctx", "rule")
 
     def __init__(self, ctx: AlgebraContext):
         self.ctx = ctx
-        omega = symplectic_form(ctx).terms
-        self.pivots = {}
-        indices = range(ctx.dim)
-        for n in range(2, ctx.truncation + 1):
-            table = {}
-            for p in range(n - 1):
-                q = n - 2 - p
-                for u in product(indices, repeat=p):
-                    for v in product(indices, repeat=q):
-                        row = {u + w + v: c for w, c in omega.items()}
-                        self._insert(table, row)
-            self.pivots[n] = table
-
-    @staticmethod
-    def _insert(table: dict, row: dict) -> None:
-        row = _eliminate(table, row)
-        if not row:
-            return
-        pivot = min(row)
-        inv = ONE / row[pivot]
-        table[pivot] = {m: c * inv for m, c in row.items()}
-
-
-def _eliminate(table: dict, vec: dict) -> dict:
-    vec = dict(vec)
-    heap = sorted(vec)
-    queued = set(heap)
-    while heap:
-        mono = heapq.heappop(heap)
-        coeff = vec.get(mono)
-        if not coeff:
-            continue
-        row = table.get(mono)
-        if row is None:
-            continue
-        del vec[mono]
-        for m2, c2 in row.items():
-            if m2 == mono:
-                continue
-            acc = vec.get(m2)
-            val = -coeff * c2 if acc is None else acc - coeff * c2
-            if val:
-                vec[m2] = val
-                if m2 not in queued:
-                    queued.add(m2)
-                    heapq.heappush(heap, m2)
-            elif acc is not None:
-                del vec[m2]
-    return vec
+        block = scaled_terms(symplectic_form(ctx))[0][2]
+        # A_1 B_1 has code 0 * dim + 1
+        self.rule = tuple((code, -c) for code, c in block.items() if code != 1)
 
 
 def omega_ideal_reduce(t: Tensor, ideal: OmegaIdealContext) -> Tensor:
-    """Canonical representative of t modulo the omega ideal."""
+    """Canonical representative of t modulo the omega ideal: its normal form
+    under the rule, which avoids the word A_1 B_1.
+
+    Each degree is rewritten in ascending code order, always at the leftmost
+    A_1 B_1.  The right-hand side's words are greater than A_1 B_1, so each
+    rewrite only feeds strictly greater codes, and a code's coefficient is
+    final when it is popped."""
     if t.ctx != ideal.ctx:
         raise ValueError("context mismatch")
+    dim = t.ctx.dim
+    blocks, den = scaled_terms(t)
     out = {}
-    for n, table in ideal.pivots.items():
-        part = {m: c for m, c in t.terms.items() if len(m) == n}
-        if part:
-            out.update(_eliminate(table, part))
-    for mono, coeff in t.terms.items():
-        if len(mono) < 2:
-            out[mono] = coeff
-    return Tensor(t.ctx, out)
+    for n, block in blocks.items():
+        # the weights of the letter pairs, leftmost pair first
+        weights = [dim**k for k in reversed(range(n - 1))]
+        rem = dict(block)  # zeros stay in, so each code enters the heap once
+        heap = list(rem)
+        heapq.heapify(heap)
+        acc = out[n] = {}
+        while heap:
+            x = heapq.heappop(heap)
+            coeff = rem.pop(x)
+            if not coeff:
+                continue
+            after = next((w for w in weights if x // w % (dim * dim) == 1), None)
+            if after is None:
+                acc[x] = coeff
+                continue
+            for r, c in ideal.rule:
+                # the pair A_1 B_1 (code 1) becomes the pair with code r
+                y = x + (r - 1) * after
+                prev = rem.get(y)
+                if prev is None:
+                    rem[y] = coeff * c
+                    heapq.heappush(heap, y)
+                else:
+                    rem[y] = prev + coeff * c
+    return tensor_from_scaled(t.ctx, out, den)
 
 
 def omega_ideal_equal(t1: Tensor, t2: Tensor, ideal: OmegaIdealContext) -> bool:

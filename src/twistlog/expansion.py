@@ -21,10 +21,10 @@ from __future__ import annotations
 import json
 import os
 from importlib import resources
-from math import lcm
+from math import lcm, log10
 
 from .endomorphism import Endomorphism, solve_generator_images
-from .lie import _bracket_expansion, _phi_code, exp, is_lie, log
+from .lie import _bracket_expansion, _by_first, _phi_block, exp, is_lie, log
 from .rationals import rat_from_string
 from .tensor import (
     AlgebraContext,
@@ -257,7 +257,7 @@ def load_fixture(kind: str, truncation: int | None = None, genus: int | None = N
             tree, degree = _tree_from_json(ctx, tree)
             if degree <= truncation:  # brackets above the truncation vanish
                 q = rat_from_string(coeff)
-                terms.append((int(q.numerator), int(q.denominator), tree))
+                terms.append((q.numerator, q.denominator, tree))
         den = lcm(*(q for _, q, _ in terms))
         blocks = {}
         for p, q, tree in terms:
@@ -284,6 +284,33 @@ def fixture_massuyeau_partial(genus: int = 2, truncation: int | None = None) -> 
 
 
 # -- the symplectic builder --------------------------------------------------
+
+
+# Largest monomial count that the builder accepts, and with it the ``build``
+# and ``builtin:*`` expansion sources of the CLI: the count
+# sum(dim**k for k <= N+1) of the algebra one degree above the truncation N,
+# where the builder and the loop invariant work.  It admits genus 2 through
+# degree 8 (349525 monomials; the build took 3.6 s) and genus 3 through
+# degree 6 (335923; 0.4 s).  Beyond it, genus 2 at degree 9 (1.4M) took 27 s
+# and 3.6 GiB to build, and the count grows by a factor 2g with each degree.
+MAX_MONOMIALS = 400_000
+
+
+def _check_size(genus: int, degree: int) -> None:
+    """Refuse a genus and degree whose monomial count exceeds MAX_MONOMIALS.
+
+    The count (dim**(N+2) - 1) / (dim - 1) is compared by its logarithm, so
+    an absurd degree is refused at once instead of being raised to a power."""
+    if genus < 1 or degree < 0:
+        return  # invalid on its own; the context constructor says why
+    dim = 2 * genus
+    log_count = (degree + 2) * log10(dim) - log10(dim - 1)
+    if log_count > log10(MAX_MONOMIALS):
+        raise ValueError(
+            f"genus {genus} at degree {degree} spans about 10^{log_count:.1f} "
+            f"monomials (the sum of (2g)^k for k <= degree + 1), above the "
+            f"limit of {MAX_MONOMIALS}"
+        )
 
 
 def _boundary_value(ctx: AlgebraContext, logs) -> Tensor:
@@ -313,8 +340,12 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
     for merely-truncated data.  A seed that is itself such a jet comes back
     unchanged, and restricting a build to a lower truncation agrees with
     building there directly.
+
+    A genus and truncation whose working algebra holds more than
+    MAX_MONOMIALS monomials are refused with ValueError before any work.
     """
     ctx = AlgebraContext(genus, truncation)
+    _check_size(genus, truncation)
     work_ctx = AlgebraContext(genus, truncation + 1)
     if seed is None:
         seed = exponential_expansion(genus, truncation)
@@ -327,7 +358,6 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
         if not is_lie(t):
             raise ValueError(f"seed is not group-like: log of {gen_name(i)} is not Lie")
     omega = symplectic_form(work_ctx)
-    phi_cache = {}
     for m in range(3, truncation + 2):
         pass_ctx = AlgebraContext(genus, m)
         defect = log(_boundary_value(pass_ctx, [truncate(t, pass_ctx) for t in logs]))
@@ -339,26 +369,16 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
             raise ArithmeticError(f"defect below degree {m} survived pass {m}")
         if not defect:
             continue
-        # corrections are numerators over den * m, the certificate over den
-        top = ctx.dim ** (m - 1)
-        corrections = {}
-        check = {}
-        for x, coeff in blocks[m].items():
-            first, tail = divmod(x, top)
-            # [first, Phi(tail)] summed with weight coeff/m rebuilds the
-            # defect (Dynkin); each term is cancelled through the partner
-            # generator of its first letter
-            factor = -coeff if first % 2 == 0 else coeff
-            bucket = corrections.setdefault(first ^ 1, {})
-            for sub, c in _phi_code(tail, m - 1, ctx.dim, phi_cache).items():
-                bucket[sub] = bucket.get(sub, 0) + factor * c
-            for sub, c in _phi_code(x, m, ctx.dim, phi_cache).items():
-                check[sub] = check.get(sub, 0) + coeff * c
-        # Dynkin certificate: Phi(defect) = m * defect for Lie input
-        if tensor_from_scaled(pass_ctx, {m: check}, den) != defect.scale(m):
+        if not is_lie(defect):
             raise ArithmeticError(f"degree-{m} defect failed the Lie certificate")
-        for target, bucket in corrections.items():
-            logs[target] = logs[target] + tensor_from_scaled(work_ctx, {m - 1: bucket}, den * m)
+        # a Lie defect sum_x X_x t_x equals (1/m) sum_x [X_x, Phi(t_x)]
+        # (Dynkin); each term is cancelled through the partner generator of
+        # its first letter, with sign (partner . X_x)
+        for x, tail in _by_first(blocks[m], ctx.dim ** (m - 1)).items():
+            bucket = _phi_block(tail, m - 1, ctx.dim)
+            if x % 2 == 0:
+                bucket = {k: -c for k, c in bucket.items()}
+            logs[x ^ 1] = logs[x ^ 1] + tensor_from_scaled(work_ctx, {m - 1: bucket}, den * m)
     return Expansion(ctx, [truncate(t, ctx) for t in logs], kind="built")
 
 

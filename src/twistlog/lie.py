@@ -29,33 +29,34 @@ def bracket(t1: Tensor, t2: Tensor) -> Tensor:
     return t1 * t2 - t2 * t1
 
 
-def _phi_code(x: int, n: int, dim: int, cache: dict) -> dict:
-    """Phi of the degree-n monomial with code x, as a map code -> integer
-    coeff (codes of degree n).
-
-    Phi(X w) = [X, Phi(w)]; suffixes repeat heavily across a tensor, so they
-    are memoized, per degree, in ``cache``."""
-    level = cache.get(n)
-    if level is None:
-        level = cache[n] = {}
-    hit = level.get(x)
-    if hit is not None:
-        return hit
-    if n == 1:
-        out = {x: 1}
-    else:
-        top = dim ** (n - 1)
-        head, tail = divmod(x, top)
-        lead = head * top
-        out = {}
-        get = out.get
-        for sub, c in _phi_code(tail, n - 1, dim, cache).items():
-            left = lead + sub
-            out[left] = get(left, 0) + c
-            right = sub * dim + head
-            out[right] = get(right, 0) - c
-    level[x] = out
+def _by_first(block: dict, top: int) -> dict:
+    """Split a homogeneous block of codes as {x: t_x}, the block being
+    sum_x X_x t_x; ``top`` is dim**(degree - 1), the weight of the first
+    letter."""
+    out = {}
+    for code, c in block.items():
+        first, tail = divmod(code, top)
+        out.setdefault(first, {})[tail] = c
     return out
+
+
+def _phi_block(block: dict, n: int, dim: int) -> dict:
+    """Phi of a degree-n block {code: int} that holds no zeros, again with
+    no zeros; the result may be ``block`` itself, so never mutate it.
+
+    By the first-letter recursion Phi(sum_x X_x t_x) = sum_x [X_x, Phi(t_x)]
+    (Reutenauer, Free Lie Algebras, ch. 1)."""
+    if n == 1:
+        return block
+    top = dim ** (n - 1)
+    out = {}
+    get = out.get
+    for x, tail in _by_first(block, top).items():
+        lead = x * top
+        for sub, c in _phi_block(tail, n - 1, dim).items():
+            out[lead + sub] = get(lead + sub, 0) + c
+            out[sub * dim + x] = get(sub * dim + x, 0) - c
+    return {k: c for k, c in out.items() if c}
 
 
 def phi(t: Tensor) -> Tensor:
@@ -65,26 +66,22 @@ def phi(t: Tensor) -> Tensor:
     blocks, den = scaled_terms(t)
     if 0 in blocks:
         raise ValueError("phi: nonzero constant term")
-    cache = {}
     dim = t.ctx.dim
-    out = {}
-    for n, block in blocks.items():
-        acc = out[n] = {}
-        get = acc.get
-        for x, coeff in block.items():
-            for m2, c2 in _phi_code(x, n, dim, cache).items():
-                acc[m2] = get(m2, 0) + coeff * c2
+    out = {n: _phi_block(block, n, dim) for n, block in blocks.items()}
     return tensor_from_scaled(t.ctx, out, den)
 
 
 def is_lie(t: Tensor) -> bool:
     """Dynkin-Specht-Wever test, degreewise: Phi(u_n) = n*u_n for every
     homogeneous component, and no constant term."""
-    blocks, den = scaled_terms(t)
+    blocks, _ = scaled_terms(t)
     if 0 in blocks:
         return False
-    weighted = {n: {x: c * n for x, c in block.items()} for n, block in blocks.items()}
-    return phi(t) == tensor_from_scaled(t.ctx, weighted, den)
+    dim = t.ctx.dim
+    return all(
+        _phi_block(block, n, dim) == {x: c * n for x, c in block.items()}
+        for n, block in blocks.items()
+    )
 
 
 def exp(t: Tensor) -> Tensor:

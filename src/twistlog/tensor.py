@@ -133,7 +133,7 @@ def _as_rat(value):
         raise ValueError(
             f"{type(value).__name__} coefficient {value!r}: pass an int, a Rat or a 'p/q' string"
         )
-    return value if isinstance(value, type(ONE)) else Rat(value)
+    return value if isinstance(value, Rat) else Rat(value)
 
 
 def _split(value) -> tuple:
@@ -141,7 +141,7 @@ def _split(value) -> tuple:
     if type(value) is int:
         return value, 1
     q = _as_rat(value)
-    return int(q.numerator), int(q.denominator)
+    return q.numerator, q.denominator
 
 
 def _scaled(ctx: AlgebraContext, blocks: dict, den: int) -> "Tensor":

@@ -13,9 +13,10 @@ import pytest
 
 import twistlog
 
-from twistlog.cli import _check_size, main
+from twistlog.cli import main
 from twistlog.derivation import derivation_from_json
 from twistlog.expansion import (
+    _check_size,
     evaluate,
     expansion_to_json,
     exponential_expansion,
@@ -180,6 +181,16 @@ def test_johnson_malformed_conjugator_exits_two(conjugator, tmp_path):
     _assert_usage_error_in_fresh_interpreter(
         "johnson", "--curve", f"conj:{path}", "--k", "1", "--expansion", "fixture:g2"
     )
+
+
+def test_johnson_refuses_a_huge_twist_power_at_once(tmp_path):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"genus": 2, "factorization": [{"kind": "nonsep", "power": 200000}]}))
+    start = time.perf_counter()
+    _assert_usage_error_in_fresh_interpreter(
+        "johnson", "--curve", f"conj:{path}", "--k", "1", "--expansion", "fixture:g2"
+    )
+    assert time.perf_counter() - start < 1
 
 
 def test_johnson_component_json(capsys):

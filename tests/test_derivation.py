@@ -2,6 +2,7 @@
 the omega-ideal quotient."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,7 @@ from twistlog.derivation import (
 from twistlog.rationals import Rat
 from twistlog.tensor import (
     AlgebraContext,
+    Tensor,
     basis_tensor,
     monomial_tensor,
     one_tensor,
@@ -193,6 +195,47 @@ def test_omega_ideal_reduce():
     assert omega_ideal_reduce(low, ideal) == low
     with pytest.raises(ValueError):
         omega_ideal_reduce(basis_tensor(AlgebraContext(2, 3), 0), ideal)
+
+
+def _omega_normal_form(ctx, terms):
+    """Oracle: rewrite A1 B1 -> B1 A1 - sum_{i>=2} [A_i, B_i] on tuple
+    words with Fraction coefficients until no word contains A1 B1.  It
+    rewrites at the rightmost occurrence; the normal form is unique, so the
+    place of each rewrite must not matter."""
+    rhs = [((1, 0), 1)]
+    for i in range(1, ctx.genus):
+        rhs += [((2 * i, 2 * i + 1), -1), ((2 * i + 1, 2 * i), 1)]
+    todo = {tuple(w): Fraction(c) for w, c in terms.items()}
+    done = {}
+    while todo:
+        word, coeff = todo.popitem()
+        spots = [k for k in range(len(word) - 1) if word[k:k + 2] == (0, 1)]
+        if not spots:
+            done[word] = done.get(word, 0) + coeff
+            continue
+        k = spots[-1]
+        for pair, c in rhs:
+            w2 = word[:k] + pair + word[k + 2:]
+            todo[w2] = todo.get(w2, 0) + c * coeff
+    return {w: c for w, c in done.items() if c}
+
+
+@pytest.mark.parametrize("genus, truncation", [(1, 6), (2, 5), (3, 4)])
+def test_omega_ideal_reduce_matches_the_rewriting_oracle(genus, truncation):
+    rng = random.Random(1000 * genus + truncation)
+    ctx = AlgebraContext(genus, truncation)
+    ideal = OmegaIdealContext(ctx)
+    for _ in range(30):
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            word = [rng.randrange(ctx.dim) for _ in range(rng.randint(0, truncation))]
+            # plant copies of A1 B1, which random words over 2g letters rarely hold
+            while len(word) + 2 <= truncation and rng.random() < 0.6:
+                k = rng.randint(0, len(word))
+                word[k:k] = [0, 1]
+            terms[tuple(word)] = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        t = Tensor(ctx, terms)
+        assert omega_ideal_reduce(t, ideal) == Tensor(ctx, _omega_normal_form(ctx, terms))
 
 
 def test_derivation_json_round_trip():

@@ -1,8 +1,10 @@
 """Magnus expansions: evaluation, fixtures, the symplectic builder, and
 connecting automorphisms."""
 
+import hashlib
 import json
 import random
+import time
 from importlib import resources
 
 import pytest
@@ -204,6 +206,24 @@ def test_builder_restriction_coherence():
     low = build_symplectic(2, 4)
     for t5, t4 in zip(high.logs, low.logs):
         assert truncate(t5, low.ctx) == t4
+
+
+@pytest.mark.parametrize(
+    "genus, truncation, digest",
+    [(2, 6, "b53a98ebea30089f"), (3, 5, "6eca7a849732d88d"), (4, 5, "f16d16ec31b00ca7")],
+)
+def test_builder_output_is_pinned(genus, truncation, digest):
+    obj = expansion_to_json(build_symplectic(genus, truncation))
+    assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16] == digest
+
+
+def test_builder_refuses_oversized_algebras_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="monomials"):
+        build_symplectic(2, 9)
+    with pytest.raises(ValueError, match="monomials"):
+        build_symplectic(3, 10**6)
+    assert time.perf_counter() - start < 1
 
 
 def test_builder_seed_validation():

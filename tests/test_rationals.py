@@ -1,31 +1,15 @@
-"""Scalar backend: exactness, parsing, and the env-var switch."""
+"""Scalar type: exactness, parsing and printing."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+from fractions import Fraction
 
 import pytest
 
-import twistlog
 from twistlog.rationals import BACKEND, Rat, rat_from_string, rat_to_string
 
 
-def _child_env(backend):
-    """Environment for a fresh interpreter that imports this same twistlog.
-
-    The directory holding the package goes first on PYTHONPATH, so the child
-    finds it whether the test process got it from PYTHONPATH, the working
-    directory or an install.
-    """
-    pkg_root = str(Path(twistlog.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    path = pkg_root + os.pathsep + inherited if inherited else pkg_root
-    return {**os.environ, "PYTHONPATH": path, "TWISTLOG_RATIONALS": backend}
-
-
 def test_backend_is_known():
-    assert BACKEND in ("gmpy2", "fraction")
+    assert BACKEND == "fraction"
+    assert Rat is Fraction
 
 
 def test_exact_arithmetic():
@@ -57,31 +41,3 @@ def test_parse_rejects_garbage():
             rat_from_string(text)
     with pytest.raises(ValueError):
         rat_from_string(None)
-
-
-def test_env_var_selects_fraction_backend():
-    # subprocess so the import-time switch actually runs
-    code = "from twistlog.rationals import BACKEND, Rat; print(BACKEND, Rat(1,3)*3)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=_child_env("fraction"),
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["fraction", "1"]
-
-
-def test_env_var_rejects_unknown_backend():
-    code = "import twistlog.rationals"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=_child_env("decimal"),
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    # the import must die on the backend check itself, not on some other error
-    assert out.stderr.strip().splitlines()[-1].startswith(
-        "ValueError: TWISTLOG_RATIONALS="
-    ), out.stderr

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from twistlog.words import (
+    MAX_POWER_LETTERS,
     FreeAutomorphism,
     GroupWord,
     apply_automorphism,
@@ -24,6 +25,8 @@ from twistlog.words import (
     identity_automorphism,
     invert,
     invert_automorphism,
+    _twist_power,
+    _word_power,
     twist_nonseparating,
     twist_separating,
     word_from_string,
@@ -111,6 +114,33 @@ def test_twist_separating_conjugates_first_handles():
     assert t.boundary_preserving
     with pytest.raises(ValueError):
         twist_separating(2, 3)
+
+
+def test_word_power_equals_repeated_concat():
+    rng = random.Random(2718)
+    for _ in range(20):
+        # random words need not be cyclically reduced, so powers cancel at the seams
+        w = random_word(rng, 2, rng.randint(0, 6))
+        for p in range(-4, 5):
+            expected = GroupWord(2)
+            for _ in range(abs(p)):
+                expected = concat(expected, w if p > 0 else invert(w))
+            assert _word_power(w, p) == expected
+
+
+def test_twist_powers_are_bounded_before_any_word_is_built():
+    t = _twist_power(2, "nonsep", None, -MAX_POWER_LETTERS)
+    assert len(t.images[1]) == MAX_POWER_LETTERS + 1
+    for kind, h, power in (
+        ("nonsep", None, MAX_POWER_LETTERS + 1),
+        ("nonsep", None, -(10**100)),
+        ("sep", 2, -(MAX_POWER_LETTERS // 8 + 1)),  # gamma_2 has 8 letters
+    ):
+        with pytest.raises(ValueError, match="limit"):
+            _twist_power(2, kind, h, power)
+    for h in (0, 3, None, True):
+        with pytest.raises(ValueError, match="out of range"):
+            _twist_power(2, "sep", h, 1)
 
 
 def test_compose_and_invert():
