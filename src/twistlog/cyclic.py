@@ -8,11 +8,14 @@ nu-invariant part, and under the duality of the derivation module it is the
 algebra of derivations killing the symplectic form; the necklace bracket below
 writes the derivation commutator directly on nu-invariant tensors.
 
-All four work on monomial codes (see ``twistlog.tensor``).  N is computed
-per necklace: the coefficients of the monomials in one rotation orbit are
-summed onto the orbit's least code, and each of the orbit's |O| distinct
-rotations then gets that sum times p/|O|, since the p rotations of any
-member hit each element of the orbit p/|O| times.
+All four work on monomial codes (see ``twistlog.tensor``).  N is one walk
+per necklace: starting from any code not yet visited, the walk steps
+through the rotations of its orbit O, sums the coefficients found there,
+and gives each of the |O| distinct rotations that sum times p/|O|, since
+the p rotations of any member hit each element of the orbit p/|O| times.
+So N costs one rotation per orbit member and never looks for an orbit's
+least code.  A code counts as visited once the output has an entry for it,
+so the walk keeps no table beside its result.
 """
 
 from __future__ import annotations
@@ -22,32 +25,25 @@ from math import lcm
 from .tensor import Tensor, scaled_terms, tensor_from_scaled
 
 
-def _necklace_sums(sums: dict, block: dict, p: int, dim: int, weight: int = 1) -> None:
-    """Add weight * coeff onto the least rotation of each degree-p code."""
-    top = dim ** (p - 1)
-    get = sums.get
-    for x, c in block.items():
-        best = r = x
-        for _ in range(p - 1):
-            r = (r % top) * dim + r // top
-            if r < best:
-                best = r
-        sums[best] = get(best, 0) + c * weight
+def necklace_block(block: dict, p: int, dim: int, weight: int = 1) -> dict:
+    """weight * N of a block of degree-p codes, walking each orbit once.
 
-
-def _necklaces(sums: dict, p: int, dim: int) -> dict:
-    """N of the degree-p codes whose orbit sums are ``sums``."""
+    The result holds every rotation of every code in ``block``; an orbit
+    whose coefficients cancel keeps its members with numerator 0, which
+    marks them visited (``tensor_from_scaled`` drops them)."""
     top = dim ** (p - 1)
+    get = block.get
     out = {}
-    for rep, s in sums.items():
-        if not s:
+    for x, s in block.items():
+        if x in out:
             continue
-        orbit = [rep]
-        r = (rep % top) * dim + rep // top
-        while r != rep:
+        orbit = [x]
+        r = (x % top) * dim + x // top
+        while r != x:
             orbit.append(r)
+            s += get(r, 0)
             r = (r % top) * dim + r // top
-        out.update(dict.fromkeys(orbit, s * (p // len(orbit))))
+        out.update(dict.fromkeys(orbit, s * weight * (p // len(orbit))))
     return out
 
 
@@ -68,12 +64,7 @@ def cyclic_n(t: Tensor) -> Tensor:
     """N: degree-p part goes to the sum of its p rotations; degree 0 dies."""
     blocks, den = scaled_terms(t)
     dim = t.ctx.dim
-    out = {}
-    for p, block in blocks.items():
-        if p:
-            sums = {}
-            _necklace_sums(sums, block, p, dim)
-            out[p] = _necklaces(sums, p, dim)
+    out = {p: necklace_block(block, p, dim) for p, block in blocks.items() if p}
     return tensor_from_scaled(t.ctx, out, den)
 
 
@@ -82,12 +73,9 @@ def cyclic_n_hat(t: Tensor) -> Tensor:
     blocks, den = scaled_terms(t)
     dim = t.ctx.dim
     common = lcm(*(p for p in blocks if p))
-    out = {}
-    for p, block in blocks.items():
-        if p:
-            sums = {}
-            _necklace_sums(sums, block, p, dim, common // p)
-            out[p] = _necklaces(sums, p, dim)
+    out = {
+        p: necklace_block(block, p, dim, common // p) for p, block in blocks.items() if p
+    }
     return tensor_from_scaled(t.ctx, out, den * common)
 
 
@@ -119,7 +107,7 @@ def necklace_bracket(u: Tensor, v: Tensor) -> Tensor:
     bv, dv = scaled_terms(v)
     # weights 1/(n m) over the degree pairs present, on one common denominator
     common = lcm(*(n * m for n in bu for m in bv))
-    sums = {}  # degree -> orbit sums
+    words = {}  # degree -> weighted words, before N
     for n, xs in bu.items():
         top_n = dim ** (n - 1)
         for m, ys in bv.items():
@@ -127,7 +115,9 @@ def necklace_bracket(u: Tensor, v: Tensor) -> Tensor:
             if deg > cap or not deg:
                 continue  # above the truncation, or killed by N
             top_m = dim ** (m - 1)
-            words = {}
+            weight = common // (n * m)
+            level = words.setdefault(deg, {})
+            get = level.get
             for x, cx in xs.items():
                 r = x
                 for _ in range(n):
@@ -136,7 +126,7 @@ def necklace_bracket(u: Tensor, v: Tensor) -> Tensor:
                     xi, x_rest = r % dim, r // dim
                     partner = xi ^ 1  # A_k <-> B_k under the pairing
                     # -(x_i . y_j): -(A_k . B_k) = -1, -(B_k . A_k) = +1
-                    sign = cx if xi % 2 else -cx
+                    sign = weight * (cx if xi % 2 else -cx)
                     head = x_rest * top_m
                     for y, dy in ys.items():
                         s = y
@@ -145,8 +135,6 @@ def necklace_bracket(u: Tensor, v: Tensor) -> Tensor:
                             s = (s % top_m) * dim + s // top_m
                             if s % dim == partner:
                                 key = head + s // dim
-                                words[key] = words.get(key, 0) + sign * dy
-            level = sums.setdefault(deg, {})
-            _necklace_sums(level, words, deg, dim, common // (n * m))
-    out = {deg: _necklaces(level, deg, dim) for deg, level in sums.items()}
+                                level[key] = get(key, 0) + sign * dy
+    out = {deg: necklace_block(level, deg, dim) for deg, level in words.items()}
     return tensor_from_scaled(ctx, out, du * dv * common)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclic import cyclic_n
+from .cyclic import cyclic_n, necklace_block
 from .derivation import (
     Derivation,
     _factorial,
@@ -28,10 +28,12 @@ from .rationals import Rat
 from .tensor import (
     AlgebraContext,
     Tensor,
+    add_block_product,
     basis_tensor,
     filtration_degree,
     graded_part,
     one_tensor,
+    scaled_terms,
     tensor_from_scaled,
     truncate,
     zero_tensor,
@@ -61,11 +63,39 @@ def l_invariant_tensor(theta: Expansion, w: GroupWord) -> Tensor:
     it is exactly determined by ell mod degree N+1; keeping it makes the
     derivation view complete on the truncated algebra (a degree-(N+1)
     monomial still acts nontrivially, sending degree 1 to degree N).
+
+    The square is taken over unordered pairs of degrees.  Every monomial of
+    ell_q ell_p is a rotation of one of ell_p ell_q (by q letters), so
+    N(ell_p ell_q) = N(ell_q ell_p) degree by degree, and
+    (1/2) N(ell ell) = sum_{p<q} N(ell_p ell_q) + (1/2) sum_p N(ell_p ell_p):
+    each pair is multiplied once, with weight 2 off the diagonal over the
+    denominator 2 den^2, and each degree takes one necklace walk.  The word
+    w is used as given, not cyclically reduced or otherwise normalized:
+    the l-invariance check compares L(w), L(y w y^-1) and L(w^-1), each
+    computed on its own, and a shared normal form would make it vacuous.
     """
     ctx = theta.ctx
     ext = AlgebraContext(ctx.genus, ctx.truncation + 1)
-    ell = truncate(log_evaluate(theta, w), ext)
-    return cyclic_n(ell * ell).scale(Rat(1, 2))
+    return _half_n_square(log_evaluate(theta, w), ext)
+
+
+def _half_n_square(t: Tensor, ctx: AlgebraContext) -> Tensor:
+    """(1/2) N(t t) in ``ctx``, over unordered pairs of degrees of t."""
+    cap, dim = ctx.truncation, ctx.dim
+    blocks, den = scaled_terms(t)
+    degrees = sorted(blocks)
+    square = {}
+    for i, p in enumerate(degrees):
+        left = blocks[p]
+        doubled = {k: 2 * c for k, c in left.items()}
+        for q in degrees[i:]:
+            if p + q > cap:
+                break
+            if p + q:  # N kills degree 0
+                factor = left if p == q else doubled
+                add_block_product(square, p + q, factor, blocks[q], dim**q)
+    out = {d: necklace_block(block, d, dim) for d, block in square.items()}
+    return tensor_from_scaled(ctx, out, 2 * den * den)
 
 
 def l_invariant(theta: Expansion, w: GroupWord) -> Derivation:

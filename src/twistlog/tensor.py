@@ -22,8 +22,9 @@ result instead of once per term.
 
 ``Tensor.terms`` is the read-only monomial -> Rat view of the same data,
 decoded on first use; other modules that need the ints go through
-``scaled_terms`` and ``tensor_from_scaled``, and through ``encode_monomial``
-and ``decode_monomial`` for single codes.
+``scaled_terms`` and ``tensor_from_scaled``, through ``add_block_product``
+(the one loop that multiplies blocks) for products, and through
+``encode_monomial`` and ``decode_monomial`` for single codes.
 """
 
 from __future__ import annotations
@@ -328,25 +329,8 @@ class Tensor:
             for q, block in right:
                 if q > room:
                     break
-                shift = dim**q
-                acc = out.get(p + q)
-                if acc is None:
-                    # one pair of degrees concatenates into distinct codes
-                    out[p + q] = {
-                        base + b: ca * cb
-                        for a, ca in left.items()
-                        for base in (a * shift,)
-                        for b, cb in block.items()
-                    }
-                    continue
-                merged.add(p + q)
-                get = acc.get
-                items = block.items()
-                for a, ca in left.items():
-                    base = a * shift
-                    for b, cb in items:
-                        key = base + b
-                        acc[key] = get(key, 0) + ca * cb
+                if add_block_product(out, p + q, left, block, dim**q):
+                    merged.add(p + q)
         for d in merged:
             block = {k: c for k, c in out[d].items() if c}
             if block:
@@ -393,6 +377,32 @@ class Tensor:
 
 
 # -- the scaled form ---------------------------------------------------------
+
+
+def add_block_product(out: dict, degree: int, left: dict, right: dict, shift: int) -> bool:
+    """Add the product of two blocks into ``out[degree]``: every code of
+    ``left`` followed by every code of ``right``, ``shift`` being dim to the
+    power of right's degree, with the product of their numerators.  Returns
+    True when ``out[degree]`` already held terms, whose sums may now be 0;
+    a fresh block has no zeros, since one pair of degrees concatenates into
+    distinct codes."""
+    acc = out.get(degree)
+    if acc is None:
+        out[degree] = {
+            base + b: ca * cb
+            for a, ca in left.items()
+            for base in (a * shift,)
+            for b, cb in right.items()
+        }
+        return False
+    get = acc.get
+    items = right.items()
+    for a, ca in left.items():
+        base = a * shift
+        for b, cb in items:
+            key = base + b
+            acc[key] = get(key, 0) + ca * cb
+    return True
 
 
 def scaled_terms(t: Tensor) -> tuple:

@@ -231,14 +231,18 @@ def identity_automorphism(genus: int) -> FreeAutomorphism:
     )
 
 
-# Most letters that one twist power may repeat: |power| letters for a
-# non-separating twist, 4h|power| for a twist along gamma_h.  A longer power
-# is refused before any word is built.  Conjugating a twist by an
-# automorphism composes image words letter by letter, which is quadratic in
-# their length: at this bound, johnson --curve conj:FILE --k 1 on fixture:g2
-# took 3.6 s for {"kind": "sep", "h": 1, "power": 250} and 6.8 s for h = 2,
-# power 125 (Python 3.11, one core of a 2-vCPU host).
-MAX_POWER_LETTERS = 1000
+# Most letters that a twist factorization may repeat in total: |power|
+# letters for a non-separating twist, 4h|power| for a twist along gamma_h,
+# and at least one per entry, since composing even an identity entry passes
+# over every image.  A single twist power is a one-entry factorization.  A
+# longer one is refused before any word is built.  Composing automorphisms
+# substitutes whole image words letter by letter, so the cost grows with the
+# product of image lengths: at this bound, johnson --curve conj:FILE --k 1
+# on fixture:g2 took at most 3.5 s, for 62 entries {"kind": "sep", "h": 2,
+# "power": 1}; one entry of h = 2, power 62 took 1.8 s.  At 1000 letters
+# the same shapes took 15 s and 6.8 s, and 8 entries of 248 letters each
+# (1984 in all) took 47 s (Python 3.11, one core of a 2-vCPU host).
+MAX_POWER_LETTERS = 500
 
 
 def _word_power(w: GroupWord, power: int) -> GroupWord:
@@ -247,20 +251,26 @@ def _word_power(w: GroupWord, power: int) -> GroupWord:
     return GroupWord._make(w.genus, _reduce(step.letters * abs(power), 2 * w.genus))
 
 
-def _twist_power(genus: int, kind: str, h: int | None, power: int) -> FreeAutomorphism:
+def _power_letters(genus: int, kind: str, h: int | None, power: int) -> int:
+    """Letters that one twist power repeats; checks the kind and h."""
     if kind == "nonsep":
-        period = 1
-    elif kind == "sep":
+        return abs(power)
+    if kind == "sep":
         if type(h) is not int or not 1 <= h <= genus:
             raise ValueError(f"separating twist parameter h={h!r} out of range 1..{genus}")
-        period = 4 * h
-    else:
-        raise ValueError(f"unknown twist kind {kind!r}")
-    if abs(power) * period > MAX_POWER_LETTERS:
+        return 4 * h * abs(power)
+    raise ValueError(f"unknown twist kind {kind!r}")
+
+
+def _check_letters(what: str, letters: int) -> None:
+    if letters > MAX_POWER_LETTERS:
         raise ValueError(
-            f"twist power {power} repeats {abs(power) * period} letters, above the "
-            f"limit of {MAX_POWER_LETTERS}"
+            f"{what} repeats {letters} letters, above the limit of {MAX_POWER_LETTERS}"
         )
+
+
+def _twist_power(genus: int, kind: str, h: int | None, power: int) -> FreeAutomorphism:
+    _check_letters(f"twist power {power}", _power_letters(genus, kind, h, power))
     if power == 0:
         return identity_automorphism(genus)
     images = [generator_word(genus, i) for i in range(2 * genus)]
@@ -393,6 +403,10 @@ def automorphism_from_json(obj: dict) -> FreeAutomorphism:
             if type(power) is not int:
                 raise ValueError(f"twist power must be an integer, got {power!r}")
             fact.append((kind, h, power))
+        _check_letters(
+            f"factorization of {len(fact)} entries",
+            sum(max(1, _power_letters(genus, *entry)) for entry in fact),
+        )
     if "images" in obj and obj["images"] is not None:
         if not isinstance(obj["images"], list) or not all(
             isinstance(s, str) for s in obj["images"]

@@ -38,3 +38,4 @@ def test_criterion(number, name, capsys):
     with capsys.disabled():
         print(f"criterion {number:02d} {name}: {cert.status.upper()}")
     assert cert.passed, cert.witness
+    assert type(cert.params["seconds"]) is float and cert.params["seconds"] >= 0

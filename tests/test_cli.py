@@ -24,7 +24,12 @@ from twistlog.expansion import (
     fixture_massuyeau_partial,
 )
 from twistlog.tensor import tensor_from_json
-from twistlog.words import automorphism_to_json, twist_separating, word_from_string
+from twistlog.words import (
+    MAX_POWER_LETTERS,
+    automorphism_to_json,
+    twist_separating,
+    word_from_string,
+)
 
 
 def test_no_arguments_is_a_usage_error(capsys):
@@ -186,6 +191,19 @@ def test_johnson_malformed_conjugator_exits_two(conjugator, tmp_path):
 def test_johnson_refuses_a_huge_twist_power_at_once(tmp_path):
     path = tmp_path / "phi.json"
     path.write_text(json.dumps({"genus": 2, "factorization": [{"kind": "nonsep", "power": 200000}]}))
+    start = time.perf_counter()
+    _assert_usage_error_in_fresh_interpreter(
+        "johnson", "--curve", f"conj:{path}", "--k", "1", "--expansion", "fixture:g2"
+    )
+    assert time.perf_counter() - start < 1
+
+
+def test_johnson_refuses_a_long_factorization_at_once(tmp_path):
+    # eight entries, each at the bound alone
+    entries = [{"kind": "sep", "h": 1, "power": MAX_POWER_LETTERS // 4},
+               {"kind": "nonsep", "power": MAX_POWER_LETTERS}] * 4
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"genus": 2, "factorization": entries}))
     start = time.perf_counter()
     _assert_usage_error_in_fresh_interpreter(
         "johnson", "--curve", f"conj:{path}", "--k", "1", "--expansion", "fixture:g2"

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from twistlog.cyclic import cyclic_n, cyclic_n_hat
 from twistlog.derivation import Derivation, apply
+from twistlog.johnson import _half_n_square
 from twistlog.lie import exp, log, phi
 from twistlog.tensor import (
     AlgebraContext,
@@ -53,6 +54,10 @@ def o_cyclic_n(a):
 
 def o_cyclic_n_hat(a):
     return {w: c / len(w) for w, c in o_cyclic_n(a).items()}
+
+
+def o_half_n_square(a, cap):
+    return {w: c / 2 for w, c in o_cyclic_n(o_mul(a, a, cap)).items()}
 
 
 def o_phi(a):
@@ -174,6 +179,30 @@ def test_cyclic_operators_on_periodic_necklaces():
         positive = {m: c for m, c in a.items() if m}
         checked(cyclic_n(t), o_cyclic_n(positive))
         checked(cyclic_n_hat(t), o_cyclic_n_hat(positive))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_pairs(count=1))
+def test_half_n_square_matches_the_oracle(case):
+    # at the tensor's own truncation and one degree above, as the loop
+    # invariant uses it
+    ctx, (a,) = case
+    t = Tensor(ctx, a)
+    for cap in (ctx.truncation, ctx.truncation + 1):
+        checked(_half_n_square(t, AlgebraContext(ctx.genus, cap)), o_half_n_square(a, cap))
+
+
+def test_half_n_square_on_single_degrees_and_periodic_squares():
+    ctx = AlgebraContext(3, 6)
+    cases = [
+        {(0,): Fraction(1), (1,): Fraction(-2)},  # degree 1 alone
+        {(0, 1): Fraction(1, 3), (1, 0): Fraction(-1, 3)},  # squares to (0,1,0,1) and (1,0,1,0)
+        {(2,): Fraction(1), (2, 2): Fraction(3)},  # (2,2,2) from both orders
+        {(0, 0, 1): Fraction(5, 2)},  # squares to (0,0,1,0,0,1)
+        {(0,): Fraction(1), (0, 1): Fraction(1, 2), (5, 4, 5): Fraction(-7), (): Fraction(4)},
+    ]
+    for a in cases:
+        checked(_half_n_square(Tensor(ctx, a), ctx), o_half_n_square(a, ctx.truncation))
 
 
 # -- algebraic laws -------------------------------------------------------------

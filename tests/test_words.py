@@ -143,6 +143,22 @@ def test_twist_powers_are_bounded_before_any_word_is_built():
             _twist_power(2, "sep", h, 1)
 
 
+def test_factorizations_are_bounded_in_total_before_any_word_is_built():
+    half = MAX_POWER_LETTERS // 2
+    nonsep = [{"kind": "nonsep", "power": half}, {"kind": "nonsep", "power": -half}]
+    assert automorphism_from_json({"genus": 2, "factorization": nonsep}) == identity_automorphism(2)
+    for fact in (
+        [{"kind": "nonsep", "power": half}, {"kind": "nonsep", "power": -half - 1}],
+        [{"kind": "sep", "h": 1, "power": half // 4 + 1}, {"kind": "nonsep", "power": half}],
+        [{"kind": "nonsep", "power": 0}] * (MAX_POWER_LETTERS + 1),  # one letter per entry
+    ):
+        with pytest.raises(ValueError, match="limit"):
+            automorphism_from_json({"genus": 2, "factorization": fact})
+    # the entries are checked before the total
+    with pytest.raises(ValueError, match="out of range"):
+        automorphism_from_json({"genus": 2, "factorization": [{"kind": "sep", "h": 3}]})
+
+
 def test_compose_and_invert():
     rng = random.Random(321)
     phi = compose(twist_separating(2, 1), compose(twist_nonseparating(2), twist_separating(2, 2)))
