@@ -60,7 +60,6 @@ from .words import (
 from .endomorphism import Endomorphism, solve_generator_images
 from .expansion import (
     EXPANSION_KINDS,
-    ConnectingAutomorphism,
     Expansion,
     boundary_log,
     build_symplectic,
@@ -73,6 +72,7 @@ from .expansion import (
     fixture_genus2,
     fixture_massuyeau_partial,
     fixture_trusted_degree,
+    intertwiner,
     is_group_like,
     is_symplectic,
     load_fixture,
@@ -98,7 +98,6 @@ from .johnson import (
     Certificate,
     Curve,
     JohnsonComponent,
-    TotalJohnsonMap,
     certificate_to_json,
     conjugated_curve,
     curve_twist,

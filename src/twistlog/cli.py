@@ -57,8 +57,8 @@ SOURCES = (
 )
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad argument or input; ``main`` exits 2 on every ValueError."""
 
 
 def _resolve_expansion(source: str, genus, degree) -> Expansion:
@@ -100,8 +100,6 @@ def _resolve_expansion(source: str, genus, degree) -> Expansion:
             return build_symplectic(genus, degree)
     except OSError as exc:
         raise UsageError(f"cannot read expansion file: {exc}") from exc
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(str(exc)) from exc
     raise UsageError(
         f"unknown expansion source {source!r}; expected one of: " + ", ".join(SOURCES)
     )
@@ -134,11 +132,7 @@ def _parse_curve(genus: int, descriptor: str) -> Curve:
                 )
             base = _parse_curve(genus, base_descriptor)
             obj = obj["phi"]
-        try:
-            phi = automorphism_from_json(obj)
-            return conjugated_curve(phi, base)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return conjugated_curve(automorphism_from_json(obj), base)
     raise UsageError(
         f"unknown curve descriptor {descriptor!r}; expected nonsep | sep:h | conj:FILE"
     )
@@ -209,8 +203,6 @@ def _cmd_check_expansion(args) -> int:
             theta = expansion_from_json(json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot read {getattr(args, 'in')!r}: {exc}") from exc
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(str(exc)) from exc
     cert = _symplectic_certificate(theta)
     _emit_certificate(cert, args.output)
     return 0 if cert.passed else 1
@@ -218,11 +210,7 @@ def _cmd_check_expansion(args) -> int:
 
 def _theta_and_word(args, word: str):
     theta = _resolve_expansion(args.expansion, args.genus, args.degree)
-    try:
-        w = word_from_string(theta.genus, word)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return theta, w
+    return theta, word_from_string(theta.genus, word)
 
 
 def _cmd_eval(args) -> int:
@@ -247,10 +235,7 @@ def _cmd_johnson(args) -> int:
     theta = _resolve_expansion(args.expansion, args.genus, args.degree)
     curve = _parse_curve(theta.genus, args.curve)
     tc = curve_twist(theta.genus, curve)
-    try:
-        component = johnson_component(theta, tc, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    component = johnson_component(theta, tc, args.k)
     ctx = theta.ctx
     if args.output == "json":
         obj = {
@@ -271,11 +256,8 @@ def _cmd_johnson(args) -> int:
 
 def _cmd_sigma(args) -> int:
     theta = _resolve_expansion(args.expansion, args.genus, args.degree)
-    try:
-        loop = word_from_string(theta.genus, args.loop)
-        w = word_from_string(theta.genus, args.word)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    loop = word_from_string(theta.genus, args.loop)
+    w = word_from_string(theta.genus, args.word)
     _emit_tensor(sigma_act(theta, loop, w), args.output)
     return 0
 
@@ -285,6 +267,10 @@ def _cmd_verify(args) -> int:
         names = None
     else:
         names = [part.strip() for part in args.suite.split(",") if part.strip()]
+        if not names:
+            raise UsageError(
+                f"no checks selected by --suite {args.suite!r}; known: {', '.join(suite_names())}"
+            )
         unknown = [name for name in names if name not in suite_names()]
         if unknown:
             raise UsageError(
@@ -367,7 +353,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"twistlog: error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,9 @@
 A derivation is determined by its values on H and extended by the Leibniz
 rule.  Poincare duality identifies H with its dual, so a tensor t with zero
 constant term also names a derivation: the monomial X u acts by
-Y -> (Y . X) u, summed over the terms of t.  Both views are kept exactly:
-``values`` is the source of truth, the defining tensor round-trips through
-to_tensor / from_tensor without loss.
+Y -> (Y . X) u, summed over the terms of t.  ``values`` is the source of
+truth; to_tensor / from_tensor round-trip it exactly when no value reaches
+the truncation degree.
 
 The omega ideal, the two-sided ideal generated by omega, is decided by
 rewriting: every tensor reduces to a unique normal form modulo the ideal.
@@ -283,8 +283,9 @@ def omega_ideal_equal(t1: Tensor, t2: Tensor, ideal: OmegaIdealContext) -> bool:
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    """Tensor-view JSON.  Exact whenever the defining tensor fits the
-    truncation, which holds for every derivation built by from_tensor."""
+    """Tensor-view JSON.  Exact only when every value has degree below the
+    truncation N: to_tensor drops degree-N values (tensor degree N+1), which
+    ``johnson.l_invariant`` keeps, so its JSON loses them."""
     obj = tensor_to_json(to_tensor(d))
     obj["view"] = "tensor"
     return obj

@@ -2,10 +2,11 @@
 
 An endomorphism U of the truncated tensor algebra that maps H into T-hat_1
 is determined by the 2g values U(X_j); on a monomial it acts by substituting
-and multiplying, then extending linearly.  Two consumers share this module:
-connecting automorphisms between Magnus expansions, and total Johnson maps.
-Both arise from generator-image equations U(s_i) = v_i where the sources
-satisfy s_i = X_i + (degree >= 2), which makes the system unit-triangular in
+and multiplying, then extending linearly.  Connecting automorphisms between
+Magnus expansions and total Johnson maps are both such a U, and both are
+solved by ``expansion.intertwiner`` from generator-image equations
+U(s_i) = v_i with s_i = theta(x_i) - 1.  The sources satisfy
+s_i = X_i + (degree >= 2), which makes the system unit-triangular in
 the degree: the degree-p part of U(s_i - X_i) only involves values of U on H
 in degrees < p, so e_i = U(X_i) is solved one degree at a time.
 """

@@ -1,5 +1,5 @@
 """Magnus expansions: evaluation, fixtures, the symplectic builder, and
-connecting automorphisms.
+intertwiners (connecting automorphisms, total Johnson maps).
 
 An expansion is stored through the logarithms of its generator values, one
 Lie-or-general tensor per free-group generator.  Storing logs makes the
@@ -382,59 +382,31 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
     return Expansion(ctx, [truncate(t, ctx) for t in logs], kind="built")
 
 
-# -- connecting automorphisms ------------------------------------------------
+# -- intertwiners --------------------------------------------------------------
 
 
-class ConnectingAutomorphism:
-    """The filtered algebra automorphism U with U(theta1(x)) = theta2(x).
-
-    Stored through its values on H (a substitution endomorphism); both the
-    per-degree components u_k and the logarithm restricted to H read off
-    from those values.
-    """
-
-    __slots__ = ("endo",)
-
-    def __init__(self, endo: Endomorphism):
-        self.endo = endo
-
-    @property
-    def ctx(self) -> AlgebraContext:
-        return self.endo.ctx
-
-    def apply(self, t: Tensor) -> Tensor:
-        return self.endo.apply(t)
-
-    def h_values(self) -> tuple:
-        return self.endo.h_values
-
-    def u_component(self, k: int) -> list:
-        """u_k(X_j) for each basis vector: the degree-(k+1) part of U on H."""
-        if not 1 <= k + 1 <= self.ctx.truncation:
-            raise ValueError(f"component {k} out of range")
-        return [graded_part(v, k + 1) for v in self.endo.h_values]
-
-    def log_h_values(self) -> list:
-        return self.endo.log_h_values()
-
-    def is_identity(self) -> bool:
-        return all(
-            v == basis_tensor(self.ctx, j) for j, v in enumerate(self.endo.h_values)
-        )
+def intertwiner(theta: Expansion, targets, cap: int | None = None) -> Endomorphism:
+    """The filtered algebra automorphism U with U(theta(x_i)) = targets[i],
+    by its values on H complete through degree ``cap`` (default: the
+    truncation).  Connecting automorphisms and total Johnson maps are both
+    this U."""
+    ctx = theta.ctx
+    one = one_tensor(ctx)
+    sources = [evaluate(theta, generator_word(ctx.genus, i)) - one for i in range(ctx.dim)]
+    targets = [v - one for v in targets]
+    return Endomorphism(ctx, solve_generator_images(ctx, sources, targets, cap=cap))
 
 
-def connecting_automorphism(theta1: Expansion, theta2: Expansion) -> ConnectingAutomorphism:
-    """Solve U o theta1 = theta2 on generators for U's values on H."""
+def connecting_automorphism(theta1: Expansion, theta2: Expansion) -> Endomorphism:
+    """U with U o theta1 = theta2 on generators, by its values on H."""
     if theta1.ctx != theta2.ctx:
         raise ValueError("expansions must share genus and truncation")
     if theta1.partial or theta2.partial:
         raise ValueError("partial expansions have no connecting automorphism")
     ctx = theta1.ctx
-    one = one_tensor(ctx)
-    sources = [evaluate(theta1, generator_word(ctx.genus, i)) - one for i in range(ctx.dim)]
-    targets = [evaluate(theta2, generator_word(ctx.genus, i)) - one for i in range(ctx.dim)]
-    values = solve_generator_images(ctx, sources, targets)
-    return ConnectingAutomorphism(Endomorphism(ctx, values))
+    return intertwiner(
+        theta1, [evaluate(theta2, generator_word(ctx.genus, i)) for i in range(ctx.dim)]
+    )
 
 
 # -- serialization -----------------------------------------------------------

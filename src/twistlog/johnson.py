@@ -22,8 +22,8 @@ from .derivation import (
     from_tensor,
     graded_component,
 )
-from .endomorphism import Endomorphism, solve_generator_images
-from .expansion import Expansion, evaluate, is_symplectic, log_evaluate
+from .endomorphism import Endomorphism
+from .expansion import Expansion, evaluate, intertwiner, is_symplectic, log_evaluate
 from .rationals import Rat
 from .tensor import (
     AlgebraContext,
@@ -174,54 +174,18 @@ def describe_curve(curve: Curve) -> str:
 # -- total Johnson maps --------------------------------------------------------
 
 
-class TotalJohnsonMap:
-    """T(phi), the algebra automorphism with T(theta(x_i)) = theta(phi(x_i)).
-
-    Generator images are stored outright; the action on arbitrary tensors
-    is recovered by the triangular change of generators, solved on demand.
-    """
-
-    __slots__ = ("theta", "phi", "images", "_endo")
-
-    def __init__(self, theta: Expansion, phi: FreeAutomorphism):
-        if theta.genus != phi.genus:
-            raise ValueError("genus mismatch between expansion and automorphism")
-        self.theta = theta
-        self.phi = phi
-        self.images = tuple(
-            evaluate(theta, apply_automorphism(phi, generator_word(theta.genus, i)))
-            for i in range(theta.ctx.dim)
-        )
-        self._endo = None
-
-    @property
-    def ctx(self) -> AlgebraContext:
-        return self.theta.ctx
-
-    def _solve(self, cap: int | None = None) -> Endomorphism:
-        if cap is None and self._endo is not None:
-            return self._endo
-        ctx = self.ctx
-        one = one_tensor(ctx)
-        sources = [
-            evaluate(self.theta, generator_word(ctx.genus, i)) - one
-            for i in range(ctx.dim)
-        ]
-        targets = [im - one for im in self.images]
-        endo = Endomorphism(ctx, solve_generator_images(ctx, sources, targets, cap=cap))
-        if cap is None:
-            self._endo = endo
-        return endo
-
-    def endomorphism(self) -> Endomorphism:
-        return self._solve()
-
-    def apply(self, t: Tensor) -> Tensor:
-        return self._solve().apply(t)
-
-
-def total_johnson(theta: Expansion, phi: FreeAutomorphism) -> TotalJohnsonMap:
-    return TotalJohnsonMap(theta, phi)
+def total_johnson(
+    theta: Expansion, phi: FreeAutomorphism, cap: int | None = None
+) -> Endomorphism:
+    """T(phi), the algebra automorphism with T(theta(x_i)) = theta(phi(x_i)),
+    by its values on H complete through degree ``cap``."""
+    if theta.genus != phi.genus:
+        raise ValueError("genus mismatch between expansion and automorphism")
+    images = [
+        evaluate(theta, apply_automorphism(phi, generator_word(theta.genus, i)))
+        for i in range(theta.ctx.dim)
+    ]
+    return intertwiner(theta, images, cap)
 
 
 def homology_action(phi: FreeAutomorphism, ctx: AlgebraContext) -> list:
@@ -275,8 +239,7 @@ def johnson_component(theta: Expansion, phi: FreeAutomorphism, k: int) -> Johnso
     ctx = theta.ctx
     if not 1 <= k <= ctx.truncation - 1:
         raise ValueError(f"component {k} out of range at truncation {ctx.truncation}")
-    tj = TotalJohnsonMap(theta, phi)
-    values = tj._solve(cap=k + 1).h_values
+    values = total_johnson(theta, phi, cap=k + 1).h_values
     inv = homology_inverse(phi)
     out = []
     for j in range(ctx.dim):

@@ -11,6 +11,7 @@ and printing.  ``BACKEND`` names the type in benchmark records.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rat = Fraction
@@ -20,16 +21,22 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 
+_RATIONAL = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+
+
 def rat_from_string(s: str):
-    """Parse a decimal-integer fraction string: 'p/q' or a bare integer 'p'."""
+    """Parse 'p/q' or a bare integer 'p' in ASCII digits, with an optional
+    minus sign.  No point, exponent, underscore or plus sign: the cost of a
+    parse is bounded by the length of the string."""
     if not isinstance(s, str):
         raise ValueError(f"coefficient must be a string, got {type(s).__name__}")
-    try:
-        return Rat(s.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"coefficient {s!r} has zero denominator") from None
-    except ValueError:
-        raise ValueError(f"malformed coefficient string {s!r}") from None
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise ValueError(f"malformed coefficient string {s!r}")
+    p, q = match.groups()
+    if q is not None and not int(q):
+        raise ValueError(f"coefficient {s!r} has zero denominator")
+    return Rat(int(p), 1 if q is None else int(q))
 
 
 def rat_to_string(q) -> str:

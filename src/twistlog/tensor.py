@@ -127,13 +127,15 @@ def decode_monomial(code: int, degree: int, dim: int) -> tuple:
 
 
 def _as_rat(value):
-    """An exact rational from an int, a rational or a fraction string; floats
+    """An exact rational from an int, a rational or a 'p/q' string; floats
     are refused, since their binary expansion is rarely what was meant, and
     so are bools."""
     if isinstance(value, (float, bool)):
         raise ValueError(
             f"{type(value).__name__} coefficient {value!r}: pass an int, a Rat or a 'p/q' string"
         )
+    if isinstance(value, str):
+        return rat_from_string(value)
     return value if isinstance(value, Rat) else Rat(value)
 
 

@@ -166,6 +166,19 @@ def test_check_expansion_malformed_json_exits_two(case, tmp_path):
     _assert_usage_error_in_fresh_interpreter("check-expansion", "--in", str(path))
 
 
+def test_check_expansion_refuses_an_exponent_coefficient_at_once(tmp_path):
+    # Fraction("1e10000000") builds a ten-million-digit integer first
+    theta_json = expansion_to_json(exponential_expansion(1, 3))
+    first = theta_json["generators"][0]
+    log = dict(first["log"], terms=[dict(first["log"]["terms"][0], coeff="1e10000000")])
+    gens = [dict(first, log=log)] + theta_json["generators"][1:]
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(dict(theta_json, generators=gens)))
+    start = time.perf_counter()
+    _assert_usage_error_in_fresh_interpreter("check-expansion", "--in", str(path))
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize(
     "conjugator",
     [
@@ -286,6 +299,15 @@ def test_verify_selected_checks(capsys):
     assert len(lines) == 2 and all(line.startswith("PASS") for line in lines)
     assert main(["verify", "--suite", "no-such-check"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", ["", ",", " , "])
+def test_verify_with_no_checks_selected_is_a_usage_error(suite, capsys):
+    assert main(["verify", "--suite", suite]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("twistlog: error: no checks selected")
+    assert len(err.splitlines()) == 1
 
 
 def test_fixture_generator_names_are_checked(tmp_path, monkeypatch, capsys):

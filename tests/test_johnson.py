@@ -207,6 +207,12 @@ def test_total_johnson_intertwines(theta25):
         )
     with pytest.raises(ValueError):
         total_johnson(theta25, twist_nonseparating(1))
+    # a capped solve is the full one through its cap
+    full = tj.h_values
+    for cap in (1, 2, 3):
+        capped = total_johnson(theta25, phi, cap=cap).h_values
+        for c, f in zip(capped, full):
+            assert all(graded_part(c, p) == graded_part(f, p) for p in range(cap + 1))
 
 
 def test_johnson_component_range(theta25):

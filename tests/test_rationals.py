@@ -33,10 +33,15 @@ def test_print_is_canonical_and_reparses():
 def test_parse_normalizes():
     assert rat_from_string("6/8") == Rat(3, 4)
     assert rat_from_string(" 2/6 ") == Rat(1, 3)
+    assert rat_from_string("\t-12/18\n") == Rat(-2, 3)
+    assert rat_from_string("-0") == 0
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "a", "1/0", "1/2/3"):
+    # only ASCII 'p/q' or 'p': Fraction alone takes every form after "1 /2";
+    # "1e10000000" is ten bytes that it expands into a ten-million-digit int
+    for text in ("", "a", "1/0", "1/2/3", "1/-2", "1 /2", "0.5", "1e3", "1e10000000",
+                 "1_000", "+3", "\u0661", "1/\u0662", ".5", "1."):
         with pytest.raises(ValueError):
             rat_from_string(text)
     with pytest.raises(ValueError):

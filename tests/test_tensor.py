@@ -244,6 +244,21 @@ def test_float_coefficients_are_refused():
     assert Tensor(ctx, {(0,): "1/10"}) == a.scale(Rat(1, 10))
 
 
+def test_string_coefficients_use_the_one_grammar():
+    ctx = AlgebraContext(1, 3)
+    a = basis_tensor(ctx, 0)
+    for text in ("0.5", "1e3", "1_000", "+3"):
+        for make in (
+            lambda: Tensor(ctx, {(0,): text}),
+            lambda: scalar_tensor(ctx, text),
+            lambda: a.scale(text),
+            lambda: a / text,
+        ):
+            with pytest.raises(ValueError, match="malformed"):
+                make()
+    assert a.scale("-3/6") == a.scale(Rat(-1, 2))
+
+
 def test_json_monomial_indices_must_be_ints():
     ctx = AlgebraContext(1, 2)
     good = tensor_to_json(basis_tensor(ctx, 0))
