@@ -77,6 +77,7 @@ from .expansion import (
     is_symplectic,
     load_fixture,
     log_evaluate,
+    restrict,
     standard_expansion,
 )
 from .derivation import (
@@ -97,7 +98,6 @@ from .derivation import (
 from .johnson import (
     Certificate,
     Curve,
-    JohnsonComponent,
     certificate_to_json,
     conjugated_curve,
     curve_twist,

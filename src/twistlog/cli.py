@@ -14,7 +14,6 @@ import sys
 from .derivation import derivation_to_json
 from .expansion import (
     Expansion,
-    _check_size,
     build_symplectic,
     evaluate,
     expansion_from_json,
@@ -90,8 +89,6 @@ def _resolve_expansion(source: str, genus, degree) -> Expansion:
             return fixture_massuyeau_partial(2 if genus is None else genus, degree)
         genus = 2 if genus is None else genus
         degree = 5 if degree is None else degree
-        if source in ("builtin:standard", "builtin:exp", "build"):
-            _check_size(genus, degree)
         if source == "builtin:standard":
             return standard_expansion(genus, degree)
         if source == "builtin:exp":
@@ -132,6 +129,11 @@ def _parse_curve(genus: int, descriptor: str) -> Curve:
                 )
             base = _parse_curve(genus, base_descriptor)
             obj = obj["phi"]
+        # refused before the automorphism is built, whose size grows with its genus
+        if isinstance(obj, dict) and type(obj.get("genus")) is int and obj["genus"] != genus:
+            raise UsageError(
+                f"conjugator genus {obj['genus']} differs from the expansion genus {genus}"
+            )
         return conjugated_curve(automorphism_from_json(obj), base)
     raise UsageError(
         f"unknown curve descriptor {descriptor!r}; expected nonsep | sep:h | conj:FILE"

@@ -14,7 +14,7 @@ rewriting: every tensor reduces to a unique normal form modulo the ideal.
 from __future__ import annotations
 
 import heapq
-from math import lcm
+from math import factorial, lcm
 
 from .rationals import Rat
 from .tensor import (
@@ -28,15 +28,6 @@ from .tensor import (
     tensor_to_json,
     zero_tensor,
 )
-
-_FACTORIALS = [1]
-
-
-def _factorial(n: int) -> int:
-    while len(_FACTORIALS) <= n:
-        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
-    return _FACTORIALS[n]
-
 
 class Derivation:
     """Derivation of the tensor algebra, stored by its values on H."""
@@ -184,28 +175,25 @@ def is_symplectic_derivation(d: Derivation) -> bool:
     return not apply(d, symplectic_form(d.ctx))
 
 
-def exp_derivation(d: Derivation, t: Tensor, max_terms: int | None = None) -> Tensor:
+def exp_derivation(d: Derivation, t: Tensor) -> Tensor:
     """sum_k d^k(t) / k!, accumulated until a term vanishes exactly.
 
     Termination is certified at runtime, never assumed: a derivation with a
-    degree-preserving part need not be nilpotent, so after ``max_terms``
-    nonzero terms (default (N+1)(N+2), beyond the worst case for twist
-    invariants) the sum is abandoned with an error.
+    degree-preserving part need not be nilpotent, so after (N+1)(N+2)
+    nonzero terms, beyond the worst case for twist invariants, the sum is
+    abandoned with an error.
     """
     if t.ctx != d.ctx:
         raise ValueError("context mismatch")
-    if max_terms is None:
-        n = d.ctx.truncation
-        max_terms = (n + 1) * (n + 2)
-    if max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
+    n = d.ctx.truncation
+    max_terms = (n + 1) * (n + 2)
     out = t
     term = t
     for k in range(1, max_terms + 1):
         term = apply(d, term)
         if not term:
             return out
-        out = out + term.scale(Rat(1, _factorial(k)))
+        out = out + term.scale(Rat(1, factorial(k)))
     raise ArithmeticError(
         f"exp_derivation did not terminate within {max_terms} terms"
     )

@@ -8,7 +8,9 @@ solved by ``expansion.intertwiner`` from generator-image equations
 U(s_i) = v_i with s_i = theta(x_i) - 1.  The sources satisfy
 s_i = X_i + (degree >= 2), which makes the system unit-triangular in
 the degree: the degree-p part of U(s_i - X_i) only involves values of U on H
-in degrees < p, so e_i = U(X_i) is solved one degree at a time.
+in degrees < p, so e_i = U(X_i) is solved one degree at a time.  The solve
+runs through the truncation of its context; a caller that needs only low
+degrees solves in an expansion restricted there (``expansion.restrict``).
 """
 
 from __future__ import annotations
@@ -90,50 +92,43 @@ class Endomorphism:
         return out
 
 
-def solve_generator_images(ctx: AlgebraContext, sources, targets, cap: int | None = None):
+def solve_generator_images(ctx: AlgebraContext, sources, targets):
     """Solve U(s_i) = v_i for the H-values of a substitution endomorphism.
 
     ``sources`` and ``targets`` are tensors in T-hat_1 with the sources
-    unit-triangular (s_i = X_i + higher).  Returns the list e_j = U(X_j),
-    complete through degree ``cap`` (default: the truncation).  The linear
-    system cannot be inconsistent: degree p of the equation reads
-    e_i|_p = v_i|_p - [U(s_i - X_i)]_p and the right side only needs e-parts
-    of degree < p, so the solution exists, is unique, and is found in one
-    sweep.  Work is capped at degree ``cap`` to keep high-truncation callers
-    cheap when they only need low-degree output.
+    unit-triangular (s_i = X_i + higher).  Returns the list e_j = U(X_j).
+    The linear system cannot be inconsistent: degree p of the equation
+    reads e_i|_p = v_i|_p - [U(s_i - X_i)]_p and the right side only needs
+    e-parts of degree < p, so the solution exists, is unique, and is found
+    in one sweep.
     """
-    if cap is None or cap > ctx.truncation:
-        cap = ctx.truncation
-    work_ctx = ctx if cap == ctx.truncation else AlgebraContext(ctx.genus, max(cap, 2))
     dim = ctx.dim
     if len(sources) != dim or len(targets) != dim:
         raise ValueError(f"expected {dim} sources and targets")
     rests = []
     vals = []
     for i, (s, v) in enumerate(zip(sources, targets)):
-        s = truncate(s, work_ctx)
-        v = truncate(v, work_ctx)
+        s = truncate(s, ctx)
+        v = truncate(v, ctx)
         if s.coefficient(()) or v.coefficient(()):
             raise ValueError("sources and targets must lie in T-hat_1")
-        if graded_part(s, 1) != basis_tensor(work_ctx, i):
+        if graded_part(s, 1) != basis_tensor(ctx, i):
             raise ValueError(
                 f"source {i} is not unit-triangular (degree-1 part must be X_{i})"
             )
         rests.append(s - graded_part(s, 1))
         vals.append(v)
     e = [graded_part(v, 1) for v in vals]
-    for p in range(2, cap + 1):
+    for p in range(2, ctx.truncation + 1):
         # all arithmetic for the degree-p sweep happens truncated at p,
-        # so early passes stay cheap at high caps
-        pass_ctx = work_ctx if p == cap else AlgebraContext(ctx.genus, p)
+        # so early passes stay cheap at high truncations
+        pass_ctx = AlgebraContext(ctx.genus, p)
         endo = Endomorphism(pass_ctx, [truncate(t, pass_ctx) for t in e])
         for i in range(dim):
             piece = graded_part(vals[i], p)
             if rests[i]:
                 correction = graded_part(endo.apply(truncate(rests[i], pass_ctx)), p)
-                piece = piece - truncate(correction, work_ctx)
+                piece = piece - truncate(correction, ctx)
             if piece:
                 e[i] = e[i] + piece
-    if work_ctx is not ctx:
-        e = [truncate(t, ctx) for t in e]
     return e

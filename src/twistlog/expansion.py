@@ -1,11 +1,14 @@
-"""Magnus expansions: evaluation, fixtures, the symplectic builder, and
-intertwiners (connecting automorphisms, total Johnson maps).
+"""Magnus expansions: evaluation, restriction, fixtures, the symplectic
+builder, and intertwiners (connecting automorphisms, total Johnson maps).
 
 An expansion is stored through the logarithms of its generator values, one
 Lie-or-general tensor per free-group generator.  Storing logs makes the
 homomorphism condition structural: evaluation is a product of exponentials.
 A ``None`` log marks a generator the expansion does not determine, which
-happens only for the shipped partial fixture.
+happens only for the shipped partial fixture.  Truncation belongs to the
+expansion: ``restrict`` gives the same expansion at a lower degree, and work
+that needs only low degrees is done there.  An expansion is immutable, so
+it memoizes its exponentials and its symplectic verdict.
 
 The builder turns any group-like seed into a symplectic expansion one degree
 at a time: at degree m it measures the defect of the boundary condition,
@@ -60,7 +63,7 @@ class Expansion:
     generator's own homology class.
     """
 
-    __slots__ = ("ctx", "kind", "logs", "_exp_cache")
+    __slots__ = ("ctx", "kind", "logs", "_exp_cache", "_failures")
 
     def __init__(self, ctx: AlgebraContext, logs, kind: str = "user"):
         if kind not in EXPANSION_KINDS:
@@ -83,6 +86,7 @@ class Expansion:
         self.kind = kind
         self.logs = logs
         self._exp_cache = {}
+        self._failures = None  # symplectic_failures, once computed
 
     @property
     def genus(self) -> int:
@@ -155,13 +159,15 @@ def symplectic_failures(theta: Expansion) -> list:
     """The witnesses against theta being symplectic: group-like, and
     ell(zeta) = omega exactly at the truncation.  A partial expansion
     leaves the boundary value undetermined, so only its determined logs
-    are tested."""
-    failures = []
-    if not is_group_like(theta):
-        failures.append("a generator log is not Lie")
-    if not theta.partial and boundary_log(theta) != symplectic_form(theta.ctx):
-        failures.append("ell(zeta) != omega")
-    return failures
+    are tested.  Proved once per expansion; each call gets a fresh list."""
+    if theta._failures is None:
+        failures = []
+        if not is_group_like(theta):
+            failures.append("a generator log is not Lie")
+        if not theta.partial and boundary_log(theta) != symplectic_form(theta.ctx):
+            failures.append("ell(zeta) != omega")
+        theta._failures = tuple(failures)
+    return list(theta._failures)
 
 
 def is_symplectic(theta: Expansion) -> bool:
@@ -171,19 +177,35 @@ def is_symplectic(theta: Expansion) -> bool:
     return not symplectic_failures(theta)
 
 
+def restrict(theta: Expansion, degree: int) -> Expansion:
+    """theta with its logs truncated at ``degree``: theta itself at its own
+    truncation, an error above it.  Undetermined logs stay undetermined."""
+    if degree > theta.truncation:
+        raise ValueError(f"cannot restrict truncation {theta.truncation} up to {degree}")
+    if degree == theta.truncation:
+        return theta
+    ctx = AlgebraContext(theta.genus, degree)
+    logs = [None if t is None else truncate(t, ctx) for t in theta.logs]
+    return Expansion(ctx, logs, kind=theta.kind)
+
+
 # -- built-in expansions -----------------------------------------------------
 
 
 def standard_expansion(genus: int, truncation: int) -> Expansion:
-    """theta(x_i) = 1 + X_i; not group-like."""
+    """theta(x_i) = 1 + X_i; not group-like.  Sizes above MAX_MONOMIALS are
+    refused with ValueError."""
     ctx = AlgebraContext(genus, truncation)
+    _check_size(genus, truncation)
     logs = [log(one_tensor(ctx) + basis_tensor(ctx, i)) for i in range(ctx.dim)]
     return Expansion(ctx, logs, kind="standard")
 
 
 def exponential_expansion(genus: int, truncation: int) -> Expansion:
-    """theta(x_i) = exp(X_i); group-like but not symplectic for N >= 3."""
+    """theta(x_i) = exp(X_i); group-like but not symplectic for N >= 3.
+    Sizes above MAX_MONOMIALS are refused with ValueError."""
     ctx = AlgebraContext(genus, truncation)
+    _check_size(genus, truncation)
     logs = [basis_tensor(ctx, i) for i in range(ctx.dim)]
     return Expansion(ctx, logs, kind="exponential")
 
@@ -226,7 +248,8 @@ def load_fixture(kind: str, truncation: int | None = None, genus: int | None = N
     The data determines the expansion modulo degree ``max_trusted_degree``,
     so the largest honest truncation is one less; asking beyond that is an
     error, never a silent extrapolation.  ``genus`` is only free for the
-    partial fixture, whose data is genus-independent.
+    partial fixture, whose data is genus-independent.  Sizes above
+    MAX_MONOMIALS are refused with ValueError before anything is built.
     """
     if kind not in _FIXTURE_FILES:
         raise ValueError(f"unknown fixture {kind!r}")
@@ -247,6 +270,7 @@ def load_fixture(kind: str, truncation: int | None = None, genus: int | None = N
     elif genus != file_genus:
         raise ValueError(f"fixture {kind} has genus {file_genus}, requested {genus}")
     ctx = AlgebraContext(genus, truncation)
+    _check_size(genus, truncation)
     logs = [None] * ctx.dim
     expansions = {}
     for name, entries in payload["generators"].items():
@@ -286,8 +310,8 @@ def fixture_massuyeau_partial(genus: int = 2, truncation: int | None = None) -> 
 # -- the symplectic builder --------------------------------------------------
 
 
-# Largest monomial count that the builder accepts, and with it the ``build``
-# and ``builtin:*`` expansion sources of the CLI: the count
+# Largest monomial count that the builder, the built-in expansions, the
+# fixture loader and expansion files accept: the count
 # sum(dim**k for k <= N+1) of the algebra one degree above the truncation N,
 # where the builder and the loop invariant work.  It admits genus 2 through
 # degree 8 (349525 monomials; the build took 3.6 s) and genus 3 through
@@ -297,12 +321,12 @@ MAX_MONOMIALS = 400_000
 
 
 def _check_size(genus: int, degree: int) -> None:
-    """Refuse a genus and degree whose monomial count exceeds MAX_MONOMIALS.
+    """Refuse the genus and degree of a valid context whose monomial count
+    exceeds MAX_MONOMIALS.
 
     The count (dim**(N+2) - 1) / (dim - 1) is compared by its logarithm, so
-    an absurd degree is refused at once instead of being raised to a power."""
-    if genus < 1 or degree < 0:
-        return  # invalid on its own; the context constructor says why
+    an absurd genus or degree is refused at once instead of being raised to
+    a power."""
     dim = 2 * genus
     log_count = (degree + 2) * log10(dim) - log10(dim - 1)
     if log_count > log10(MAX_MONOMIALS):
@@ -385,16 +409,16 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
 # -- intertwiners --------------------------------------------------------------
 
 
-def intertwiner(theta: Expansion, targets, cap: int | None = None) -> Endomorphism:
+def intertwiner(theta: Expansion, targets) -> Endomorphism:
     """The filtered algebra automorphism U with U(theta(x_i)) = targets[i],
-    by its values on H complete through degree ``cap`` (default: the
-    truncation).  Connecting automorphisms and total Johnson maps are both
-    this U."""
+    by its values on H.  Connecting automorphisms and total Johnson maps are
+    both this U; a caller that needs only low degrees passes a restricted
+    theta."""
     ctx = theta.ctx
     one = one_tensor(ctx)
     sources = [evaluate(theta, generator_word(ctx.genus, i)) - one for i in range(ctx.dim)]
     targets = [v - one for v in targets]
-    return Endomorphism(ctx, solve_generator_images(ctx, sources, targets, cap=cap))
+    return Endomorphism(ctx, solve_generator_images(ctx, sources, targets))
 
 
 def connecting_automorphism(theta1: Expansion, theta2: Expansion) -> Endomorphism:
@@ -432,6 +456,7 @@ def expansion_from_json(obj: dict) -> Expansion:
         if field not in obj:
             raise ValueError(f"expansion JSON missing field {field!r}")
     ctx = AlgebraContext(obj["genus"], obj["truncation"])
+    _check_size(ctx.genus, ctx.truncation)
     kind = obj["kind"]
     if not isinstance(obj["generators"], list):
         raise ValueError("expansion JSON 'generators' must be a list")

@@ -12,24 +12,23 @@ actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 from .cyclic import cyclic_n, necklace_block
 from .derivation import (
     Derivation,
-    _factorial,
     apply as apply_derivation,
     exp_derivation,
     from_tensor,
     graded_component,
 )
 from .endomorphism import Endomorphism
-from .expansion import Expansion, evaluate, intertwiner, is_symplectic, log_evaluate
+from .expansion import Expansion, evaluate, intertwiner, is_symplectic, log_evaluate, restrict
 from .rationals import Rat
 from .tensor import (
     AlgebraContext,
     Tensor,
     add_block_product,
-    basis_tensor,
     filtration_degree,
     graded_part,
     one_tensor,
@@ -174,18 +173,16 @@ def describe_curve(curve: Curve) -> str:
 # -- total Johnson maps --------------------------------------------------------
 
 
-def total_johnson(
-    theta: Expansion, phi: FreeAutomorphism, cap: int | None = None
-) -> Endomorphism:
+def total_johnson(theta: Expansion, phi: FreeAutomorphism) -> Endomorphism:
     """T(phi), the algebra automorphism with T(theta(x_i)) = theta(phi(x_i)),
-    by its values on H complete through degree ``cap``."""
+    by its values on H."""
     if theta.genus != phi.genus:
         raise ValueError("genus mismatch between expansion and automorphism")
     images = [
         evaluate(theta, apply_automorphism(phi, generator_word(theta.genus, i)))
         for i in range(theta.ctx.dim)
     ]
-    return intertwiner(theta, images, cap)
+    return intertwiner(theta, images)
 
 
 def homology_action(phi: FreeAutomorphism, ctx: AlgebraContext) -> list:
@@ -197,58 +194,27 @@ def homology_action(phi: FreeAutomorphism, ctx: AlgebraContext) -> list:
     ]
 
 
-class JohnsonComponent:
-    """Values of tau_k on the basis of H: homogeneous degree-(k+1) tensors."""
+def johnson_component(theta: Expansion, phi: FreeAutomorphism, k: int) -> Derivation:
+    """tau_k(phi): the degree-(k+1) part of T(phi) o |phi|^{-1} on H, a
+    derivation whose values are homogeneous of degree k+1.
 
-    __slots__ = ("ctx", "k", "values")
-
-    def __init__(self, ctx: AlgebraContext, k: int, values):
-        values = tuple(values)
-        if len(values) != ctx.dim:
-            raise ValueError(f"expected {ctx.dim} values")
-        for v in values:
-            if v.ctx != ctx:
-                raise ValueError("context mismatch in component values")
-            if v.degrees() not in ([], [k + 1]):
-                raise ValueError(f"component {k} values must be homogeneous of degree {k + 1}")
-        self.ctx = ctx
-        self.k = k
-        self.values = values
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, JohnsonComponent)
-            and self.ctx == other.ctx
-            and self.k == other.k
-            and self.values == other.values
-        )
-
-    def __bool__(self):
-        return any(self.values)
-
-    def __repr__(self):
-        return f"JohnsonComponent(k={self.k}, genus={self.ctx.genus})"
-
-
-def johnson_component(theta: Expansion, phi: FreeAutomorphism, k: int) -> JohnsonComponent:
-    """tau_k(phi): degree-(k+1) part of T(phi) o |phi|^{-1} on H.
-
-    The change-of-generators solve is capped at degree k+1; components never
-    pay for the full truncation.
+    T(phi) is solved in theta restricted to degree k+1, the highest degree
+    it contributes; components never pay for the full truncation.
     """
     ctx = theta.ctx
     if not 1 <= k <= ctx.truncation - 1:
         raise ValueError(f"component {k} out of range at truncation {ctx.truncation}")
-    values = total_johnson(theta, phi, cap=k + 1).h_values
+    low = restrict(theta, k + 1)
+    values = total_johnson(low, phi).h_values
     inv = homology_inverse(phi)
     out = []
     for j in range(ctx.dim):
-        acc = zero_tensor(ctx)
+        acc = zero_tensor(low.ctx)
         for i, row in enumerate(inv):
             if row[j]:
                 acc = acc + values[i].scale(row[j])
-        out.append(graded_part(acc, k + 1))
-    return JohnsonComponent(ctx, k, out)
+        out.append(truncate(graded_part(acc, k + 1), ctx))
+    return Derivation(ctx, out)
 
 
 def _compositions(total: int, n: int, minimum: int):
@@ -262,7 +228,7 @@ def _compositions(total: int, n: int, minimum: int):
             yield (first,) + rest
 
 
-def separating_tau_formula(theta: Expansion, h: int, k: int) -> JohnsonComponent:
+def separating_tau_formula(theta: Expansion, h: int, k: int) -> Derivation:
     """The closed-form tau_k of the twist along gamma_h:
     sum over 1 <= n <= k/2 of ((-1)^n / n!) sum L_{m_1}...L_{m_n} with every
     m_i >= 4 and m_1 + ... + m_n = 2n + k.  Computed from the invariant
@@ -273,21 +239,21 @@ def separating_tau_formula(theta: Expansion, h: int, k: int) -> JohnsonComponent
         raise ValueError(f"component {k} out of range at truncation {ctx.truncation}")
     out = [zero_tensor(ctx)] * ctx.dim
     if k < 2:
-        return JohnsonComponent(ctx, k, out)
+        return Derivation(ctx, out)
     # the top term L_{k+2} exists for every k <= N-1: the invariant keeps
     # its complete degree-(N+1) component
     L = l_invariant(theta, handle_word(ctx.genus, h))
     parts = {m: graded_component(L, m) for m in range(4, k + 3)}
     for n in range(1, k // 2 + 1):
-        coeff = Rat((-1) ** n, _factorial(n))
+        coeff = Rat((-1) ** n, factorial(n))
         for comp in _compositions(2 * n + k, n, 4):
             for j in range(ctx.dim):
-                acc = basis_tensor(ctx, j)
-                for m in reversed(comp):
+                acc = parts[comp[-1]].values[j]
+                for m in reversed(comp[:-1]):
                     acc = apply_derivation(parts[m], acc)
                 if acc:
                     out[j] = out[j] + acc.scale(coeff)
-    return JohnsonComponent(ctx, k, out)
+    return Derivation(ctx, out)
 
 
 # -- the Goldman-side action ---------------------------------------------------
@@ -375,12 +341,12 @@ def verify_dehn_twist_formula(theta: Expansion, curve: Curve) -> Certificate:
 def verify_nilpotent_dependence(
     theta: Expansion, w1: GroupWord, w2: GroupWord, k: int
 ) -> Certificate:
-    """L_i(w1) = L_i(w2) for 2 <= i <= k+1; meaningful when the caller knows
-    w1 and w2 agree modulo the (k+1)-st lower central subgroup up to
-    conjugacy and inversion."""
+    """L_i(w1) = L_i(w2) for 2 <= i <= k+1, with 1 <= k <= N; meaningful
+    when the caller knows w1 and w2 agree modulo the (k+1)-st lower central
+    subgroup up to conjugacy and inversion."""
     ctx = theta.ctx
-    if k + 1 > ctx.truncation + 1:
-        raise ValueError(f"k={k} needs degree {k + 1}, beyond truncation {ctx.truncation}")
+    if not 1 <= k <= ctx.truncation:
+        raise ValueError(f"k={k} out of range 1..{ctx.truncation} at truncation {ctx.truncation}")
     params = {
         "w1": word_to_string(w1),
         "w2": word_to_string(w2),
@@ -410,9 +376,8 @@ def tau_formula_failures(theta: Expansion, tc: FreeAutomorphism, L: Derivation) 
     tau2 = johnson_component(theta, tc, 2)
     failures = []
     for j in range(ctx.dim):
-        x = basis_tensor(ctx, j)
         name = ctx.basis_name(j)
-        l2x, l3x, l4x = (apply_derivation(part, x) for part in (l2, l3, l4))
+        l2x, l3x, l4x = l2.values[j], l3.values[j], l4.values[j]
         if tau1.values[j] != -l3x:
             failures.append(f"tau_1 {name} != -L3 {name}")
         rhs = (
@@ -461,12 +426,11 @@ def verify_operator_identities(theta: Expansion, curve: Curve) -> Certificate:
 
     failures = []
     for j in range(ctx.dim):
-        x = basis_tensor(ctx, j)
         name = ctx.basis_name(j)
-        l2x, l4x = l2_(x), l4_(x)
+        l2x, l3x, l4x = l2.values[j], l3.values[j], l4.values[j]
         if l2_(l2x):
             failures.append(f"L2 L2 {name} != 0")
-        if l2_(l3_(x)):
+        if l2_(l3x):
             failures.append(f"L2 L3 {name} != 0")
         if l3_(l2x):
             failures.append(f"L3 L2 {name} != 0")

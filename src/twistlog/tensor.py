@@ -513,15 +513,12 @@ def _perm_signs(k: int):
     return cached
 
 
-def wedge_embed(vectors, k: int | None = None) -> Tensor:
+def wedge_embed(vectors) -> Tensor:
     """Embed X_1 ^ ... ^ X_k into H^{tensor k} by full antisymmetrization:
     sum over permutations of sign(s) X_{s(1)} ... X_{s(k)}.  In particular
     X ^ Y = [X, Y]."""
     vectors = list(vectors)
-    if k is None:
-        k = len(vectors)
-    if k != len(vectors):
-        raise ValueError(f"expected {k} vectors, got {len(vectors)}")
+    k = len(vectors)
     if not vectors:
         raise ValueError("empty wedge")
     ctx = vectors[0].ctx
@@ -604,14 +601,3 @@ def tensor_from_json(obj: dict, ctx: AlgebraContext | None = None) -> Tensor:
             raise ValueError(f"zero coefficient stored for monomial {list(mono)}")
         terms[mono] = coeff
     return Tensor(parsed, terms)
-
-
-# free-function aliases for the operator methods
-def add(t1: Tensor, t2: Tensor) -> Tensor:
-    return t1 + t2
-
-
-def multiply(t1: Tensor, t2: Tensor) -> Tensor:
-    if not isinstance(t2, Tensor):
-        raise ValueError("multiply expects two tensors")
-    return t1 * t2

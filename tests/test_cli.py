@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -129,6 +130,14 @@ def _malformed_generators(theta_json, case):
     return dict(theta_json, generators=[first["name"]])  # a bare string
 
 
+def _limit_address_space():
+    # an input that asks for gigabytes then fails at once in the child
+    # instead of taking the memory of the machine
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(hard, 2 << 30)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
 def _assert_usage_error_in_fresh_interpreter(*argv):
     # a fresh interpreter, so that an uncaught exception would show as a
     # traceback on stderr and exit 1
@@ -140,6 +149,7 @@ def _assert_usage_error_in_fresh_interpreter(*argv):
         env=env,
         capture_output=True,
         text=True,
+        preexec_fn=_limit_address_space,
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -221,6 +231,25 @@ def test_johnson_refuses_a_long_factorization_at_once(tmp_path):
     _assert_usage_error_in_fresh_interpreter(
         "johnson", "--curve", f"conj:{path}", "--k", "1", "--expansion", "fixture:g2"
     )
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("case", ["partial-fixture", "expansion-file", "conjugator-file"])
+def test_absurd_genus_is_refused_at_once(case, tmp_path):
+    # each of these once allocated a list of 2g entries, about 16 GB
+    path = tmp_path / "input.json"
+    if case == "partial-fixture":
+        argv = ["eval", "--expansion", "fixture:massuyeau", "--genus", "1000000000", "--word", "a1"]
+    elif case == "expansion-file":
+        path.write_text(json.dumps(
+            {"genus": 1000000000, "truncation": 3, "kind": "user", "generators": []}
+        ))
+        argv = ["check-expansion", "--in", str(path)]
+    else:
+        path.write_text(json.dumps({"genus": 1000000000, "factorization": []}))
+        argv = ["johnson", "--curve", f"conj:{path}", "--k", "1", "--expansion", "fixture:g2"]
+    start = time.perf_counter()
+    _assert_usage_error_in_fresh_interpreter(*argv)
     assert time.perf_counter() - start < 1
 
 

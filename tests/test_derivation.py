@@ -170,9 +170,7 @@ def test_exp_derivation_certifies_termination():
     ctx = AlgebraContext(1, 3)
     d = from_tensor(monomial_tensor(ctx, (0, 1)))
     with pytest.raises(ArithmeticError):
-        exp_derivation(d, basis_tensor(ctx, 1), max_terms=8)
-    with pytest.raises(ValueError):
-        exp_derivation(d, basis_tensor(ctx, 1), max_terms=0)
+        exp_derivation(d, basis_tensor(ctx, 1))
 
 
 def test_omega_ideal_reduce():

@@ -26,7 +26,9 @@ from twistlog.expansion import (
     is_symplectic,
     load_fixture,
     log_evaluate,
+    restrict,
     standard_expansion,
+    symplectic_failures,
 )
 from twistlog.lie import bracket, is_lie
 from twistlog.rationals import Rat
@@ -202,10 +204,39 @@ def test_builder_idempotent_on_fixture_seed():
 
 def test_builder_restriction_coherence():
     # restricting a higher build equals building lower directly
-    high = build_symplectic(2, 5)
-    low = build_symplectic(2, 4)
-    for t5, t4 in zip(high.logs, low.logs):
-        assert truncate(t5, low.ctx) == t4
+    assert restrict(build_symplectic(2, 5), 4) == build_symplectic(2, 4)
+
+
+def test_restrict_evaluates_as_the_truncated_expansion():
+    rng = random.Random(1008)
+    for theta in (build_symplectic(2, 5), standard_expansion(1, 5), fixture_genus1()):
+        assert restrict(theta, theta.truncation) is theta
+        with pytest.raises(ValueError):
+            restrict(theta, theta.truncation + 1)
+        for degree in range(2, theta.truncation):
+            low = restrict(theta, degree)
+            assert low.truncation == degree and low.kind == theta.kind
+            for _ in range(6):
+                w = random_word(rng, theta.genus, rng.randint(0, 6))
+                assert evaluate(low, w) == truncate(evaluate(theta, w), low.ctx)
+
+
+def test_restrict_keeps_undetermined_logs():
+    theta = fixture_massuyeau_partial()
+    low = restrict(theta, 3)
+    assert [t is None for t in low.logs] == [t is None for t in theta.logs]
+    a1 = generator_word(2, 0)
+    assert evaluate(low, a1) == truncate(evaluate(theta, a1), low.ctx)
+
+
+def test_symplectic_failures_are_proved_once_and_returned_fresh():
+    theta = exponential_expansion(2, 4)
+    first = symplectic_failures(theta)
+    assert first == ["ell(zeta) != omega"]
+    first.append("changed by the caller")
+    assert symplectic_failures(theta) == ["ell(zeta) != omega"]
+    assert not is_symplectic(theta)
+    assert symplectic_failures(theta) == ["ell(zeta) != omega"]
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from twistlog.expansion import (
     fixture_genus1,
     fixture_massuyeau_partial,
     log_evaluate,
+    restrict,
 )
 from twistlog.johnson import (
     certificate_to_json,
@@ -44,6 +45,7 @@ from twistlog.tensor import (
     monomial_tensor,
     symplectic_form,
     truncate,
+    zero_tensor,
 )
 from twistlog.words import (
     GroupWord,
@@ -54,6 +56,7 @@ from twistlog.words import (
     conjugate,
     generator_word,
     handle_word,
+    homology_inverse,
     invert,
     invert_automorphism,
     twist_nonseparating,
@@ -166,6 +169,15 @@ def test_nilpotent_dependence_certificates(theta25):
         verify_nilpotent_dependence(theta25, a1, moved, k=6)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_nilpotent_dependence_refuses_k_below_one(theta25, k):
+    # there is no L_i to compare for k < 1, so any pair would pass
+    a1, other = generator_word(2, 0), word_from_string(2, "b2 b2 a2")
+    assert not verify_nilpotent_dependence(theta25, a1, other, k=1).passed
+    with pytest.raises(ValueError):
+        verify_nilpotent_dependence(theta25, a1, other, k=k)
+
+
 def test_curve_words_and_twists():
     assert curve_word(2, nonsep_curve()) == generator_word(2, 0)
     assert curve_word(2, sep_curve(1)) == handle_word(2, 1)
@@ -207,12 +219,28 @@ def test_total_johnson_intertwines(theta25):
         )
     with pytest.raises(ValueError):
         total_johnson(theta25, twist_nonseparating(1))
-    # a capped solve is the full one through its cap
-    full = tj.h_values
-    for cap in (1, 2, 3):
-        capped = total_johnson(theta25, phi, cap=cap).h_values
-        for c, f in zip(capped, full):
-            assert all(graded_part(c, p) == graded_part(f, p) for p in range(cap + 1))
+    # T(phi) of a restricted expansion is the full one through its truncation
+    for degree in (2, 3, 4):
+        low = restrict(theta25, degree)
+        for c, f in zip(total_johnson(low, phi).h_values, tj.h_values):
+            assert c == truncate(f, low.ctx)
+
+
+def test_johnson_component_against_the_full_solve(theta25):
+    # oracle: T(phi) solved at the full truncation, composed with |phi|^{-1}
+    ctx = theta25.ctx
+    for phi in (twist_nonseparating(2), compose(twist_separating(2, 1), twist_nonseparating(2))):
+        full = total_johnson(theta25, phi).h_values
+        inv = homology_inverse(phi)
+        for k in range(1, ctx.truncation):
+            tau = johnson_component(theta25, phi, k)
+            assert tau.ctx == ctx
+            for j in range(ctx.dim):
+                expected = zero_tensor(ctx)
+                for i, row in enumerate(inv):
+                    expected = expected + full[i].scale(row[j])
+                assert tau.values[j] == graded_part(expected, k + 1)
+                assert tau.values[j].degrees() in ([], [k + 1])
 
 
 def test_johnson_component_range(theta25):
