@@ -11,6 +11,7 @@ from .rationals import BACKEND, Rat, rat_from_string, rat_to_string
 from .tensor import (
     AlgebraContext,
     Tensor,
+    antipode,
     antisymmetrize,
     basis_tensor,
     filtration_degree,

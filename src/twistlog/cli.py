@@ -39,7 +39,7 @@ from .johnson import (
     sep_curve,
     sigma_act,
 )
-from .lie import format_bracket_tree, is_lie, lyndon_bracket_form
+from .lie import format_bracket_tree, lyndon_bracket_form
 from .rationals import rat_to_string
 from .suite import run_suite, suite_names
 from .tensor import tensor_to_json
@@ -144,14 +144,15 @@ def _pretty_tensor(t) -> str:
     if not t:
         return "0"
     ctx = t.ctx
-    pieces = []
-    if not t.coefficient(()) and is_lie(t):
-        for coeff, tree in lyndon_bracket_form(t):
-            pieces.append(f"{rat_to_string(coeff)} {format_bracket_tree(ctx, tree)}")
-    else:
+    try:  # the Lyndon form exists exactly when t is Lie
+        form = lyndon_bracket_form(t)
+    except ValueError:
+        pieces = []
         for mono in sorted(t.terms, key=lambda m: (len(m), m)):
             name = "1" if not mono else "".join(ctx.basis_name(i) for i in mono)
             pieces.append(f"{rat_to_string(t.terms[mono])} {name}")
+    else:
+        pieces = [f"{rat_to_string(c)} {format_bracket_tree(ctx, tree)}" for c, tree in form]
     return "  +  ".join(pieces)
 
 

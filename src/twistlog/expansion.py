@@ -16,7 +16,9 @@ rewrites the defect through the bracketing map, and pushes each term into a
 degree-(m-1) correction of one generator log.  Corrections are brackets, so
 group-likeness is preserved by construction, and every higher-order side
 effect of a correction lands strictly above m, which is what makes the sweep
-converge.
+converge.  No pass takes a logarithm: while ell(zeta) - omega starts in
+degree m, it agrees in degree m with theta(zeta) - exp(omega), and the
+inverse factors of theta(zeta) are antipodes of the forward ones.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from importlib import resources
 from math import lcm, log10
 
 from .endomorphism import Endomorphism, solve_generator_images
-from .lie import _bracket_expansion, _by_first, _phi_block, exp, is_lie, log
+from .lie import _bracket_expansion, _bracket_first, _phi_tails, exp, is_lie, log
 from .rationals import rat_from_string
 from .tensor import (
     AlgebraContext,
     Tensor,
+    antipode,
     basis_tensor,
     graded_part,
     one_tensor,
@@ -159,13 +162,17 @@ def symplectic_failures(theta: Expansion) -> list:
     """The witnesses against theta being symplectic: group-like, and
     ell(zeta) = omega exactly at the truncation.  A partial expansion
     leaves the boundary value undetermined, so only its determined logs
-    are tested.  Proved once per expansion; each call gets a fresh list."""
+    are tested.  exp and log are inverse bijections of the truncated
+    algebra, so theta(zeta) = exp(omega) is tested instead, with no
+    logarithm.  Proved once per expansion; each call gets a fresh list."""
     if theta._failures is None:
         failures = []
         if not is_group_like(theta):
             failures.append("a generator log is not Lie")
-        if not theta.partial and boundary_log(theta) != symplectic_form(theta.ctx):
-            failures.append("ell(zeta) != omega")
+        if not theta.partial:
+            zeta = evaluate(theta, boundary_word(theta.genus))
+            if zeta != exp(symplectic_form(theta.ctx)):
+                failures.append("ell(zeta) != omega")
         theta._failures = tuple(failures)
     return list(theta._failures)
 
@@ -338,13 +345,14 @@ def _check_size(genus: int, degree: int) -> None:
 
 
 def _boundary_value(ctx: AlgebraContext, logs) -> Tensor:
-    """theta(zeta) from raw logs, grouped handle by handle."""
+    """theta(zeta) from raw Lie logs, grouped handle by handle.  For a Lie u
+    the antipode sends exp(u) to exp(-u), so each handle's inverse factors
+    cost no exponential series."""
     out = one_tensor(ctx)
     for i in range(ctx.genus):
         ea = exp(logs[2 * i])
         eb = exp(logs[2 * i + 1])
-        handle = ea * eb * exp(-logs[2 * i]) * exp(-logs[2 * i + 1])
-        out = out * handle
+        out = out * (ea * eb * antipode(ea) * antipode(eb))
     return out
 
 
@@ -381,11 +389,15 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
     for i, t in enumerate(logs):
         if not is_lie(t):
             raise ValueError(f"seed is not group-like: log of {gen_name(i)} is not Lie")
-    omega = symplectic_form(work_ctx)
+    exp_omega = exp(symplectic_form(work_ctx))
+    dim = ctx.dim
     for m in range(3, truncation + 2):
         pass_ctx = AlgebraContext(genus, m)
-        defect = log(_boundary_value(pass_ctx, [truncate(t, pass_ctx) for t in logs]))
-        defect = defect - truncate(omega, pass_ctx)
+        # once ell(zeta) = omega + D with D of degree >= m, theta(zeta) =
+        # exp(omega) + D below degree m + 1: every other term of
+        # exp(omega + D) that holds D has degree >= m + 2
+        defect = _boundary_value(pass_ctx, [truncate(t, pass_ctx) for t in logs])
+        defect = defect - truncate(exp_omega, pass_ctx)
         blocks, den = scaled_terms(defect)
         if any(p < m for p in blocks):
             # the previous passes cancelled every lower degree; a leftover
@@ -393,13 +405,13 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
             raise ArithmeticError(f"defect below degree {m} survived pass {m}")
         if not defect:
             continue
-        if not is_lie(defect):
-            raise ArithmeticError(f"degree-{m} defect failed the Lie certificate")
         # a Lie defect sum_x X_x t_x equals (1/m) sum_x [X_x, Phi(t_x)]
-        # (Dynkin); each term is cancelled through the partner generator of
-        # its first letter, with sign (partner . X_x)
-        for x, tail in _by_first(blocks[m], ctx.dim ** (m - 1)).items():
-            bucket = _phi_block(tail, m - 1, ctx.dim)
+        # (Dynkin-Specht-Wever); each term is cancelled through the partner
+        # generator of its first letter, with sign (partner . X_x)
+        tails = _phi_tails(blocks[m], m, dim)
+        if _bracket_first(tails, m, dim) != {k: c * m for k, c in blocks[m].items()}:
+            raise ArithmeticError(f"degree-{m} defect failed the Lie certificate")
+        for x, bucket in tails.items():
             if x % 2 == 0:
                 bucket = {k: -c for k, c in bucket.items()}
             logs[x ^ 1] = logs[x ^ 1] + tensor_from_scaled(work_ctx, {m - 1: bucket}, den * m)

@@ -48,12 +48,27 @@ def _phi_block(block: dict, n: int, dim: int) -> dict:
     (Reutenauer, Free Lie Algebras, ch. 1)."""
     if n == 1:
         return block
+    return _bracket_first(_phi_tails(block, n, dim), n, dim)
+
+
+def _phi_tails(block: dict, n: int, dim: int) -> dict:
+    """{x: Phi(t_x)} for a degree-n block sum_x X_x t_x, n >= 2; the tails'
+    blocks hold no zeros and may be empty."""
+    return {
+        x: _phi_block(tail, n - 1, dim)
+        for x, tail in _by_first(block, dim ** (n - 1)).items()
+    }
+
+
+def _bracket_first(parts: dict, n: int, dim: int) -> dict:
+    """sum_x [X_x, parts[x]] as a degree-n block with no zeros, each
+    parts[x] being a degree-(n-1) block."""
     top = dim ** (n - 1)
     out = {}
     get = out.get
-    for x, tail in _by_first(block, top).items():
+    for x, part in parts.items():
         lead = x * top
-        for sub, c in _phi_block(tail, n - 1, dim).items():
+        for sub, c in part.items():
             out[lead + sub] = get(lead + sub, 0) + c
             out[sub * dim + x] = get(sub * dim + x, 0) - c
     return {k: c for k, c in out.items() if c}
@@ -214,18 +229,19 @@ def lyndon_bracket_form(t: Tensor) -> list:
     greater monomials of the same length (Chen-Fox-Lyndon), so eliminating
     monomials in ascending order, in place, peels one basis element per
     Lyndon word: the least surviving monomial of a Lie remainder is always
-    Lyndon.  Degrees are eliminated one at a time, since each expansion is
-    homogeneous.  Raises ValueError on non-Lie input, naming the least of
-    the first surviving non-Lyndon monomials of each degree."""
+    Lyndon.  Degrees are eliminated one at a time, lowest first, since each
+    expansion is homogeneous.  Raises ValueError on non-Lie input, naming
+    the first surviving non-Lyndon monomial of the lowest degree that is
+    not Lie, and eliminates no higher degree."""
     blocks, den = scaled_terms(t)
     if 0 in blocks:
         raise ValueError("constant term is not Lie")
     ctx = t.ctx
     dim = ctx.dim
     trees, expansions = {}, {}
-    found, failures = [], []
-    for p, block in blocks.items():
-        rem = dict(block)  # zeros stay in, so each code enters the heap once
+    found = []
+    for p in sorted(blocks):
+        rem = dict(blocks[p])  # zeros stay in, so each code enters the heap once
         heap = list(rem)
         heapq.heapify(heap)
         while heap:
@@ -235,8 +251,7 @@ def lyndon_bracket_form(t: Tensor) -> list:
                 continue
             word = decode_monomial(x, p, dim)
             if not _is_lyndon(x, p, dim):
-                failures.append(word)
-                break
+                raise ValueError(f"not a Lyndon word: {word}")
             tree = _standard_bracketing(word, trees)
             found.append((word, coeff, tree))
             for m2, c2 in _bracket_expansion(ctx, tree, expansions)[1].items():
@@ -248,8 +263,6 @@ def lyndon_bracket_form(t: Tensor) -> list:
                     heapq.heappush(heap, m2)
                 else:
                     rem[m2] = acc - coeff * c2
-    if failures:
-        raise ValueError(f"not a Lyndon word: {min(failures)}")
     found.sort(key=lambda entry: entry[0])
     return [(Rat(coeff, den), tree) for _, coeff, tree in found]
 

@@ -237,9 +237,10 @@ class Tensor:
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
-            if other == 0:
-                return not self._blocks
-            other = scalar_tensor(self.ctx, other)
+            try:
+                other = scalar_tensor(self.ctx, other)
+            except TypeError:  # not a scalar at all; floats still raise
+                return NotImplemented
         return (
             self.ctx == other.ctx
             and self._den == other._den
@@ -493,6 +494,38 @@ def truncate(t: Tensor, ctx: AlgebraContext) -> Tensor:
     if cap >= t.ctx.truncation:
         return _scaled(ctx, t._blocks, t._den)
     return _reduced(ctx, {d: b for d, b in t._blocks.items() if d <= cap}, t._den)
+
+
+# -- the antipode ------------------------------------------------------------
+
+
+def _reversed_code(code: int, k: int, dim: int) -> int:
+    """The code of the reversed word of a k-letter code."""
+    out = 0
+    for _ in range(k):
+        code, x = divmod(code, dim)
+        out = out * dim + x
+    return out
+
+
+def antipode(t: Tensor) -> Tensor:
+    """S(X_1...X_n) = (-1)^n X_n...X_1, linear extension: the algebra
+    anti-automorphism with S(X) = -X.  It sends exp(u) to exp(-u) for a Lie
+    u, so it inverts a group-like element without a second series.
+
+    A degree-d code is split into its first ceil(d/2) and last floor(d/2)
+    letters, and each half is reversed by lookup in a table of the halves
+    that occur, which has at most dim**ceil(d/2) entries."""
+    dim = t.ctx.dim
+    out = {}
+    for d, block in t._blocks.items():
+        low = d // 2
+        split, shift = dim**low, dim ** (d - low)
+        first = {h: _reversed_code(h, d - low, dim) for h in {k // split for k in block}}
+        last = {h: _reversed_code(h, low, dim) * shift for h in {k % split for k in block}}
+        sign = -1 if d % 2 else 1
+        out[d] = {last[k % split] + first[k // split]: sign * c for k, c in block.items()}
+    return _scaled(t.ctx, out, t._den)
 
 
 # -- antisymmetrization ----------------------------------------------------

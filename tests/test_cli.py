@@ -14,7 +14,7 @@ import pytest
 
 import twistlog
 
-from twistlog.cli import main
+from twistlog.cli import _pretty_tensor, main
 from twistlog.derivation import derivation_from_json
 from twistlog.expansion import (
     _check_size,
@@ -24,7 +24,9 @@ from twistlog.expansion import (
     fixture_genus2,
     fixture_massuyeau_partial,
 )
-from twistlog.tensor import tensor_from_json
+from twistlog.lie import bracket
+from twistlog.rationals import Rat
+from twistlog.tensor import AlgebraContext, basis_tensor, one_tensor, tensor_from_json
 from twistlog.words import (
     MAX_POWER_LETTERS,
     automorphism_to_json,
@@ -53,6 +55,20 @@ def test_eval_pretty_output(capsys):
                "--genus", "1", "--degree", "3"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "1/1 1  +  1/1 A1"
+
+
+def test_pretty_tensor_uses_the_lyndon_form_exactly_for_lie_tensors():
+    ctx = AlgebraContext(2, 3)
+    a, b, c = (basis_tensor(ctx, i) for i in range(3))
+    lie = bracket(a, b).scale(Rat(-1, 2)) + a.scale(2) + bracket(c, bracket(a, b))
+    assert _pretty_tensor(lie) == (
+        "2/1 A1  +  -1/2 [A1,B1]  +  -1/1 [A1,[B1,A2]]  +  -1/1 [[A1,A2],B1]"
+    )
+    assert _pretty_tensor(a * b + b) == "1/1 B1  +  1/1 A1B1"
+    # the Lyndon elimination peels A1 and [A1,B1], then fails on B1A1
+    assert _pretty_tensor(a + a * b) == "1/1 A1  +  1/1 A1B1"
+    assert _pretty_tensor(one_tensor(ctx) + bracket(a, c)) == "1/1 1  +  1/1 A1A2  +  -1/1 A2A1"
+    assert _pretty_tensor(a - a) == "0"
 
 
 @pytest.mark.parametrize(

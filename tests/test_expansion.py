@@ -9,6 +9,7 @@ from importlib import resources
 
 import pytest
 
+from twistlog import expansion as expansion_module
 from twistlog.expansion import (
     Expansion,
     boundary_log,
@@ -31,12 +32,14 @@ from twistlog.expansion import (
     symplectic_failures,
 )
 from twistlog.lie import bracket, is_lie
+from twistlog.suite import variant_expansion
 from twistlog.rationals import Rat
 from twistlog.tensor import (
     AlgebraContext,
     basis_tensor,
     filtration_degree,
     graded_part,
+    monomial_tensor,
     one_tensor,
     symplectic_form,
     truncate,
@@ -241,11 +244,61 @@ def test_symplectic_failures_are_proved_once_and_returned_fresh():
 
 @pytest.mark.parametrize(
     "genus, truncation, digest",
-    [(2, 6, "b53a98ebea30089f"), (3, 5, "6eca7a849732d88d"), (4, 5, "f16d16ec31b00ca7")],
+    [
+        (1, 8, "4a2fdb7b2b982c9c"),
+        (2, 6, "b53a98ebea30089f"),
+        (2, 7, "6a12628b89b2016c"),
+        (3, 5, "6eca7a849732d88d"),
+        (3, 6, "bfaf9f682253df15"),
+        (4, 5, "f16d16ec31b00ca7"),
+    ],
 )
 def test_builder_output_is_pinned(genus, truncation, digest):
     obj = expansion_to_json(build_symplectic(genus, truncation))
     assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16] == digest
+
+
+def _corrupt_boundary_value(monkeypatch, degree_below_pass):
+    """Make the builder's theta(zeta) gain A1^k at its first pass, k being
+    the pass degree less ``degree_below_pass``."""
+    real = expansion_module._boundary_value
+
+    def corrupted(ctx, logs):
+        out = real(ctx, logs)
+        if ctx.truncation == 3:
+            out = out + monomial_tensor(ctx, (0,) * (3 - degree_below_pass))
+        return out
+
+    monkeypatch.setattr(expansion_module, "_boundary_value", corrupted)
+
+
+def test_builder_refuses_a_defect_below_the_pass_degree(monkeypatch):
+    _corrupt_boundary_value(monkeypatch, 1)
+    with pytest.raises(ArithmeticError, match="defect below degree 3 survived pass 3"):
+        build_symplectic(1, 4)
+
+
+def test_builder_refuses_a_non_lie_defect(monkeypatch):
+    _corrupt_boundary_value(monkeypatch, 0)  # Phi(A1^3) = 0 != 3 A1^3
+    with pytest.raises(ArithmeticError, match="degree-3 defect failed the Lie certificate"):
+        build_symplectic(1, 4)
+
+
+def test_symplectic_verdict_agrees_with_the_boundary_log():
+    for make in (
+        lambda: build_symplectic(2, 4),
+        lambda: fixture_genus1(),
+        lambda: exponential_expansion(2, 4),
+        lambda: exponential_expansion(1, 2),
+        lambda: standard_expansion(2, 4),
+        lambda: variant_expansion(1, 5),
+    ):
+        theta = make()
+        fresh = Expansion(theta.ctx, theta.logs, kind=theta.kind)
+        symplectic = boundary_log(theta) == symplectic_form(theta.ctx)
+        assert ("ell(zeta) != omega" not in symplectic_failures(fresh)) == symplectic
+    assert is_symplectic(variant_expansion(1, 5))
+    assert not is_symplectic(standard_expansion(2, 4))
 
 
 def test_builder_refuses_oversized_algebras_at_once():

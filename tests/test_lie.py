@@ -16,10 +16,12 @@ from twistlog.lie import (
     lyndon_bracket_form,
     phi,
 )
+from twistlog.expansion import fixture_genus1, fixture_genus2
 from twistlog.rationals import Rat
 from twistlog.tensor import (
     AlgebraContext,
     Tensor,
+    antipode,
     basis_tensor,
     graded_part,
     monomial_tensor,
@@ -168,6 +170,10 @@ def test_lyndon_bracket_form_names_the_first_non_lyndon_word():
         lyndon_bracket_form(a * b)
     with pytest.raises(ValueError, match="not a Lyndon word"):
         lyndon_bracket_form(monomial_tensor(ctx, (1, 0, 0)))
+    # the lowest degree that is not Lie is named; higher ones are not looked at
+    t = monomial_tensor(ctx, (0, 0, 0)) + monomial_tensor(ctx, (1, 0))
+    with pytest.raises(ValueError, match=r"not a Lyndon word: \(1, 0\)$"):
+        lyndon_bracket_form(t)
 
 
 
@@ -233,3 +239,40 @@ def test_bracket_tree_tensor_checks_its_tree():
     for tree in ([0, 1], (0, 1, 0), (0, "B1"), (0, 2), (0, 1.0)):
         with pytest.raises(ValueError):
             bracket_tree_tensor(ctx, tree)
+
+
+def test_antipode_of_exp_is_exp_of_minus_for_lie_elements():
+    rng = random.Random(4242)
+    for ctx in (AlgebraContext(1, 6), AlgebraContext(2, 5)):
+        for _ in range(8):
+            u = random_lie(rng, ctx)
+            assert antipode(exp(u)) == exp(-u)
+    for theta in (fixture_genus1(), fixture_genus2()):
+        for u in theta.logs:
+            assert antipode(exp(u)) == exp(-u)
+    # S(u) = -u fails for the non-Lie u = X_1 X_2, and so does the identity
+    ctx = AlgebraContext(1, 4)
+    u = monomial_tensor(ctx, (0, 1))
+    assert antipode(exp(u)) != exp(-u)
+
+
+def test_lyndon_form_exists_exactly_for_lie_tensors():
+    rng = random.Random(6174)
+    lie_count = 0
+    for ctx in (AlgebraContext(1, 5), AlgebraContext(2, 4)):
+        for trial in range(60):
+            t = random_lie(rng, ctx)
+            if trial % 3:  # perturb by a few monomials, at times a constant
+                for _ in range(rng.randint(1, 2)):
+                    degree = rng.randint(0 if trial % 3 == 1 else 1, ctx.truncation)
+                    mono = tuple(rng.randrange(ctx.dim) for _ in range(degree))
+                    t = t + monomial_tensor(ctx, mono, Rat(rng.randint(-2, 2), 1))
+            lie = is_lie(t)
+            lie_count += lie
+            try:
+                lyndon_bracket_form(t)
+            except ValueError:
+                assert not lie, t
+            else:
+                assert lie, t
+    assert 40 <= lie_count <= 80  # both outcomes are well represented

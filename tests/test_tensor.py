@@ -8,6 +8,7 @@ from twistlog.rationals import Rat
 from twistlog.tensor import (
     AlgebraContext,
     Tensor,
+    antipode,
     antisymmetrize,
     basis_tensor,
     filtration_degree,
@@ -304,3 +305,45 @@ def test_bool_coefficients_are_refused():
     ):
         with pytest.raises(ValueError, match="bool"):
             make()
+
+
+def test_equality_with_unrelated_objects_is_false():
+    ctx = AlgebraContext(1, 3)
+    t = basis_tensor(ctx, 0)
+    assert not t == None  # noqa: E711 -- the operator itself is under test
+    assert t != None  # noqa: E711
+    assert not t == [1]
+    assert not t == object()
+    assert t in [None, t]
+    assert None not in [t]
+    assert scalar_tensor(ctx, 2) == 2 == scalar_tensor(ctx, "2")
+    assert scalar_tensor(ctx, Rat(1, 2)) == "1/2"
+    assert zero_tensor(ctx) == 0 and t != 0
+    for value in (1.5, 0.0):
+        with pytest.raises(ValueError, match="float"):
+            t == value
+    with pytest.raises(ValueError, match="bool"):
+        zero_tensor(ctx) == False  # noqa: E712
+
+
+def test_antipode_reverses_words_with_sign():
+    rng = random.Random(2718)
+    for genus, cap in ((1, 6), (2, 5), (3, 4)):
+        ctx = AlgebraContext(genus, cap)
+        for _ in range(6):
+            t = random_tensor(rng, ctx, terms=8)
+            slow = Tensor(ctx, {
+                mono[::-1]: c * (-1) ** len(mono) for mono, c in t.terms.items()
+            })
+            assert antipode(t) == slow
+
+
+def test_antipode_is_an_involutive_anti_automorphism():
+    rng = random.Random(1618)
+    for genus, cap in ((1, 7), (2, 5)):
+        ctx = AlgebraContext(genus, cap)
+        for _ in range(6):
+            a, b = random_tensor(rng, ctx, terms=6), random_tensor(rng, ctx, terms=6)
+            assert antipode(antipode(a)) == a
+            assert antipode(a * b) == antipode(b) * antipode(a)
+            assert antipode(a + b) == antipode(a) + antipode(b)
