@@ -53,8 +53,7 @@ from .words import (
     identity_automorphism,
     invert,
     invert_automorphism,
-    twist_nonseparating,
-    twist_separating,
+    twist,
     word_from_string,
     word_to_string,
 )
@@ -100,7 +99,6 @@ from .johnson import (
     Certificate,
     Curve,
     certificate_to_json,
-    conjugated_curve,
     curve_twist,
     curve_word,
     describe_curve,
@@ -108,8 +106,6 @@ from .johnson import (
     johnson_component,
     l_invariant,
     l_invariant_tensor,
-    nonsep_curve,
-    sep_curve,
     separating_tau_formula,
     sigma_act,
     sigma_act_log_square,

@@ -30,20 +30,17 @@ from .johnson import (
     Curve,
     certificate,
     certificate_to_json,
-    conjugated_curve,
     curve_twist,
     describe_curve,
     johnson_component,
     l_invariant,
-    nonsep_curve,
-    sep_curve,
     sigma_act,
 )
 from .lie import format_bracket_tree, lyndon_bracket_form
 from .rationals import rat_to_string
 from .suite import run_suite, suite_names
 from .tensor import tensor_to_json
-from .words import automorphism_from_json, parse_count, word_from_string
+from .words import automorphism_from_json, parse_twist, word_from_string
 
 SOURCES = (
     "builtin:standard",
@@ -103,41 +100,25 @@ def _resolve_expansion(source: str, genus, degree) -> Expansion:
 
 
 def _parse_curve(genus: int, descriptor: str) -> Curve:
-    if descriptor == "nonsep":
-        return nonsep_curve()
-    if descriptor.startswith("sep:"):
-        h = parse_count(descriptor[4:])
-        if h is None:
-            raise UsageError(f"bad separating-curve descriptor {descriptor!r}")
-        if h > genus:
-            raise UsageError(f"sep:{h} needs 1 <= h <= genus ({genus})")
-        return sep_curve(h)
-    if descriptor.startswith("conj:"):
-        try:
-            with open(descriptor[5:]) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read conjugator file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"conjugator file is not JSON: {exc}") from exc
-        base = nonsep_curve()
-        if isinstance(obj, dict) and "phi" in obj:
-            base_descriptor = obj.get("base", "nonsep")
-            if not isinstance(base_descriptor, str):
-                raise UsageError(
-                    f"conjugator base must be a curve descriptor, got {base_descriptor!r}"
-                )
-            base = _parse_curve(genus, base_descriptor)
-            obj = obj["phi"]
-        # refused before the automorphism is built, whose size grows with its genus
-        if isinstance(obj, dict) and type(obj.get("genus")) is int and obj["genus"] != genus:
-            raise UsageError(
-                f"conjugator genus {obj['genus']} differs from the expansion genus {genus}"
-            )
-        return conjugated_curve(automorphism_from_json(obj), base)
-    raise UsageError(
-        f"unknown curve descriptor {descriptor!r}; expected nonsep | sep:h | conj:FILE"
-    )
+    if not descriptor.startswith("conj:"):
+        return Curve(*parse_twist(genus, descriptor))
+    try:
+        with open(descriptor[5:]) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read conjugator file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"conjugator file is not JSON: {exc}") from exc
+    base = "nonsep"
+    if isinstance(obj, dict) and "phi" in obj:
+        base, obj = obj.get("base", base), obj["phi"]
+    kind, h = parse_twist(genus, base)
+    # refused before the automorphism is built, whose size grows with its genus
+    if isinstance(obj, dict) and type(obj.get("genus")) is int and obj["genus"] != genus:
+        raise UsageError(
+            f"conjugator genus {obj['genus']} differs from the expansion genus {genus}"
+        )
+    return Curve(kind, h, automorphism_from_json(obj))
 
 
 def _pretty_tensor(t) -> str:

@@ -1,8 +1,8 @@
 """The loop invariant, total Johnson maps and their components, the
 algebraic Goldman-side action, and certificate-producing verifiers.
 
-Curves are symbolic: the adapted non-separating curve (underlying a1), the
-adapted separating curves gamma_h, and twist-conjugates of either.  The
+Curves are symbolic: the adapted curve of a twist kind in
+``words.TWIST_KINDS``, or its image under an automorphism.  The
 invariant L(w) = (1/2) N(ell(w) ell(w)) names a derivation; for a simple
 closed curve word it is the logarithm of the corresponding Dehn twist, and
 the verifiers below check exactly that against independently computed twist
@@ -42,14 +42,15 @@ from .words import (
     GroupWord,
     apply_automorphism,
     compose,
+    format_twist,
     gen_name,
     generator_word,
     handle_word,
     homology_inverse,
     homology_matrix,
     invert_automorphism,
-    twist_nonseparating,
-    twist_separating,
+    twist,
+    twist_word,
     word_to_string,
 )
 
@@ -109,65 +110,37 @@ def l_invariant(theta: Expansion, w: GroupWord) -> Derivation:
 
 @dataclass(frozen=True)
 class Curve:
-    """Symbolic simple closed curve: an adapted one, or a mapping-class
-    conjugate of an adapted one."""
+    """Symbolic simple closed curve: the adapted curve of a twist kind
+    (``words.TWIST_KINDS``), or its image under ``phi`` when one is given."""
 
-    kind: str  # "nonsep" | "sep" | "conj"
+    kind: str
     h: int | None = None
     phi: FreeAutomorphism | None = None
-    base: "Curve | None" = None
-
-
-def nonsep_curve() -> Curve:
-    return Curve("nonsep")
-
-
-def sep_curve(h: int) -> Curve:
-    return Curve("sep", h=h)
-
-
-def conjugated_curve(phi: FreeAutomorphism, base: Curve) -> Curve:
-    if base.kind == "conj":
-        raise ValueError("conjugate an adapted curve, not another conjugate")
-    return Curve("conj", phi=phi, base=base)
 
 
 def curve_word(genus: int, curve: Curve) -> GroupWord:
     """A based loop word in the free homotopy class of the curve."""
-    if curve.kind == "nonsep":
-        return generator_word(genus, 0)
-    if curve.kind == "sep":
-        return handle_word(genus, curve.h)
-    if curve.kind == "conj":
-        return apply_automorphism(curve.phi, curve_word(genus, curve.base))
-    raise ValueError(f"unknown curve kind {curve.kind!r}")
+    word = twist_word(genus, curve.kind, curve.h)
+    return word if curve.phi is None else apply_automorphism(curve.phi, word)
 
 
 def curve_twist(genus: int, curve: Curve) -> FreeAutomorphism:
     """The Dehn twist along the curve, as a free-group automorphism."""
-    if curve.kind == "nonsep":
-        return twist_nonseparating(genus)
-    if curve.kind == "sep":
-        return twist_separating(genus, curve.h)
-    if curve.kind == "conj":
-        inner = curve_twist(genus, curve.base)
-        return compose(compose(curve.phi, inner), invert_automorphism(curve.phi))
-    raise ValueError(f"unknown curve kind {curve.kind!r}")
+    tc = twist(genus, curve.kind, curve.h)
+    if curve.phi is None:
+        return tc
+    return compose(compose(curve.phi, tc), invert_automorphism(curve.phi))
 
 
 def describe_curve(curve: Curve) -> str:
-    if curve.kind == "nonsep":
-        return "nonsep"
-    if curve.kind == "sep":
-        return f"sep:{curve.h}"
+    label = format_twist(curve.kind, curve.h)
+    if curve.phi is None:
+        return label
     fact = curve.phi.factorization
-    if fact is not None:
-        twists = ",".join(
-            f"{kind}{h if h is not None else ''}^{power}" for kind, h, power in fact
-        )
-    else:
-        twists = "user"
-    return f"conj({twists}):{describe_curve(curve.base)}"
+    twists = "user" if fact is None else ",".join(
+        f"{kind}{h if h is not None else ''}^{power}" for kind, h, power in fact
+    )
+    return f"conj({twists}):{label}"
 
 
 # -- total Johnson maps --------------------------------------------------------
@@ -400,8 +373,7 @@ def verify_operator_identities(theta: Expansion, curve: Curve) -> Certificate:
       2 L2 L4 L2 = L2 L2 L4                         on H
     """
     _require_symplectic(theta)
-    base_kind = curve.base.kind if curve.kind == "conj" else curve.kind
-    if base_kind != "nonsep":
+    if curve.kind != "nonsep":
         raise ValueError("operator identities hold along non-separating curves")
     ctx = theta.ctx
     params = {

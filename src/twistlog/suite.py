@@ -40,8 +40,8 @@ from .expansion import (
 )
 from .johnson import (
     Certificate,
+    Curve,
     certificate,
-    conjugated_curve,
     curve_twist,
     curve_word,
     describe_curve,
@@ -49,8 +49,6 @@ from .johnson import (
     johnson_component,
     l_invariant,
     l_invariant_tensor,
-    nonsep_curve,
-    sep_curve,
     separating_tau_formula,
     sigma_act_log_square,
     tau_formula_failures,
@@ -78,8 +76,7 @@ from .words import (
     generator_word,
     handle_word,
     invert,
-    twist_nonseparating,
-    twist_separating,
+    twist,
     word_from_string,
 )
 
@@ -140,17 +137,17 @@ def check_builder() -> Certificate:
 
 
 def _conjugated_curves(genus: int) -> list:
-    tg1 = twist_separating(genus, 1)
-    tboundary = twist_separating(genus, genus)
+    tg1 = twist(genus, "sep", 1)
+    tboundary = twist(genus, "sep", genus)
     return [
-        conjugated_curve(tg1, nonsep_curve()),
-        conjugated_curve(compose(tg1, tg1), nonsep_curve()),
-        conjugated_curve(tboundary, nonsep_curve()),
+        Curve("nonsep", phi=tg1),
+        Curve("nonsep", phi=compose(tg1, tg1)),
+        Curve("nonsep", phi=tboundary),
     ]
 
 
 def check_dehn_twist() -> Certificate:
-    curves = [nonsep_curve(), sep_curve(1)] + _conjugated_curves(2)
+    curves = [Curve("nonsep"), Curve("sep", 1)] + _conjugated_curves(2)
     expansions = [("built", built_expansion(2, 5)), ("fixture", fixture_genus2())]
     failures = []
     for label, theta in expansions:
@@ -173,13 +170,13 @@ def check_transvection() -> Certificate:
     for genus in (1, 2, 3):
         ctx = AlgebraContext(genus, 2)
         a1 = basis_tensor(ctx, 0)
-        action = homology_action(twist_nonseparating(genus), ctx)
+        action = homology_action(twist(genus, "nonsep"), ctx)
         for j in range(ctx.dim):
             expected = basis_tensor(ctx, j) - a1.scale(intersection(ctx, j, 0))
             if action[j] != expected:
                 failures.append(f"genus {genus} nonsep on {ctx.basis_name(j)}")
         for h in range(1, genus + 1):
-            action = homology_action(twist_separating(genus, h), ctx)
+            action = homology_action(twist(genus, "sep", h), ctx)
             for j in range(ctx.dim):
                 if action[j] != basis_tensor(ctx, j):
                     failures.append(f"genus {genus} sep:{h} on {ctx.basis_name(j)}")
@@ -203,7 +200,7 @@ def check_tau_formulas() -> Certificate:
     expansions, failures = _built_and_variant(5)
     for label, theta in expansions:
         L = l_invariant(theta, generator_word(2, 0))
-        for failure in tau_formula_failures(theta, twist_nonseparating(2), L):
+        for failure in tau_formula_failures(theta, twist(2, "nonsep"), L):
             failures.append(f"{label}: {failure}")
     params = {"genus": 2, "truncation": 5, "expansions": ["built", "variant"]}
     return certificate("tau-formulas", params, failures)
@@ -211,7 +208,7 @@ def check_tau_formulas() -> Certificate:
 
 def check_separating_series() -> Certificate:
     theta = built_expansion(2, 6)
-    tg = twist_separating(2, 1)
+    tg = twist(2, "sep", 1)
     L = l_invariant(theta, handle_word(2, 1))
     l4 = graded_component(L, 4)
     failures = []
@@ -323,7 +320,7 @@ def check_disjointness() -> Certificate:
 def check_operator_identities() -> Certificate:
     expansions, failures = _built_and_variant(6)
     for label, theta in expansions:
-        cert = verify_operator_identities(theta, nonsep_curve())
+        cert = verify_operator_identities(theta, Curve("nonsep"))
         if not cert.passed:
             failures.append(f"{label}: {cert.witness}")
     params = {"genus": 2, "truncation": 6, "expansions": ["built", "variant"]}
@@ -336,7 +333,7 @@ def check_omega_ideal() -> Certificate:
     ideal = OmegaIdealContext(ctx)
     omega = symplectic_form(ctx)
     failures = []
-    for curve in (nonsep_curve(), sep_curve(1)):
+    for curve in (Curve("nonsep"), Curve("sep", 1)):
         word = curve_word(ctx.genus, curve)
         tc = curve_twist(ctx.genus, curve)
         L = l_invariant(theta, word)

@@ -236,6 +236,8 @@ class Tensor:
         return bool(self._blocks)
 
     def __eq__(self, other):
+        if isinstance(other, str):  # strings are coefficients, never tensors
+            return NotImplemented
         if not isinstance(other, Tensor):
             try:
                 other = scalar_tensor(self.ctx, other)

@@ -4,10 +4,10 @@ Generators come in the fixed order a1, b1, ..., ag, bg, flat-indexed exactly
 like the homology basis (2i-2 <-> a_i, 2i-1 <-> b_i).  A word is a freely
 reduced sequence of signed letters; the boundary word is the product of the
 handle commutators [a_i, b_i] = a_i b_i a_i^-1 b_i^-1.  Automorphisms are
-given by their generator images; the two adapted Dehn-twist families are
-provided as constructors, and inverses are maintained through recorded twist
-factorizations (inverse twists are written down directly, so no general
-free-group inversion is ever needed).
+given by their generator images; the Dehn twists along adapted curves come
+from one table of twist kinds, ``TWIST_KINDS``, and inverses are maintained
+through recorded twist factorizations (inverse twists are written down
+directly, so no general free-group inversion is ever needed).
 
 Text format: whitespace-separated tokens a1..ag, b1..bg, with uppercase
 A1..Bg denoting inverse letters; the empty string is the identity.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from math import gcd
+from typing import Callable, NamedTuple
 
 from .rationals import Rat
 
@@ -46,11 +47,6 @@ def parse_name(name, genus: int, letters: str, unknown: str, too_big: str) -> tu
     if i > genus:
         raise ValueError(too_big.format(name=repr(name), genus=genus))
     return 2 * i - 2 + (m[1] in "bB"), m[1]
-
-
-def parse_count(text: str) -> int | None:
-    """The positive integer written ``[1-9][0-9]*`` in ASCII, or None."""
-    return int(text) if re.fullmatch(_COUNT, text) else None
 
 
 class GroupWord:
@@ -231,11 +227,11 @@ def identity_automorphism(genus: int) -> FreeAutomorphism:
     )
 
 
-# Most letters that a twist factorization may repeat in total: |power|
-# letters for a non-separating twist, 4h|power| for a twist along gamma_h,
-# and at least one per entry, since composing even an identity entry passes
-# over every image.  A single twist power is a one-entry factorization.  A
-# longer one is refused before any word is built.  Composing automorphisms
+# Most letters that a twist factorization may repeat in total: |power| times
+# the curve word's letters (1 for nonsep, 4h for gamma_h), and at least one
+# per entry, since composing even an identity entry passes over every image.
+# A single twist power is a one-entry factorization.  A longer one is
+# refused before any word is built.  Composing automorphisms
 # substitutes whole image words letter by letter, so the cost grows with the
 # product of image lengths: at this bound, johnson --curve conj:FILE --k 1
 # on fixture:g2 took at most 3.5 s, for 62 entries {"kind": "sep", "h": 2,
@@ -251,15 +247,71 @@ def _word_power(w: GroupWord, power: int) -> GroupWord:
     return GroupWord._make(w.genus, _reduce(step.letters * abs(power), 2 * w.genus))
 
 
-def _power_letters(genus: int, kind: str, h: int | None, power: int) -> int:
-    """Letters that one twist power repeats; checks the kind and h."""
-    if kind == "nonsep":
-        return abs(power)
-    if kind == "sep":
-        if type(h) is not int or not 1 <= h <= genus:
-            raise ValueError(f"separating twist parameter h={h!r} out of range 1..{genus}")
-        return 4 * h * abs(power)
-    raise ValueError(f"unknown twist kind {kind!r}")
+class TwistKind(NamedTuple):
+    """One kind of adapted curve, and the Dehn twist along it."""
+
+    takes_h: bool
+    letters: Callable  # h -> letters of the curve word, before it is built
+    word: Callable  # (genus, h) -> the curve word
+    images: Callable  # (generators, h, word**power) -> images of the twist power
+
+
+# The one table of twist kinds.
+TWIST_KINDS = {
+    # the curve underlying a1 (class A_1): only b1 moves, b1 -> b1 a1^power
+    "nonsep": TwistKind(
+        False,
+        lambda h: 1,
+        lambda genus, h: generator_word(genus, 0),
+        lambda gens, h, c: gens[:1] + [concat(gens[1], c)] + gens[2:],
+    ),
+    # gamma_h, 1 <= h <= genus, central at h = genus (boundary-parallel):
+    # conjugates the first h handles by gamma_h^power
+    "sep": TwistKind(
+        True,
+        lambda h: 4 * h,
+        handle_word,
+        lambda gens, h, c: [conjugate(x, invert(c)) for x in gens[: 2 * h]] + gens[2 * h :],
+    ),
+}
+
+
+def _twist_kind(genus: int, kind, h) -> TwistKind:
+    """The table entry of ``kind``, once h is checked against it."""
+    entry = TWIST_KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise ValueError(f"unknown twist kind {kind!r}")
+    if not entry.takes_h:
+        if h is not None:
+            raise ValueError(f"{kind} twist takes no h, got h={h!r}")
+    elif type(h) is not int or not 1 <= h <= genus:
+        raise ValueError(f"{kind} twist parameter h={h!r} out of range 1..{genus}")
+    return entry
+
+
+def parse_twist(genus: int, text) -> tuple:
+    """(kind, h) of a curve descriptor: ``kind``, or ``kind:h`` with h
+    written ``[1-9][0-9]*`` for a kind that takes h."""
+    name, colon, arg = text.partition(":") if isinstance(text, str) else (None, "", "")
+    entry = TWIST_KINDS.get(name)
+    if entry is None or entry.takes_h != bool(colon):
+        forms = " | ".join(k + (":h" if e.takes_h else "") for k, e in TWIST_KINDS.items())
+        raise ValueError(f"unknown curve descriptor {text!r}; expected {forms}")
+    if colon and not re.fullmatch(_COUNT, arg):
+        raise ValueError(f"bad h in curve descriptor {text!r}")
+    h = int(arg) if colon else None
+    _twist_kind(genus, name, h)
+    return name, h
+
+
+def format_twist(kind: str, h: int | None) -> str:
+    """The descriptor that ``parse_twist`` reads back as (kind, h)."""
+    return kind if h is None else f"{kind}:{h}"
+
+
+def twist_word(genus: int, kind: str, h: int | None = None) -> GroupWord:
+    """A based loop word of the adapted curve of a twist kind."""
+    return _twist_kind(genus, kind, h).word(genus, h)
 
 
 def _check_letters(what: str, letters: int) -> None:
@@ -269,35 +321,17 @@ def _check_letters(what: str, letters: int) -> None:
         )
 
 
-def _twist_power(genus: int, kind: str, h: int | None, power: int) -> FreeAutomorphism:
-    _check_letters(f"twist power {power}", _power_letters(genus, kind, h, power))
+def twist(genus: int, kind: str, h: int | None = None, power: int = 1) -> FreeAutomorphism:
+    """The power-th power of the Dehn twist along the adapted curve of a
+    twist kind, refused before any word is built if it repeats more than
+    MAX_POWER_LETTERS letters."""
+    entry = _twist_kind(genus, kind, h)
+    _check_letters(f"twist power {power}", entry.letters(h) * abs(power))
     if power == 0:
         return identity_automorphism(genus)
-    images = [generator_word(genus, i) for i in range(2 * genus)]
-    if kind == "nonsep":
-        # twist along the curve underlying a1: only b1 moves, b1 -> b1 a1^power
-        images[1] = concat(images[1], _word_power(generator_word(genus, 0), power))
-    else:
-        # twist along gamma_h: conjugates the first h handles by gamma_h^power
-        gamma = _word_power(handle_word(genus, h), power)
-        inv_gamma = invert(gamma)
-        for i in range(2 * h):
-            images[i] = concat(concat(inv_gamma, images[i]), gamma)
+    gens = [generator_word(genus, i) for i in range(2 * genus)]
+    images = entry.images(gens, h, _word_power(entry.word(genus, h), power))
     return FreeAutomorphism(genus, images, factorization=[(kind, h, power)])
-
-
-def twist_nonseparating(genus: int) -> FreeAutomorphism:
-    """Twist along the non-separating adapted curve (the one whose class is
-    A_1): a_i -> a_i, b_1 -> b_1 a_1, all other b_i fixed."""
-    return _twist_power(genus, "nonsep", None, 1)
-
-
-def twist_separating(genus: int, h: int) -> FreeAutomorphism:
-    """Twist along the separating adapted curve gamma_h, 1 <= h <= genus:
-    conjugation by gamma_h on the first h handles, identity on the rest.
-    h = genus is the boundary-parallel degenerate case (central, still valid).
-    """
-    return _twist_power(genus, "sep", h, 1)
 
 
 def compose(phi1: FreeAutomorphism, phi2: FreeAutomorphism) -> FreeAutomorphism:
@@ -320,7 +354,7 @@ def invert_automorphism(phi: FreeAutomorphism) -> FreeAutomorphism:
         )
     out = identity_automorphism(phi.genus)
     for kind, h, power in reversed(phi.factorization):
-        out = compose(out, _twist_power(phi.genus, kind, h, -power))
+        out = compose(out, twist(phi.genus, kind, h, -power))
     return out
 
 
@@ -387,26 +421,16 @@ def automorphism_from_json(obj: dict) -> FreeAutomorphism:
     if obj.get("factorization") is not None:
         if not isinstance(obj["factorization"], list):
             raise ValueError("automorphism JSON 'factorization' must be a list")
-        fact = []
+        fact, letters = [], 0
         for entry in obj["factorization"]:
             if not isinstance(entry, dict):
                 raise ValueError(f"factorization entry must be an object: {entry!r}")
-            kind = entry.get("kind")
-            if kind not in ("nonsep", "sep"):
-                raise ValueError(f"unknown twist kind {kind!r} in factorization")
-            h = entry.get("h")
-            power = entry.get("power", 1)
-            if kind == "sep" and type(h) is not int:
-                raise ValueError("separating twist descriptor needs an integer h")
-            if kind == "nonsep" and h is not None:
-                raise ValueError("non-separating twist descriptor takes no h")
+            kind, h, power = entry.get("kind"), entry.get("h"), entry.get("power", 1)
             if type(power) is not int:
                 raise ValueError(f"twist power must be an integer, got {power!r}")
+            letters += max(1, _twist_kind(genus, kind, h).letters(h) * abs(power))
             fact.append((kind, h, power))
-        _check_letters(
-            f"factorization of {len(fact)} entries",
-            sum(max(1, _power_letters(genus, *entry)) for entry in fact),
-        )
+        _check_letters(f"factorization of {len(fact)} entries", letters)
     if "images" in obj and obj["images"] is not None:
         if not isinstance(obj["images"], list) or not all(
             isinstance(s, str) for s in obj["images"]
@@ -427,6 +451,6 @@ def automorphism_from_json(obj: dict) -> FreeAutomorphism:
 def _from_factorization(genus: int, fact) -> FreeAutomorphism:
     out = identity_automorphism(genus)
     for kind, h, power in fact:
-        out = compose(out, _twist_power(genus, kind, h, power))
+        out = compose(out, twist(genus, kind, h, power))
     # re-attach the requested factorization verbatim
     return FreeAutomorphism(genus, out.images, factorization=fact)

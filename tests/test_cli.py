@@ -30,7 +30,7 @@ from twistlog.tensor import AlgebraContext, basis_tensor, one_tensor, tensor_fro
 from twistlog.words import (
     MAX_POWER_LETTERS,
     automorphism_to_json,
-    twist_separating,
+    twist,
     word_from_string,
 )
 
@@ -154,19 +154,23 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
-def _assert_usage_error_in_fresh_interpreter(*argv):
+def _run_in_fresh_interpreter(*argv, module="twistlog.cli"):
     # a fresh interpreter, so that an uncaught exception would show as a
     # traceback on stderr and exit 1
     pkg_root = str(Path(twistlog.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": pkg_root + (os.pathsep + inherited if inherited else "")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "twistlog.cli", *argv],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         env=env,
         capture_output=True,
         text=True,
         preexec_fn=_limit_address_space,
     )
+
+
+def _assert_usage_error_in_fresh_interpreter(*argv, module="twistlog.cli"):
+    proc = _run_in_fresh_interpreter(*argv, module=module)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("twistlog: error:")
@@ -225,6 +229,18 @@ def test_johnson_malformed_conjugator_exits_two(conjugator, tmp_path):
     _assert_usage_error_in_fresh_interpreter(
         "johnson", "--curve", f"conj:{path}", "--k", "1", "--expansion", "fixture:g2"
     )
+
+
+def test_a_conjugator_base_is_never_a_conjugator_file(tmp_path):
+    phi = {"genus": 2, "factorization": [{"kind": "sep", "h": 1, "power": 1}]}
+    plain, chained, looped = (tmp_path / f"{name}.json" for name in ("plain", "chained", "looped"))
+    plain.write_text(json.dumps(phi))
+    chained.write_text(json.dumps({"phi": phi, "base": f"conj:{plain}"}))
+    looped.write_text(json.dumps({"phi": phi, "base": f"conj:{looped}"}))  # names itself
+    for path in (chained, looped):
+        _assert_usage_error_in_fresh_interpreter(
+            "johnson", "--curve", f"conj:{path}", "--k", "1", "--expansion", "fixture:g2"
+        )
 
 
 def test_johnson_refuses_a_huge_twist_power_at_once(tmp_path):
@@ -294,7 +310,7 @@ def test_johnson_component_errors(tmp_path, capsys):
 
 def test_johnson_conjugated_curve_from_file(tmp_path, capsys):
     path = tmp_path / "phi.json"
-    path.write_text(json.dumps(automorphism_to_json(twist_separating(2, 1))))
+    path.write_text(json.dumps(automorphism_to_json(twist(2, "sep", 1))))
     rc = main(["johnson", "--curve", f"conj:{path}", "--k", "2",
                "--expansion", "fixture:g2", "--output", "json"])
     assert rc == 0
@@ -302,7 +318,7 @@ def test_johnson_conjugated_curve_from_file(tmp_path, capsys):
     # wrapped form with an explicit base curve
     wrapped = tmp_path / "wrapped.json"
     wrapped.write_text(json.dumps(
-        {"phi": automorphism_to_json(twist_separating(2, 2)), "base": "sep:1"}
+        {"phi": automorphism_to_json(twist(2, "sep", 2)), "base": "sep:1"}
     ))
     rc = main(["johnson", "--curve", f"conj:{wrapped}", "--k", "2",
                "--expansion", "fixture:g2", "--output", "json"])
@@ -331,6 +347,13 @@ def test_l_invariant_outputs(capsys):
                "--output", "json"])
     assert rc == 0
     derivation_from_json(json.loads(capsys.readouterr().out))
+
+
+def test_python_dash_m_twistlog_runs_the_command_line():
+    proc = _run_in_fresh_interpreter("verify", "--suite", "transvection", module="twistlog")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS transvection")
+    _assert_usage_error_in_fresh_interpreter("verify", "--suite", "no-such-check", module="twistlog")
 
 
 def test_verify_selected_checks(capsys):

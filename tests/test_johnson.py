@@ -17,8 +17,8 @@ from twistlog.expansion import (
     restrict,
 )
 from twistlog.johnson import (
+    Curve,
     certificate_to_json,
-    conjugated_curve,
     curve_twist,
     curve_word,
     describe_curve,
@@ -26,8 +26,6 @@ from twistlog.johnson import (
     johnson_component,
     l_invariant,
     l_invariant_tensor,
-    nonsep_curve,
-    sep_curve,
     separating_tau_formula,
     sigma_act,
     sigma_act_log_square,
@@ -59,8 +57,7 @@ from twistlog.words import (
     homology_inverse,
     invert,
     invert_automorphism,
-    twist_nonseparating,
-    twist_separating,
+    twist,
     word_from_string,
 )
 
@@ -179,29 +176,27 @@ def test_nilpotent_dependence_refuses_k_below_one(theta25, k):
 
 
 def test_curve_words_and_twists():
-    assert curve_word(2, nonsep_curve()) == generator_word(2, 0)
-    assert curve_word(2, sep_curve(1)) == handle_word(2, 1)
-    assert curve_twist(2, nonsep_curve()) == twist_nonseparating(2)
-    assert curve_twist(2, sep_curve(2)) == twist_separating(2, 2)
-    phi = twist_separating(2, 1)
-    conj = conjugated_curve(phi, nonsep_curve())
+    assert curve_word(2, Curve("nonsep")) == generator_word(2, 0)
+    assert curve_word(2, Curve("sep", 1)) == handle_word(2, 1)
+    assert curve_twist(2, Curve("nonsep")) == twist(2, "nonsep")
+    assert curve_twist(2, Curve("sep", 2)) == twist(2, "sep", 2)
+    phi = twist(2, "sep", 1)
+    conj = Curve("nonsep", phi=phi)
     assert curve_word(2, conj) == apply_automorphism(phi, generator_word(2, 0))
-    expected = compose(compose(phi, twist_nonseparating(2)), invert_automorphism(phi))
+    expected = compose(compose(phi, twist(2, "nonsep")), invert_automorphism(phi))
     assert curve_twist(2, conj) == expected
-    with pytest.raises(ValueError):
-        conjugated_curve(phi, conj)
 
 
 def test_describe_curve():
-    assert describe_curve(nonsep_curve()) == "nonsep"
-    assert describe_curve(sep_curve(2)) == "sep:2"
-    label = describe_curve(conjugated_curve(twist_separating(2, 1), nonsep_curve()))
+    assert describe_curve(Curve("nonsep")) == "nonsep"
+    assert describe_curve(Curve("sep", 2)) == "sep:2"
+    label = describe_curve(Curve("nonsep", phi=twist(2, "sep", 1)))
     assert label == "conj(sep1^1):nonsep"
 
 
 def test_homology_action_transvection():
     ctx = AlgebraContext(2, 2)
-    action = homology_action(twist_nonseparating(2), ctx)
+    action = homology_action(twist(2, "nonsep"), ctx)
     # b1 -> b1 a1 on homology is B1 + A1; everything else is fixed
     assert action[1] == basis_tensor(ctx, 1) + basis_tensor(ctx, 0)
     for j in (0, 2, 3):
@@ -210,7 +205,7 @@ def test_homology_action_transvection():
 
 def test_total_johnson_intertwines(theta25):
     rng = random.Random(2601)
-    phi = compose(twist_separating(2, 1), twist_nonseparating(2))
+    phi = compose(twist(2, "sep", 1), twist(2, "nonsep"))
     tj = total_johnson(theta25, phi)
     for _ in range(8):
         w = random_word(rng, 2, rng.randint(0, 4))
@@ -218,7 +213,7 @@ def test_total_johnson_intertwines(theta25):
             theta25, apply_automorphism(phi, w)
         )
     with pytest.raises(ValueError):
-        total_johnson(theta25, twist_nonseparating(1))
+        total_johnson(theta25, twist(1, "nonsep"))
     # T(phi) of a restricted expansion is the full one through its truncation
     for degree in (2, 3, 4):
         low = restrict(theta25, degree)
@@ -229,7 +224,7 @@ def test_total_johnson_intertwines(theta25):
 def test_johnson_component_against_the_full_solve(theta25):
     # oracle: T(phi) solved at the full truncation, composed with |phi|^{-1}
     ctx = theta25.ctx
-    for phi in (twist_nonseparating(2), compose(twist_separating(2, 1), twist_nonseparating(2))):
+    for phi in (twist(2, "nonsep"), compose(twist(2, "sep", 1), twist(2, "nonsep"))):
         full = total_johnson(theta25, phi).h_values
         inv = homology_inverse(phi)
         for k in range(1, ctx.truncation):
@@ -245,15 +240,15 @@ def test_johnson_component_against_the_full_solve(theta25):
 
 def test_johnson_component_range(theta25):
     with pytest.raises(ValueError):
-        johnson_component(theta25, twist_nonseparating(2), 0)
+        johnson_component(theta25, twist(2, "nonsep"), 0)
     with pytest.raises(ValueError):
-        johnson_component(theta25, twist_nonseparating(2), 5)
+        johnson_component(theta25, twist(2, "nonsep"), 5)
     with pytest.raises(ValueError):
         separating_tau_formula(theta25, 1, 5)
 
 
 def test_separating_twist_low_components(theta25):
-    tg = twist_separating(2, 1)
+    tg = twist(2, "sep", 1)
     # tau_1 of a separating twist vanishes
     tau1 = johnson_component(theta25, tg, 1)
     assert not tau1
@@ -315,7 +310,7 @@ def test_sigma_key_formula(theta15):
 
 
 def test_dehn_twist_certificates(theta15):
-    cert = verify_dehn_twist_formula(theta15, nonsep_curve())
+    cert = verify_dehn_twist_formula(theta15, Curve("nonsep"))
     assert cert.passed and cert.witness is None
     obj = certificate_to_json(cert)
     assert obj == {
@@ -323,7 +318,7 @@ def test_dehn_twist_certificates(theta15):
         "params": {"curve": "nonsep", "genus": 1, "truncation": 5},
         "status": "pass",
     }
-    cert = verify_dehn_twist_formula(theta15, sep_curve(1))
+    cert = verify_dehn_twist_formula(theta15, Curve("sep", 1))
     assert cert.passed
 
 
@@ -341,24 +336,24 @@ def test_dehn_twist_formula_needs_a_good_jet():
     from twistlog.expansion import is_symplectic
 
     assert is_symplectic(bad)
-    cert = verify_dehn_twist_formula(bad, nonsep_curve())
+    cert = verify_dehn_twist_formula(bad, Curve("nonsep"))
     assert not cert.passed
     assert "degree 5" in cert.witness
 
 
 def test_operator_identities_certificate(theta25):
-    cert = verify_operator_identities(theta25, nonsep_curve())
+    cert = verify_operator_identities(theta25, Curve("nonsep"))
     assert cert.passed
     with pytest.raises(ValueError):
-        verify_operator_identities(theta25, sep_curve(1))
+        verify_operator_identities(theta25, Curve("sep", 1))
 
 
 def test_twist_formula_respects_conjugation(theta25):
     # oracle: T(phi) T(t_C) T(phi)^-1 images versus the conjugated curve route
-    phi = twist_separating(2, 1)
-    conj = conjugated_curve(phi, nonsep_curve())
+    phi = twist(2, "sep", 1)
+    conj = Curve("nonsep", phi=phi)
     tc = curve_twist(2, conj)
-    direct = compose(compose(phi, twist_nonseparating(2)), invert_automorphism(phi))
+    direct = compose(compose(phi, twist(2, "nonsep")), invert_automorphism(phi))
     assert tc == direct
     cert = verify_dehn_twist_formula(theta25, conj)
     assert cert.passed

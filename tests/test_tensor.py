@@ -317,13 +317,33 @@ def test_equality_with_unrelated_objects_is_false():
     assert t in [None, t]
     assert None not in [t]
     assert scalar_tensor(ctx, 2) == 2 == scalar_tensor(ctx, "2")
-    assert scalar_tensor(ctx, Rat(1, 2)) == "1/2"
+    assert scalar_tensor(ctx, Rat(1, 2)) != "1/2"
     assert zero_tensor(ctx) == 0 and t != 0
     for value in (1.5, 0.0):
         with pytest.raises(ValueError, match="float"):
             t == value
     with pytest.raises(ValueError, match="bool"):
         zero_tensor(ctx) == False  # noqa: E712
+
+
+def test_equality_never_parses_strings():
+    ctx = AlgebraContext(1, 3)
+    t, one = basis_tensor(ctx, 0), one_tensor(ctx)
+    for text in ("abc", "1", "1/1", "0"):
+        assert not t == text and t != text
+        assert not text == t and text != t
+        assert not one == text and not text == one
+    assert t in ["abc", t] and "abc" not in [t]
+    # a malformed string is still refused as a coefficient
+    for make in (
+        lambda: Tensor(ctx, {(0,): "abc"}),
+        lambda: scalar_tensor(ctx, "abc"),
+        lambda: t.scale("abc"),
+        lambda: t + "abc",
+        lambda: "abc" + t,
+    ):
+        with pytest.raises(ValueError, match="malformed"):
+            make()
 
 
 def test_antipode_reverses_words_with_sign():

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from twistlog.tensor import AlgebraContext, intersection
 from twistlog.words import (
     MAX_POWER_LETTERS,
+    TWIST_KINDS,
     FreeAutomorphism,
     GroupWord,
     apply_automorphism,
@@ -17,6 +19,7 @@ from twistlog.words import (
     compose,
     concat,
     conjugate,
+    format_twist,
     gen_name,
     generator_word,
     handle_word,
@@ -25,10 +28,10 @@ from twistlog.words import (
     identity_automorphism,
     invert,
     invert_automorphism,
-    _twist_power,
+    parse_twist,
     _word_power,
-    twist_nonseparating,
-    twist_separating,
+    twist,
+    twist_word,
     word_from_string,
     word_to_string,
 )
@@ -97,7 +100,7 @@ def test_commutator_and_boundary():
 
 
 def test_twist_nonseparating_images():
-    t = twist_nonseparating(2)
+    t = twist(2, "nonsep")
     assert word_to_string(t.images[1]) == "b1 a1"
     for i in (0, 2, 3):
         assert t.images[i] == generator_word(2, i)
@@ -105,7 +108,7 @@ def test_twist_nonseparating_images():
 
 
 def test_twist_separating_conjugates_first_handles():
-    t = twist_separating(2, 1)
+    t = twist(2, "sep", 1)
     gamma = handle_word(2, 1)
     for i in (0, 1):
         assert t.images[i] == concat(concat(invert(gamma), generator_word(2, i)), gamma)
@@ -113,7 +116,32 @@ def test_twist_separating_conjugates_first_handles():
         assert t.images[i] == generator_word(2, i)
     assert t.boundary_preserving
     with pytest.raises(ValueError):
-        twist_separating(2, 3)
+        twist(2, "sep", 3)
+
+
+@pytest.mark.parametrize("kind", sorted(TWIST_KINDS))
+def test_every_twist_kind_against_its_oracles(kind):
+    entry = TWIST_KINDS[kind]
+    for genus in (1, 2, 3):
+        ctx = AlgebraContext(genus, 2)
+        n = 2 * genus
+        for h in range(1, genus + 1) if entry.takes_h else (None,):
+            assert parse_twist(genus, format_twist(kind, h)) == (kind, h)
+            word = twist_word(genus, kind, h)
+            # the class c of the curve, and x -> omega(x, c) on the basis
+            c = [sum(s for g, s in word.letters if g == i) for i in range(n)]
+            pairing = [sum(c[k] * intersection(ctx, j, k) for k in range(n)) for j in range(n)]
+            for power in (-2, -1, 1, 2):
+                assert entry.letters(h) * abs(power) == len(_word_power(word, power))
+                t = twist(genus, kind, h, power)
+                assert apply_automorphism(t, word) == word
+                assert t.boundary_preserving
+                # on H, the power-th power of x -> x - omega(x, c) c
+                expected = [
+                    [int(i == j) - power * c[i] * pairing[j] for j in range(n)]
+                    for i in range(n)
+                ]
+                assert homology_matrix(t) == expected, (genus, h, power)
 
 
 def test_word_power_equals_repeated_concat():
@@ -129,7 +157,7 @@ def test_word_power_equals_repeated_concat():
 
 
 def test_twist_powers_are_bounded_before_any_word_is_built():
-    t = _twist_power(2, "nonsep", None, -MAX_POWER_LETTERS)
+    t = twist(2, "nonsep", None, -MAX_POWER_LETTERS)
     assert len(t.images[1]) == MAX_POWER_LETTERS + 1
     for kind, h, power in (
         ("nonsep", None, MAX_POWER_LETTERS + 1),
@@ -137,10 +165,10 @@ def test_twist_powers_are_bounded_before_any_word_is_built():
         ("sep", 2, -(MAX_POWER_LETTERS // 8 + 1)),  # gamma_2 has 8 letters
     ):
         with pytest.raises(ValueError, match="limit"):
-            _twist_power(2, kind, h, power)
+            twist(2, kind, h, power)
     for h in (0, 3, None, True):
         with pytest.raises(ValueError, match="out of range"):
-            _twist_power(2, "sep", h, 1)
+            twist(2, "sep", h, 1)
 
 
 def test_factorizations_are_bounded_in_total_before_any_word_is_built():
@@ -161,7 +189,7 @@ def test_factorizations_are_bounded_in_total_before_any_word_is_built():
 
 def test_compose_and_invert():
     rng = random.Random(321)
-    phi = compose(twist_separating(2, 1), compose(twist_nonseparating(2), twist_separating(2, 2)))
+    phi = compose(twist(2, "sep", 1), compose(twist(2, "nonsep"), twist(2, "sep", 2)))
     inv = invert_automorphism(phi)
     for _ in range(10):
         w = random_word(rng, 2, rng.randint(0, 5))
@@ -170,7 +198,7 @@ def test_compose_and_invert():
 
 
 def test_invert_requires_factorization():
-    t = twist_nonseparating(1)
+    t = twist(1, "nonsep")
     bare = FreeAutomorphism(1, t.images)  # same map, factorization dropped
     with pytest.raises(ValueError):
         invert_automorphism(bare)
@@ -179,7 +207,7 @@ def test_invert_requires_factorization():
 def test_apply_automorphism_respects_words():
     # phi is a homomorphism: images of products multiply
     rng = random.Random(77)
-    phi = compose(twist_separating(2, 1), twist_nonseparating(2))
+    phi = compose(twist(2, "sep", 1), twist(2, "nonsep"))
     for _ in range(10):
         u = random_word(rng, 2, rng.randint(0, 4))
         v = random_word(rng, 2, rng.randint(0, 4))
@@ -239,7 +267,7 @@ def test_homology_inverse_against_leibniz_determinant():
 
 
 def test_automorphism_json_round_trip():
-    phi = compose(twist_separating(2, 1), twist_nonseparating(2))
+    phi = compose(twist(2, "sep", 1), twist(2, "nonsep"))
     obj = automorphism_to_json(phi)
     assert automorphism_from_json(obj) == phi
     # factorization alone reconstructs the same map
@@ -253,7 +281,7 @@ def test_automorphism_json_round_trip():
 
 
 def test_automorphism_json_validation():
-    phi = twist_nonseparating(2)
+    phi = twist(2, "nonsep")
     obj = automorphism_to_json(phi)
     with pytest.raises(ValueError):
         automorphism_from_json({"images": []})
