@@ -35,6 +35,7 @@ from .lie import (
     is_lie,
     log,
     lyndon_bracket_form,
+    lyndon_bracket_forms,
     phi,
 )
 from .cyclic import cyclic_n, cyclic_n_hat, is_nu_invariant, necklace_bracket, nu

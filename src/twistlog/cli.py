@@ -36,7 +36,7 @@ from .johnson import (
     l_invariant,
     sigma_act,
 )
-from .lie import format_bracket_tree, lyndon_bracket_form
+from .lie import format_bracket_tree, lyndon_bracket_forms
 from .rationals import rat_to_string
 from .suite import run_suite, suite_names
 from .tensor import tensor_to_json
@@ -121,27 +121,31 @@ def _parse_curve(genus: int, descriptor: str) -> Curve:
     return Curve(kind, h, automorphism_from_json(obj))
 
 
-def _pretty_tensor(t) -> str:
-    if not t:
-        return "0"
-    ctx = t.ctx
-    try:  # the Lyndon form exists exactly when t is Lie
-        form = lyndon_bracket_form(t)
-    except ValueError:
-        pieces = []
-        for mono in sorted(t.terms, key=lambda m: (len(m), m)):
-            name = "1" if not mono else "".join(ctx.basis_name(i) for i in mono)
-            pieces.append(f"{rat_to_string(t.terms[mono])} {name}")
-    else:
-        pieces = [f"{rat_to_string(c)} {format_bracket_tree(ctx, tree)}" for c, tree in form]
-    return "  +  ".join(pieces)
+def _pretty_tensors(tensors) -> list:
+    """Each tensor as one line: its Lyndon form where it is Lie, else its
+    monomials.  Tensors passed together expand each bracket once."""
+    lines = []
+    for t, form in zip(tensors, lyndon_bracket_forms(tensors)):
+        if not t:
+            lines.append("0")
+            continue
+        ctx = t.ctx
+        if form is None:
+            pieces = []
+            for mono in sorted(t.terms, key=lambda m: (len(m), m)):
+                name = "1" if not mono else "".join(ctx.basis_name(i) for i in mono)
+                pieces.append(f"{rat_to_string(t.terms[mono])} {name}")
+        else:
+            pieces = [f"{rat_to_string(c)} {format_bracket_tree(ctx, tree)}" for c, tree in form]
+        lines.append("  +  ".join(pieces))
+    return lines
 
 
 def _emit_tensor(t, mode: str) -> None:
     if mode == "json":
         print(json.dumps(tensor_to_json(t), sort_keys=True))
     else:
-        print(_pretty_tensor(t))
+        print(_pretty_tensors([t])[0])
 
 
 def _emit_certificate(cert: Certificate, mode: str) -> None:
@@ -209,9 +213,8 @@ def _cmd_l_invariant(args) -> int:
     if args.output == "json":
         print(json.dumps(derivation_to_json(L), sort_keys=True))
     else:
-        ctx = theta.ctx
-        for j in range(ctx.dim):
-            print(f"L({ctx.basis_name(j)}) = {_pretty_tensor(L.values[j])}")
+        for j, line in enumerate(_pretty_tensors(L.values)):
+            print(f"L({theta.ctx.basis_name(j)}) = {line}")
     return 0
 
 
@@ -233,8 +236,8 @@ def _cmd_johnson(args) -> int:
         print(json.dumps(obj, sort_keys=True))
     else:
         print(f"tau_{args.k} of the twist along {describe_curve(curve)}:")
-        for j in range(ctx.dim):
-            print(f"  {ctx.basis_name(j)} -> {_pretty_tensor(component.values[j])}")
+        for j, line in enumerate(_pretty_tensors(component.values)):
+            print(f"  {ctx.basis_name(j)} -> {line}")
     return 0
 
 
@@ -332,9 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, at import: parsing leaves the parser as it was, so main may
+# be called any number of times in one process
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as exc:

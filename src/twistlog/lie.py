@@ -221,7 +221,7 @@ def _standard_bracketing(word: tuple, cache: dict):
     return hit
 
 
-def lyndon_bracket_form(t: Tensor) -> list:
+def lyndon_bracket_form(t: Tensor, memo: tuple | None = None) -> list:
     """Rewrite a Lie tensor as [(coeff, bracket-tree), ...] over the Lyndon
     basis, in ascending order of the Lyndon words.
 
@@ -232,13 +232,17 @@ def lyndon_bracket_form(t: Tensor) -> list:
     Lyndon.  Degrees are eliminated one at a time, lowest first, since each
     expansion is homogeneous.  Raises ValueError on non-Lie input, naming
     the first surviving non-Lyndon monomial of the lowest degree that is
-    not Lie, and eliminates no higher degree."""
+    not Lie, and eliminates no higher degree.
+
+    ``memo``, a (bracketings, expansions) pair of dicts, may be shared by
+    calls on tensors of one rank of H, so that each standard bracketing and
+    its expansion is built once across them."""
     blocks, den = scaled_terms(t)
     if 0 in blocks:
         raise ValueError("constant term is not Lie")
     ctx = t.ctx
     dim = ctx.dim
-    trees, expansions = {}, {}
+    trees, expansions = ({}, {}) if memo is None else memo
     found = []
     for p in sorted(blocks):
         rem = dict(blocks[p])  # zeros stay in, so each code enters the heap once
@@ -265,6 +269,20 @@ def lyndon_bracket_form(t: Tensor) -> list:
                     rem[m2] = acc - coeff * c2
     found.sort(key=lambda entry: entry[0])
     return [(Rat(coeff, den), tree) for _, coeff, tree in found]
+
+
+def lyndon_bracket_forms(tensors) -> list:
+    """lyndon_bracket_form of each tensor, or None for one that is not Lie.
+    Tensors of one rank of H share one memo, which lives only as long as
+    this call."""
+    memos = {}
+    forms = []
+    for t in tensors:
+        try:
+            forms.append(lyndon_bracket_form(t, memos.setdefault(t.ctx.dim, ({}, {}))))
+        except ValueError:
+            forms.append(None)
+    return forms
 
 
 def format_bracket_tree(ctx, tree) -> str:

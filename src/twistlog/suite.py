@@ -69,14 +69,17 @@ from .tensor import (
     zero_tensor,
 )
 from .words import (
+    TWIST_KINDS,
     GroupWord,
     apply_automorphism,
     compose,
     conjugate,
+    format_twist,
     generator_word,
     handle_word,
     invert,
     twist,
+    twist_word,
     word_from_string,
 )
 
@@ -166,20 +169,25 @@ def check_dehn_twist() -> Certificate:
 
 
 def check_transvection() -> Certificate:
+    """Each twist of the table, at every h, acts on H as the transvection
+    x -> x - omega(x, c) c, c the class of its curve."""
     failures = []
     for genus in (1, 2, 3):
         ctx = AlgebraContext(genus, 2)
-        a1 = basis_tensor(ctx, 0)
-        action = homology_action(twist(genus, "nonsep"), ctx)
-        for j in range(ctx.dim):
-            expected = basis_tensor(ctx, j) - a1.scale(intersection(ctx, j, 0))
-            if action[j] != expected:
-                failures.append(f"genus {genus} nonsep on {ctx.basis_name(j)}")
-        for h in range(1, genus + 1):
-            action = homology_action(twist(genus, "sep", h), ctx)
-            for j in range(ctx.dim):
-                if action[j] != basis_tensor(ctx, j):
-                    failures.append(f"genus {genus} sep:{h} on {ctx.basis_name(j)}")
+        for kind, entry in TWIST_KINDS.items():
+            for h in range(1, genus + 1) if entry.takes_h else (None,):
+                counts = [0] * ctx.dim
+                for g, sign in twist_word(genus, kind, h).letters:
+                    counts[g] += sign
+                c = sum(
+                    (basis_tensor(ctx, i).scale(n) for i, n in enumerate(counts)), zero_tensor(ctx)
+                )
+                action = homology_action(twist(genus, kind, h), ctx)
+                for j in range(ctx.dim):
+                    pairing = sum(n * intersection(ctx, j, i) for i, n in enumerate(counts))
+                    if action[j] != basis_tensor(ctx, j) - c.scale(pairing):
+                        where = f"{format_twist(kind, h)} on {ctx.basis_name(j)}"
+                        failures.append(f"genus {genus} {where}")
     return certificate("transvection", {"genera": [1, 2, 3]}, failures)
 
 

@@ -7,6 +7,7 @@ anywhere.  A failing check prints its witness via the assertion message.
 import pytest
 
 from twistlog.suite import run_check, suite_names
+from twistlog.words import TWIST_KINDS, TwistKind, generator_word
 
 EXPECTED = (
     "fixture-genus1",
@@ -39,3 +40,20 @@ def test_criterion(number, name, capsys):
         print(f"criterion {number:02d} {name}: {cert.status.upper()}")
     assert cert.passed, cert.witness
     assert type(cert.params["seconds"]) is float and cert.params["seconds"] >= 0
+
+
+def test_transvection_checks_every_kind_in_the_table(monkeypatch):
+    # a kind whose curve is a1 but whose twist moves nothing: on H it is not
+    # the transvection along A1, so the check must name it
+    wrong = TwistKind(
+        True,
+        lambda h: 1,
+        lambda genus, h: generator_word(genus, 0),
+        lambda gens, h, c: gens,
+    )
+    monkeypatch.setitem(TWIST_KINDS, "wrong", wrong)
+    cert = run_check("transvection")
+    assert not cert.passed
+    assert "genus 1 wrong:1 on B1" in cert.witness
+    assert "genus 3 wrong:3 on B1" in cert.witness
+    assert "nonsep" not in cert.witness and "sep:" not in cert.witness

@@ -1,5 +1,7 @@
 """End-to-end command line behavior: exit codes, JSON output, file handling."""
 
+import argparse
+import hashlib
 import json
 import os
 import resource
@@ -14,7 +16,8 @@ import pytest
 
 import twistlog
 
-from twistlog.cli import _pretty_tensor, main
+from twistlog import cli
+from twistlog.cli import _pretty_tensors, build_parser, main
 from twistlog.derivation import derivation_from_json
 from twistlog.expansion import (
     _check_size,
@@ -61,14 +64,22 @@ def test_pretty_tensor_uses_the_lyndon_form_exactly_for_lie_tensors():
     ctx = AlgebraContext(2, 3)
     a, b, c = (basis_tensor(ctx, i) for i in range(3))
     lie = bracket(a, b).scale(Rat(-1, 2)) + a.scale(2) + bracket(c, bracket(a, b))
-    assert _pretty_tensor(lie) == (
-        "2/1 A1  +  -1/2 [A1,B1]  +  -1/1 [A1,[B1,A2]]  +  -1/1 [[A1,A2],B1]"
-    )
-    assert _pretty_tensor(a * b + b) == "1/1 B1  +  1/1 A1B1"
-    # the Lyndon elimination peels A1 and [A1,B1], then fails on B1A1
-    assert _pretty_tensor(a + a * b) == "1/1 A1  +  1/1 A1B1"
-    assert _pretty_tensor(one_tensor(ctx) + bracket(a, c)) == "1/1 1  +  1/1 A1A2  +  -1/1 A2A1"
-    assert _pretty_tensor(a - a) == "0"
+    cases = [
+        (lie, "2/1 A1  +  -1/2 [A1,B1]  +  -1/1 [A1,[B1,A2]]  +  -1/1 [[A1,A2],B1]"),
+        (a * b + b, "1/1 B1  +  1/1 A1B1"),
+        # the Lyndon elimination peels A1 and [A1,B1], then fails on B1A1
+        (a + a * b, "1/1 A1  +  1/1 A1B1"),
+        (one_tensor(ctx) + bracket(a, c), "1/1 1  +  1/1 A1A2  +  -1/1 A2A1"),
+        (a - a, "0"),
+        (
+            bracket(a, b) + bracket(c, bracket(a, b)),
+            "1/1 [A1,B1]  +  -1/1 [A1,[B1,A2]]  +  -1/1 [[A1,A2],B1]",
+        ),
+    ]
+    for t, line in cases:
+        assert _pretty_tensors([t]) == [line]
+    # one memo serves them all, a failed elimination included
+    assert _pretty_tensors([t for t, _ in cases]) == [line for _, line in cases]
 
 
 @pytest.mark.parametrize(
@@ -354,6 +365,76 @@ def test_python_dash_m_twistlog_runs_the_command_line():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("PASS transvection")
     _assert_usage_error_in_fresh_interpreter("verify", "--suite", "no-such-check", module="twistlog")
+
+
+REENTRANT_CALLS = (
+    ["johnson", "--curve", "sep:1", "--k", "2"],
+    ["eval", "--word", "a1 B2"],
+    ["eval", "--word"],  # malformed: argparse exits 2
+    ["--help"],
+    ["l-invariant", "--word", "a1 b1", "--expansion", "fixture:g1"],
+    ["eval", "--word", "a1 B2"],
+)
+
+
+def test_the_shared_parser_is_reentrant(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    # each call as it runs first in its process, and the namespace of a parser
+    # that has parsed nothing before
+    firsts = [_run_in_fresh_interpreter(*argv, module="twistlog") for argv in REENTRANT_CALLS]
+    fresh = []
+    for argv in REENTRANT_CALLS:
+        try:
+            fresh.append(vars(build_parser().parse_args(argv)))
+        except SystemExit:
+            fresh.append(None)
+    capsys.readouterr()
+
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    seen = []
+
+    class Recording:
+        def parse_args(self, argv):
+            args = real.parse_args(argv)
+            seen.append(dict(vars(args)))
+            return args
+
+    real = cli.PARSER
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "PARSER", Recording())
+    for argv, first, namespace in zip(REENTRANT_CALLS, firsts, fresh):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert (code, out) == (first.returncode, first.stdout), argv
+        assert (seen.pop() if seen else None) == namespace, argv
+    assert constructed == []
+
+
+def test_pretty_l_invariant_and_johnson_outputs_are_pinned(capsys):
+    # SHA-256 of the outputs before the values of one command shared their
+    # Lyndon bracket expansions; the pretty form must not change with that
+    digest = hashlib.sha256()
+    for fx, genus, words in (
+        ("g1", 1, ("a1", "a1 b1", "B1 a1 a1", "a1 b1 A1 B1")),
+        ("g2", 2, ("a1", "a1 b2", "b1 A2 B1", "a2 b2 A1 B1")),
+    ):
+        common = ["--expansion", f"fixture:{fx}"]
+        calls = [["l-invariant", "--word", w] + common for w in words]
+        for curve in ["nonsep"] + [f"sep:{h}" for h in range(1, genus + 1)]:
+            calls += [["johnson", "--curve", curve, "--k", str(k)] + common for k in (1, 2, 3)]
+        for argv in calls:
+            assert main(argv) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "e4ffa03e99a4542566833d99924cc444f7b096eb88b86d700fe509b6c0d07d22"
 
 
 def test_verify_selected_checks(capsys):

@@ -1,6 +1,10 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+the library imports no part of the command line."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import twistlog
@@ -28,3 +32,13 @@ def test_modules_use_every_name_they_import():
         if path.name != "__init__.py":  # the package namespace re-exports
             unused += _unused_imports(path)
     assert not unused, unused
+
+
+def test_library_import_leaves_the_command_line_unloaded():
+    # the parser is built when twistlog.cli is imported, so library users
+    # must never import it
+    code = "import sys, twistlog; print(sorted({'twistlog.cli', 'argparse'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -14,9 +14,13 @@ from twistlog.lie import (
     is_lie,
     log,
     lyndon_bracket_form,
+    lyndon_bracket_forms,
     phi,
 )
 from twistlog.expansion import fixture_genus1, fixture_genus2
+from twistlog.johnson import johnson_component, l_invariant
+from twistlog.suite import built_expansion
+from twistlog.words import twist, word_from_string
 from twistlog.rationals import Rat
 from twistlog.tensor import (
     AlgebraContext,
@@ -212,6 +216,27 @@ def _combine(pairs):
         for m, c in _expand(tree).items():
             out[m] = out.get(m, 0) + coeff * c
     return out
+
+
+def test_shared_memo_forms_equal_separate_forms():
+    theta = built_expansion(2, 5)
+    values = []
+    for word in ("a1", "a1 b2", "b1 A2 B1 a2", "a1 a1 b1"):
+        values += l_invariant(theta, word_from_string(2, word)).values
+    for kind, h in (("nonsep", None), ("sep", 1), ("sep", 2)):
+        for k in (1, 2, 3):
+            values += johnson_component(theta, twist(2, kind, h), k).values
+    # a value that is not Lie, and values over another alphabet, in between
+    values.insert(5, values[0] * values[1] + values[2])
+    values[9:9] = l_invariant(fixture_genus1(), word_from_string(1, "a1 b1")).values
+    separate = []
+    for v in values:
+        try:
+            separate.append(lyndon_bracket_form(v))
+        except ValueError:
+            separate.append(None)
+    assert separate[5] is None and sum(form is None for form in separate) == 1
+    assert lyndon_bracket_forms(values) == separate
 
 
 def test_lyndon_bracket_form_round_trips_beyond_ten_thousand_terms():
