@@ -105,6 +105,7 @@ from .johnson import (
     describe_curve,
     homology_action,
     johnson_component,
+    johnson_components,
     l_invariant,
     l_invariant_tensor,
     separating_tau_formula,

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage or parse error.  All file formats are the JSON forms defined by
-the library modules, re-readable and deterministic (sorted monomials).
+2 usage or parse error.  ``main`` returns every one of them, --help and
+argparse's usage errors included; it raises no SystemExit.  All file
+formats are the JSON forms defined by the library modules, re-readable and
+deterministic (sorted monomials).
 """
 
 from __future__ import annotations
@@ -341,7 +343,12 @@ PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    """Run one command and return its exit code; usage errors and --help
+    return theirs too, after argparse has printed what it prints."""
+    try:
+        args = PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse's only way to stop
+        return exc.code
     try:
         return args.fn(args)
     except ValueError as exc:

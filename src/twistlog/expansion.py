@@ -8,7 +8,7 @@ A ``None`` log marks a generator the expansion does not determine, which
 happens only for the shipped partial fixture.  Truncation belongs to the
 expansion: ``restrict`` gives the same expansion at a lower degree, and work
 that needs only low degrees is done there.  An expansion is immutable, so
-it memoizes its exponentials and its symplectic verdict.
+it memoizes its exponentials, its restrictions and its symplectic verdict.
 
 The builder turns any group-like seed into a symplectic expansion one degree
 at a time: at degree m it measures the defect of the boundary condition,
@@ -66,7 +66,7 @@ class Expansion:
     generator's own homology class.
     """
 
-    __slots__ = ("ctx", "kind", "logs", "_exp_cache", "_failures")
+    __slots__ = ("ctx", "kind", "logs", "_exp_cache", "_restrictions", "_failures")
 
     def __init__(self, ctx: AlgebraContext, logs, kind: str = "user"):
         if kind not in EXPANSION_KINDS:
@@ -89,6 +89,7 @@ class Expansion:
         self.kind = kind
         self.logs = logs
         self._exp_cache = {}
+        self._restrictions = {}  # degree -> restrict(self, degree)
         self._failures = None  # symplectic_failures, once computed
 
     @property
@@ -186,14 +187,18 @@ def is_symplectic(theta: Expansion) -> bool:
 
 def restrict(theta: Expansion, degree: int) -> Expansion:
     """theta with its logs truncated at ``degree``: theta itself at its own
-    truncation, an error above it.  Undetermined logs stay undetermined."""
+    truncation, an error above it.  Undetermined logs stay undetermined.
+    Made once per degree, so its exponentials are computed once too."""
     if degree > theta.truncation:
         raise ValueError(f"cannot restrict truncation {theta.truncation} up to {degree}")
     if degree == theta.truncation:
         return theta
-    ctx = AlgebraContext(theta.genus, degree)
-    logs = [None if t is None else truncate(t, ctx) for t in theta.logs]
-    return Expansion(ctx, logs, kind=theta.kind)
+    low = theta._restrictions.get(degree)
+    if low is None:
+        ctx = AlgebraContext(theta.genus, degree)
+        logs = [None if t is None else truncate(t, ctx) for t in theta.logs]
+        low = theta._restrictions[degree] = Expansion(ctx, logs, kind=theta.kind)
+    return low
 
 
 # -- built-in expansions -----------------------------------------------------

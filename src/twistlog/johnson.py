@@ -45,7 +45,6 @@ from .words import (
     format_twist,
     gen_name,
     generator_word,
-    handle_word,
     homology_inverse,
     homology_matrix,
     invert_automorphism,
@@ -167,27 +166,37 @@ def homology_action(phi: FreeAutomorphism, ctx: AlgebraContext) -> list:
     ]
 
 
-def johnson_component(theta: Expansion, phi: FreeAutomorphism, k: int) -> Derivation:
-    """tau_k(phi): the degree-(k+1) part of T(phi) o |phi|^{-1} on H, a
-    derivation whose values are homogeneous of degree k+1.
+def johnson_components(theta: Expansion, phi: FreeAutomorphism, top: int) -> list:
+    """[tau_1(phi), ..., tau_top(phi)]: tau_k is the degree-(k+1) part of
+    T(phi) o |phi|^{-1} on H, a derivation whose values are homogeneous of
+    degree k+1.
 
-    T(phi) is solved in theta restricted to degree k+1, the highest degree
-    it contributes; components never pay for the full truncation.
+    T(phi) is solved once, in theta restricted to degree top+1, the highest
+    degree any of the components needs; they never pay for the full
+    truncation, nor for one solve each.
     """
     ctx = theta.ctx
-    if not 1 <= k <= ctx.truncation - 1:
-        raise ValueError(f"component {k} out of range at truncation {ctx.truncation}")
-    low = restrict(theta, k + 1)
+    if not 1 <= top <= ctx.truncation - 1:
+        raise ValueError(f"component {top} out of range at truncation {ctx.truncation}")
+    low = restrict(theta, top + 1)
     values = total_johnson(low, phi).h_values
     inv = homology_inverse(phi)
-    out = []
+    composed = []
     for j in range(ctx.dim):
         acc = zero_tensor(low.ctx)
         for i, row in enumerate(inv):
             if row[j]:
                 acc = acc + values[i].scale(row[j])
-        out.append(truncate(graded_part(acc, k + 1), ctx))
-    return Derivation(ctx, out)
+        composed.append(acc)
+    return [
+        Derivation(ctx, [truncate(graded_part(v, k + 1), ctx) for v in composed])
+        for k in range(1, top + 1)
+    ]
+
+
+def johnson_component(theta: Expansion, phi: FreeAutomorphism, k: int) -> Derivation:
+    """tau_k(phi), solved in theta restricted to degree k+1."""
+    return johnson_components(theta, phi, k)[k - 1]
 
 
 def _compositions(total: int, n: int, minimum: int):
@@ -201,21 +210,18 @@ def _compositions(total: int, n: int, minimum: int):
             yield (first,) + rest
 
 
-def separating_tau_formula(theta: Expansion, h: int, k: int) -> Derivation:
-    """The closed-form tau_k of the twist along gamma_h:
-    sum over 1 <= n <= k/2 of ((-1)^n / n!) sum L_{m_1}...L_{m_n} with every
-    m_i >= 4 and m_1 + ... + m_n = 2n + k.  Computed from the invariant
-    alone, independently of johnson_component.
+def separating_tau_formula(L: Derivation, k: int) -> Derivation:
+    """The closed-form tau_k of the twist along gamma_h, from its invariant
+    L = L(gamma_h): sum over 1 <= n <= k/2 of ((-1)^n / n!) sum
+    L_{m_1}...L_{m_n} with every m_i >= 4 and m_1 + ... + m_n = 2n + k.
+    Computed from the invariant alone, independently of johnson_component.
     """
-    ctx = theta.ctx
+    ctx = L.ctx
     if not 1 <= k <= ctx.truncation - 1:
         raise ValueError(f"component {k} out of range at truncation {ctx.truncation}")
     out = [zero_tensor(ctx)] * ctx.dim
-    if k < 2:
-        return Derivation(ctx, out)
     # the top term L_{k+2} exists for every k <= N-1: the invariant keeps
     # its complete degree-(N+1) component
-    L = l_invariant(theta, handle_word(ctx.genus, h))
     parts = {m: graded_component(L, m) for m in range(4, k + 3)}
     for n in range(1, k // 2 + 1):
         coeff = Rat((-1) ** n, factorial(n))
@@ -345,8 +351,7 @@ def tau_formula_failures(theta: Expansion, tc: FreeAutomorphism, L: Derivation) 
     """
     ctx = theta.ctx
     l2, l3, l4 = (graded_component(L, m) for m in (2, 3, 4))
-    tau1 = johnson_component(theta, tc, 1)
-    tau2 = johnson_component(theta, tc, 2)
+    tau1, tau2 = johnson_components(theta, tc, 2)
     failures = []
     for j in range(ctx.dim):
         name = ctx.basis_name(j)

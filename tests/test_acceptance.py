@@ -4,27 +4,52 @@ Every check is exact rational arithmetic end to end; there is no tolerance
 anywhere.  A failing check prints its witness via the assertion message.
 """
 
+import hashlib
+import json
+import re
+
 import pytest
 
-from twistlog.suite import run_check, suite_names
+from twistlog.expansion import load_fixture
+from twistlog.johnson import certificate_to_json
+from twistlog.suite import (
+    built_expansion,
+    fixture_expansion,
+    run_check,
+    suite_names,
+    variant_expansion,
+)
 from twistlog.words import TWIST_KINDS, TwistKind, generator_word
 
-EXPECTED = (
-    "fixture-genus1",
-    "fixture-genus2",
-    "builder",
-    "dehn-twist",
-    "transvection",
-    "tau-formulas",
-    "separating-series",
-    "necklace-oracle",
-    "l-invariance",
-    "sigma-key-formula",
-    "disjointness",
-    "operator-identities",
-    "omega-ideal",
-    "connecting",
-)
+# SHA-256 of each certificate's canonical JSON without its timing params,
+# taken before the suite shared its expansions, restrictions and Johnson
+# solves between and within checks; a restructuring must not move them.
+# In acceptance order.
+DIGESTS = {
+    "fixture-genus1": "602a6ca3d59d2a38dbbb0e2c4d0437e755e3129bdc968ef02def7460422ead2d",
+    "fixture-genus2": "83db04e942b3b9ca9af50e018d805e49c5be346e5ce63f879586e5592082938f",
+    "builder": "d57fdcab9dd206b8d26b69c82cfc32755d8cd9fa7380f0432efdc07b4d728506",
+    "dehn-twist": "591588bc55fc6f059fb95f40de745bcb6771749a483ba84851c4a92775dabeca",
+    "transvection": "0f760952ac483859ab4d397a0da34ac3c585fe8bd3ee044f52c664bd20605663",
+    "tau-formulas": "3c51cf06d6df6e6570958e49dc6d1ac741d0d2d20bb228cad856195ccbf35a04",
+    "separating-series": "5a4d65fa2643e2abf000d05ac54a867f125491b910abe8a9088aeb74a564b10b",
+    "necklace-oracle": "31c5e8a69154317e153cb4274cf6dcedf2f7835e7ac21c538d6cb9707760df40",
+    "l-invariance": "1b9311de96617583ebda132d40ea2b6b738c3d500b52b1fde87844d89fc55679",
+    "sigma-key-formula": "54679b27d490134823fb351765152027770288456ff33f0297e5372e4e743756",
+    "disjointness": "d3ef5e970d03ff2c88e2fa00cb376dd80c7488d23ac5429d06b9c5e1ba8ba570",
+    "operator-identities": "4715ea78ff8067d7cc0ea08aa609796487aa519572460ce81f06f1f8372443b5",
+    "omega-ideal": "34ff2183f4433085e0f24805a9bb7f7dfe9e8522a88f068116a763f810fe5e83",
+    "connecting": "118240ade5dab4fb2de817b9c20935c4cab67115d945576e09961916ae8cd288",
+}
+EXPECTED = tuple(DIGESTS)
+_TIMING = re.compile(r"seconds|genus\d+_seconds")
+
+
+def _digest(cert) -> str:
+    obj = certificate_to_json(cert)
+    obj["params"] = {k: v for k, v in obj["params"].items() if not _TIMING.fullmatch(k)}
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_suite_roster_is_stable():
@@ -40,6 +65,21 @@ def test_criterion(number, name, capsys):
         print(f"criterion {number:02d} {name}: {cert.status.upper()}")
     assert cert.passed, cert.witness
     assert type(cert.params["seconds"]) is float and cert.params["seconds"] >= 0
+    assert _digest(cert) == DIGESTS[name]
+
+
+def test_shared_expansions_are_made_once():
+    # the checks share one object per expansion; a fixture check loads its
+    # own copy, timed, and the shared one is equal to it
+    for genus, truncation in ((1, 5), (2, 5)):
+        assert built_expansion(genus, truncation) is built_expansion(genus, truncation)
+        assert variant_expansion(genus, truncation) is variant_expansion(genus, truncation)
+    for genus in (1, 2):
+        shared = fixture_expansion(genus)
+        assert shared is fixture_expansion(genus)
+        assert shared == load_fixture(f"fixture-genus{genus}")
+        assert run_check(f"fixture-genus{genus}").passed
+        assert fixture_expansion(genus) is shared
 
 
 def test_transvection_checks_every_kind_in_the_table(monkeypatch):

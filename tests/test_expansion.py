@@ -219,6 +219,10 @@ def test_restrict_evaluates_as_the_truncated_expansion():
         for degree in range(2, theta.truncation):
             low = restrict(theta, degree)
             assert low.truncation == degree and low.kind == theta.kind
+            # made once per degree, and equal to a freshly truncated expansion
+            assert restrict(theta, degree) is low
+            ctx = AlgebraContext(theta.genus, degree)
+            assert low == Expansion(ctx, [truncate(t, ctx) for t in theta.logs], kind=theta.kind)
             for _ in range(6):
                 w = random_word(rng, theta.genus, rng.randint(0, 6))
                 assert evaluate(low, w) == truncate(evaluate(theta, w), low.ctx)

@@ -24,6 +24,7 @@ from twistlog.johnson import (
     describe_curve,
     homology_action,
     johnson_component,
+    johnson_components,
     l_invariant,
     l_invariant_tensor,
     separating_tau_formula,
@@ -221,21 +222,43 @@ def test_total_johnson_intertwines(theta25):
             assert c == truncate(f, low.ctx)
 
 
+def _composed_with_homology_inverse(theta, phi):
+    """T(phi) o |phi|^{-1} on H, solved in theta at its full truncation."""
+    full = total_johnson(theta, phi).h_values
+    inv = homology_inverse(phi)
+    out = []
+    for j in range(theta.ctx.dim):
+        acc = zero_tensor(theta.ctx)
+        for i, row in enumerate(inv):
+            acc = acc + full[i].scale(row[j])
+        out.append(acc)
+    return out
+
+
 def test_johnson_component_against_the_full_solve(theta25):
-    # oracle: T(phi) solved at the full truncation, composed with |phi|^{-1}
-    ctx = theta25.ctx
-    for phi in (twist(2, "nonsep"), compose(twist(2, "sep", 1), twist(2, "nonsep"))):
-        full = total_johnson(theta25, phi).h_values
-        inv = homology_inverse(phi)
-        for k in range(1, ctx.truncation):
-            tau = johnson_component(theta25, phi, k)
-            assert tau.ctx == ctx
-            for j in range(ctx.dim):
-                expected = zero_tensor(ctx)
-                for i, row in enumerate(inv):
-                    expected = expected + full[i].scale(row[j])
-                assert tau.values[j] == graded_part(expected, k + 1)
-                assert tau.values[j].degrees() in ([], [k + 1])
+    # oracles: T(phi) solved at the full truncation, and solved once per k
+    # in theta restricted to degree k+1, each composed with |phi|^{-1}
+    for theta in (theta25, build_symplectic(3, 4)):
+        ctx, genus = theta.ctx, theta.genus
+        top = ctx.truncation - 1
+        for phi in (
+            twist(genus, "nonsep"),
+            twist(genus, "sep", 1),
+            twist(genus, "sep", 2),
+            compose(twist(genus, "sep", 1), twist(genus, "nonsep", None, -1)),
+        ):
+            full = _composed_with_homology_inverse(theta, phi)
+            taus = johnson_components(theta, phi, top)
+            assert len(taus) == top
+            assert johnson_components(theta, phi, 2) == taus[:2]
+            for k, tau in enumerate(taus, start=1):
+                assert tau.ctx == ctx
+                per_k = _composed_with_homology_inverse(restrict(theta, k + 1), phi)
+                for j in range(ctx.dim):
+                    assert tau.values[j] == graded_part(full[j], k + 1)
+                    assert tau.values[j] == truncate(graded_part(per_k[j], k + 1), ctx)
+                    assert tau.values[j].degrees() in ([], [k + 1])
+                assert johnson_component(theta, phi, k) == tau
 
 
 def test_johnson_component_range(theta25):
@@ -244,22 +267,39 @@ def test_johnson_component_range(theta25):
     with pytest.raises(ValueError):
         johnson_component(theta25, twist(2, "nonsep"), 5)
     with pytest.raises(ValueError):
-        separating_tau_formula(theta25, 1, 5)
+        johnson_components(theta25, twist(2, "nonsep"), 5)
+    L = l_invariant(theta25, handle_word(2, 1))
+    with pytest.raises(ValueError):
+        separating_tau_formula(L, 5)
+    with pytest.raises(ValueError):
+        separating_tau_formula(L, 0)
 
 
 def test_separating_twist_low_components(theta25):
     tg = twist(2, "sep", 1)
+    L = l_invariant(theta25, handle_word(2, 1))
     # tau_1 of a separating twist vanishes
     tau1 = johnson_component(theta25, tg, 1)
     assert not tau1
-    assert separating_tau_formula(theta25, 1, 1) == tau1
+    assert separating_tau_formula(L, 1) == tau1
     # tau_2 agrees with the closed formula, which here is -L_4
     tau2 = johnson_component(theta25, tg, 2)
-    assert separating_tau_formula(theta25, 1, 2) == tau2
-    L = l_invariant(theta25, handle_word(2, 1))
+    assert separating_tau_formula(L, 2) == tau2
     l4 = graded_component(L, 4)
     for j in range(theta25.ctx.dim):
         assert tau2.values[j] == -dapply(l4, basis_tensor(theta25.ctx, j))
+
+
+def test_separating_tau_formula_from_a_given_invariant(theta25):
+    # the closed formula from one L(gamma_h) gives every tau_k of the twist
+    # along gamma_h, for each h; the invariant of another curve does not
+    for h in (1, 2):
+        L = l_invariant(theta25, handle_word(2, h))
+        taus = johnson_components(theta25, twist(2, "sep", h), 4)
+        assert [separating_tau_formula(L, k) for k in range(1, 5)] == taus
+    assert taus[1]  # tau_2 is not zero, so the last comparison below means something
+    other = l_invariant(theta25, handle_word(2, 1))
+    assert separating_tau_formula(other, 2) != taus[1]
 
 
 def test_sigma_requires_symplectic():

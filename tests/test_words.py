@@ -218,6 +218,37 @@ def test_apply_automorphism_respects_words():
         apply_automorphism(phi, random_word(rng, 1, 2))
 
 
+def _substitute_then_reduce(phi, w):
+    # the oracle: write out every image letter, then reduce once
+    letters = []
+    for gen, sign in w.letters:
+        image = phi.images[gen] if sign == 1 else invert(phi.images[gen])
+        letters.extend(image.letters)
+    return GroupWord(w.genus, letters)
+
+
+def test_apply_automorphism_matches_substitute_then_reduce():
+    rng = random.Random(1307)
+    for _ in range(40):
+        genus = rng.randint(1, 3)
+        phi = oracle = identity_automorphism(genus)
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.choice(sorted(TWIST_KINDS))
+            h = rng.randint(1, genus) if TWIST_KINDS[kind].takes_h else None
+            t = twist(genus, kind, h, rng.choice((-3, -2, -1, 1, 2, 3)))
+            phi = compose(phi, t)
+            oracle = FreeAutomorphism(genus, [_substitute_then_reduce(oracle, im) for im in t.images])
+        assert phi.images == oracle.images
+        inv = invert_automorphism(phi)
+        words = [random_word(rng, genus, rng.randint(0, 12)) for _ in range(4)]
+        # preimages cancel at nearly every seam, down to a short word
+        words += [apply_automorphism(inv, w) for w in words]
+        words += [concat(w, invert(w)) for w in words[:2]] + list(phi.images)
+        for w in words:
+            assert apply_automorphism(phi, w) == _substitute_then_reduce(phi, w)
+            assert apply_automorphism(inv, w) == _substitute_then_reduce(inv, w)
+
+
 def test_singular_images_rejected():
     a1 = generator_word(1, 0)
     with pytest.raises(ValueError, match="singular"):
