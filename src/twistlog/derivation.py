@@ -30,9 +30,11 @@ from .tensor import (
 )
 
 class Derivation:
-    """Derivation of the tensor algebra, stored by its values on H."""
+    """Derivation of the tensor algebra, stored by its values on H.
+    ``_table`` holds the values in the form ``apply`` reads, made on the
+    first apply; equality and truth ignore it."""
 
-    __slots__ = ("ctx", "values")
+    __slots__ = ("ctx", "values", "_table")
 
     def __init__(self, ctx: AlgebraContext, values):
         values = tuple(values)
@@ -43,6 +45,7 @@ class Derivation:
                 raise ValueError("context mismatch in derivation values")
         self.ctx = ctx
         self.values = values
+        self._table = None
 
     def __eq__(self, other):
         return (
@@ -126,35 +129,38 @@ def graded_component(d: Derivation, k: int) -> Derivation:
 
 def apply(d: Derivation, t: Tensor) -> Tensor:
     """Extend d to the whole algebra by the Leibniz rule; constants die,
-    products above the truncation are dropped."""
+    products above the truncation are dropped.  In degree p, a letter with
+    no value block of degree <= N - p + 1 is skipped before any split."""
     if t.ctx != d.ctx:
         raise ValueError("context mismatch")
     cap, dim = d.ctx.truncation, d.ctx.dim
+    if d._table is None:
+        # each value's blocks, ascending in degree, on the common denominator vden
+        scaled = [scaled_terms(v) for v in d.values]
+        vden = lcm(*(vd for _, vd in scaled))
+        d._table = vden, [[(q, dim**q, [(v, c * (vden // vd)) for v, c in b.items()])
+                           for q, b in sorted(vb.items())] for vb, vd in scaled]
+    vden, rows = d._table
     blocks, den = scaled_terms(t)
-    scaled = [scaled_terms(v) for v in d.values]
-    vden = lcm(*(vd for _, vd in scaled))
-    # each value's blocks, ascending in degree, on the common denominator vden
-    values = [
-        [(q, dim**q, [(v, c * (vden // vd)) for v, c in b.items()]) for q, b in sorted(vb.items())]
-        for vb, vd in scaled
-    ]
     out = {}
     for p, block in blocks.items():
-        room = cap - p + 1
-        for x, coeff in block.items():
-            for k in range(p):
-                # x = prefix . letter . suffix, the suffix of degree p-1-k
-                after = dim ** (p - 1 - k)
-                prefix, rest = divmod(x, after * dim)
-                letter, suffix = divmod(rest, after)
-                for q, shift, items in values[letter]:
-                    if q > room:
-                        break
-                    acc = out.get(p - 1 + q)
-                    if acc is None:
-                        acc = out[p - 1 + q] = {}
-                    get = acc.get
+        # per letter: (target block, dim**q, value items) for each q in reach
+        reach = [[(out.setdefault(p - 1 + q, {}), shift, items)
+                  for q, shift, items in row if q <= cap - p + 1] for row in rows]
+        if not any(reach):
+            continue
+        for k in range(p):
+            # x = prefix . letter . suffix, the suffix of degree p-1-k
+            after = dim ** (p - 1 - k)
+            for x, coeff in block.items():
+                head = x // after
+                targets = reach[head % dim]
+                if not targets:
+                    continue
+                prefix, suffix = head // dim, x - head * after
+                for acc, shift, items in targets:
                     base = prefix * shift * after + suffix
+                    get = acc.get
                     for v, vc in items:
                         key = base + v * after
                         acc[key] = get(key, 0) + coeff * vc

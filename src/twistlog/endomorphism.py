@@ -1,30 +1,31 @@
 """Filtered algebra endomorphisms given by their values on H.
 
 An endomorphism U of the truncated tensor algebra that maps H into T-hat_1
-is determined by the 2g values U(X_j); on a monomial it acts by substituting
-and multiplying, then extending linearly.  Connecting automorphisms between
-Magnus expansions and total Johnson maps are both such a U, and both are
-solved by ``expansion.intertwiner`` from generator-image equations
-U(s_i) = v_i with s_i = theta(x_i) - 1.  The sources satisfy
-s_i = X_i + (degree >= 2), which makes the system unit-triangular in
-the degree: the degree-p part of U(s_i - X_i) only involves values of U on H
-in degrees < p, so e_i = U(X_i) is solved one degree at a time.  The solve
-runs through the truncation of its context; a caller that needs only low
-degrees solves in an expansion restricted there (``expansion.restrict``).
+is determined by the 2g values U(X_j) and applied over tails: the tail of t
+under a prefix w, t_w = sum of c_(wv) v over the monomials wv of t, has
+U(t_w) = c_w + sum_j U(X_j) U(t_(w X_j)), needed only up to degree N - |w|.
+Connecting automorphisms between Magnus expansions and total Johnson maps
+are both such a U, and both are solved by ``expansion.intertwiner`` from
+generator-image equations U(s_i) = v_i with s_i = theta(x_i) - 1, one
+degree at a time (``solve_generator_images``).  The solve runs through the
+truncation of its context; a caller that needs only low degrees solves in
+an expansion restricted there (``expansion.restrict``).
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .rationals import Rat
 from .tensor import (
     AlgebraContext,
     Tensor,
+    add_block_product,
     basis_tensor,
     graded_part,
-    one_tensor,
     scaled_terms,
+    tensor_from_scaled,
     truncate,
-    zero_tensor,
 )
 
 
@@ -46,31 +47,33 @@ class Endomorphism:
         self.h_values = h_values
 
     def apply(self, t: Tensor) -> Tensor:
-        """Image of an arbitrary tensor: monomials become products of the
-        H-values.  Prefix products are shared across the support."""
+        """Image of an arbitrary tensor over its tails, longest prefixes
+        first, on blocks over vden**N (vden the values' common denominator),
+        reduced once."""
         if t.ctx != self.ctx:
             raise ValueError("context mismatch")
-        values = self.h_values
-        dim = self.ctx.dim
+        cap, dim = self.ctx.truncation, self.ctx.dim
+        scaled = [scaled_terms(v) for v in self.h_values]
+        vden = lcm(*(vd for _, vd in scaled))
+        values = [sorted((q, {v: c * (vden // vd) for v, c in b.items()}) for q, b in vb.items())
+                  for vb, vd in scaled]
         blocks, den = scaled_terms(t)
-        # (degree, code) of each prefix -> its product, built on demand
-        cache = {(0, 0): one_tensor(self.ctx)}
-        out = zero_tensor(self.ctx)
-        for p, block in blocks.items():
-            for x, coeff in block.items():
-                prod = cache.get((p, x))
-                if prod is None:
-                    # walk down to the longest cached prefix, then back up
-                    k = p - 1
-                    while (k, x // dim ** (p - k)) not in cache:
-                        k -= 1
-                    prod = cache[k, x // dim ** (p - k)]
-                    for j in range(k + 1, p + 1):
-                        prefix = x // dim ** (p - j)
-                        prod = prod * values[prefix % dim]
-                        cache[j, prefix] = prod
-                out = out + prod.scale(coeff)
-        return out.scale(Rat(1, den))
+        tails = {}  # prefix code -> U(tail) as blocks over vden**(N - length)
+        for length in range(max(blocks, default=0), -1, -1):
+            room = cap - length
+            scale = vden**room
+            images = {w: {0: {0: c * scale}} for w, c in blocks.get(length, {}).items()}
+            for code, image in tails.items():
+                prefix, j = divmod(code, dim)
+                acc = images.setdefault(prefix, {})
+                image = sorted(image.items())
+                for q, value in values[j]:
+                    for r, block in image:
+                        if q + r > room:
+                            break
+                        add_block_product(acc, q + r, value, block, dim**r)
+            tails = images
+        return tensor_from_scaled(self.ctx, tails.get(0, {}), den * vden**cap)
 
     def log_h_values(self) -> list:
         """(log U)(X_j) for each basis vector, via the finite series

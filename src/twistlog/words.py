@@ -191,6 +191,19 @@ class FreeAutomorphism:
         for im in images:
             if im.genus != genus:
                 raise ValueError("genus mismatch in generator image")
+        self._fill(genus, images, factorization)
+        if homology_inverse(self) is None:
+            raise ValueError("generator images are singular on homology")
+
+    @classmethod
+    def _product(cls, genus: int, images, factorization) -> "FreeAutomorphism":
+        """A twist power or a composite of checked maps: nonsingular on H by
+        construction, so the check is skipped."""
+        phi = object.__new__(cls)
+        phi._fill(genus, images, factorization)
+        return phi
+
+    def _fill(self, genus: int, images, factorization) -> None:
         self.genus = genus
         self.images = tuple(images)
         # per generator: the coded letters of its image and of the image's inverse
@@ -199,8 +212,6 @@ class FreeAutomorphism:
             forward = [2 * g + (s < 0) for g, s in im.letters]
             self._coded.append((forward, [c ^ 1 for c in reversed(forward)]))
         self.factorization = tuple(factorization) if factorization is not None else None
-        if homology_inverse(self) is None:
-            raise ValueError("generator images are singular on homology")
         zeta = boundary_word(genus)
         self.boundary_preserving = apply_automorphism(self, zeta) == zeta
 
@@ -247,8 +258,8 @@ def apply_automorphism(phi: FreeAutomorphism, w: GroupWord) -> GroupWord:
 
 
 def identity_automorphism(genus: int) -> FreeAutomorphism:
-    return FreeAutomorphism(
-        genus, [generator_word(genus, i) for i in range(2 * genus)], factorization=()
+    return FreeAutomorphism._product(
+        genus, [generator_word(genus, i) for i in range(2 * genus)], ()
     )
 
 
@@ -358,7 +369,7 @@ def twist(genus: int, kind: str, h: int | None = None, power: int = 1) -> FreeAu
         return identity_automorphism(genus)
     gens = [generator_word(genus, i) for i in range(2 * genus)]
     images = entry.images(gens, h, _word_power(entry.word(genus, h), power))
-    return FreeAutomorphism(genus, images, factorization=[(kind, h, power)])
+    return FreeAutomorphism._product(genus, images, [(kind, h, power)])
 
 
 def compose(phi1: FreeAutomorphism, phi2: FreeAutomorphism) -> FreeAutomorphism:
@@ -369,7 +380,7 @@ def compose(phi1: FreeAutomorphism, phi2: FreeAutomorphism) -> FreeAutomorphism:
     fact = None
     if phi1.factorization is not None and phi2.factorization is not None:
         fact = phi1.factorization + phi2.factorization
-    return FreeAutomorphism(phi1.genus, images, factorization=fact)
+    return FreeAutomorphism._product(phi1.genus, images, fact)
 
 
 def invert_automorphism(phi: FreeAutomorphism) -> FreeAutomorphism:
@@ -480,4 +491,4 @@ def _from_factorization(genus: int, fact) -> FreeAutomorphism:
     for kind, h, power in fact:
         out = compose(out, twist(genus, kind, h, power))
     # re-attach the requested factorization verbatim
-    return FreeAutomorphism(genus, out.images, factorization=fact)
+    return FreeAutomorphism._product(genus, out.images, fact)

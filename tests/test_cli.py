@@ -240,6 +240,16 @@ def test_johnson_malformed_conjugator_exits_two(conjugator, tmp_path):
     )
 
 
+def test_johnson_refuses_a_conjugator_singular_on_homology(tmp_path, capsys):
+    # images from a file are checked, even when a factorization comes with them
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"genus": 2, "images": ["a1", "a1", "a2", "b2"],
+                                "factorization": [{"kind": "nonsep"}]}))
+    argv = ["johnson", "--curve", f"conj:{path}", "--k", "1", "--expansion", "fixture:g2"]
+    assert main(argv) == 2
+    assert "singular" in capsys.readouterr().err
+
+
 def test_a_conjugator_base_is_never_a_conjugator_file(tmp_path):
     phi = {"genus": 2, "factorization": [{"kind": "sep", "h": 1, "power": 1}]}
     plain, chained, looped = (tmp_path / f"{name}.json" for name in ("plain", "chained", "looped"))

@@ -117,6 +117,23 @@ def test_commutator_is_a_derivation():
     assert apply(c, t1) == apply(d1, apply(d2, t1)) - apply(d2, apply(d1, t1))
 
 
+def test_value_table_is_built_once_per_derivation():
+    rng = random.Random(8128)
+    ctx = AlgebraContext(2, 4)
+    d = from_tensor(random_naming_tensor(rng, ctx))
+    e = from_tensor(random_naming_tensor(rng, ctx))
+    twin = Derivation(ctx, d.values)
+    assert d._table is None
+    assert d == twin and bool(d) == bool(twin)
+    apply(d, random_naming_tensor(rng, ctx, min_degree=1))
+    table = d._table
+    assert table is not None and twin._table is None
+    assert d == twin and twin == d and bool(d) == bool(twin)
+    exp_derivation(d, random_naming_tensor(rng, ctx, min_degree=1))
+    commutator(d, e)
+    assert d._table is table
+
+
 def test_graded_component():
     ctx = AlgebraContext(1, 4)
     t = monomial_tensor(ctx, (0, 1)) + monomial_tensor(ctx, (1, 0, 0, 1))

@@ -1,7 +1,8 @@
-"""The scaled-integer kernel against a slow dict/Fraction oracle.
+"""The scaled-integer kernels against a slow dict/Fraction oracle.
 
 The oracle below is the plain textbook arithmetic on monomial -> Fraction
-dicts, with no shared code path with ``twistlog.tensor``.  Random tensors
+dicts, with no shared code path with ``twistlog.tensor``, the derivation
+kernel or the substitution kernel.  Random tensors
 at genus 1-3 and truncation <= 5 carry random rationals; genus 3 gives
 dim 6, so monomial codes are base 6, not a power of two.
 """
@@ -12,7 +13,8 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from twistlog.cyclic import cyclic_n, cyclic_n_hat
-from twistlog.derivation import Derivation, apply
+from twistlog.derivation import Derivation, apply, from_tensor
+from twistlog.endomorphism import Endomorphism
 from twistlog.johnson import _half_n_square
 from twistlog.lie import exp, log, phi
 from twistlog.tensor import (
@@ -71,6 +73,30 @@ def o_phi(a):
     out = {}
     for m, c in a.items():
         out = o_add(out, {w: c * e for w, e in bracketed(m).items()})
+    return out
+
+
+def o_derive(values, a, cap):
+    """Leibniz, monomial by monomial: each letter in turn is replaced by its
+    value, and words above the cap are dropped."""
+    out = {}
+    for m, c in a.items():
+        for k, letter in enumerate(m):
+            for v, vc in values[letter].items():
+                w = m[:k] + v + m[k + 1 :]
+                if len(w) <= cap:
+                    out = o_add(out, {w: c * vc})
+    return out
+
+
+def o_substitute(values, a, cap):
+    """Each monomial becomes the product of its letters' values."""
+    out = {}
+    for m, c in a.items():
+        prod = {(): c}
+        for letter in m:
+            prod = o_mul(prod, values[letter], cap)
+        out = o_add(out, prod)
     return out
 
 
@@ -235,3 +261,49 @@ def test_derivation_apply_obeys_leibniz(data):
     d = Derivation(ctx, values)
     a, b = (Tensor(ctx, data.draw(fraction_dicts(ctx))) for _ in range(2))
     assert apply(d, a * b) == apply(d, a) * b + a * apply(d, b)
+
+
+@st.composite
+def derivation_cases(draw):
+    # values may be empty, have degree-0 parts (they lower degree),
+    # degree-1 parts (they keep it) and parts of the truncation degree
+    ctx = draw(contexts)
+    values = [draw(st.one_of(st.just({}), fraction_dicts(ctx))) for _ in range(ctx.dim)]
+    inputs = [draw(fraction_dicts(ctx)) for _ in range(2)]
+    inputs[0][()] = draw(rationals) or Fraction(1)
+    return ctx, values, inputs
+
+
+@settings(max_examples=80, deadline=None)
+@given(derivation_cases())
+def test_derivation_apply_matches_the_oracle(case):
+    ctx, values, inputs = case
+    d = Derivation(ctx, [Tensor(ctx, v) for v in values])
+    for a in inputs:  # the second apply reads the table the first one built
+        checked(apply(d, Tensor(ctx, a)), o_derive(values, a, ctx.truncation))
+
+
+def test_derivation_apply_on_edge_values():
+    ctx = AlgebraContext(3, 4)
+    t = Tensor(ctx, {(): Fraction(2), (0,): Fraction(1, 3), (1, 5, 0): Fraction(-4), (3, 3, 3, 3): Fraction(5, 7)})
+    a = dict(t.terms)
+    cases = [
+        [Tensor(ctx)] * ctx.dim,  # the zero derivation
+        list(from_tensor(Tensor(ctx, {(1,): Fraction(1), (2,): Fraction(-3, 2)})).values),  # degree 0
+        [Tensor(ctx, {(j ^ 1,): Fraction(j + 1)}) for j in range(ctx.dim)],  # degree-preserving
+        [Tensor(ctx, {(j,) * ctx.truncation: Fraction(1, 2)}) for j in range(ctx.dim)],  # at the cap
+    ]
+    for vals in cases:
+        d = Derivation(ctx, vals)
+        checked(apply(d, t), o_derive([dict(v.terms) for v in vals], a, ctx.truncation))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_endomorphism_apply_matches_the_oracle(data):
+    ctx = data.draw(contexts)
+    values = [data.draw(fraction_dicts(ctx, 1)) for _ in range(ctx.dim)]
+    a = data.draw(fraction_dicts(ctx))
+    a[()] = data.draw(rationals) or Fraction(1)
+    endo = Endomorphism(ctx, [Tensor(ctx, v) for v in values])
+    checked(endo.apply(Tensor(ctx, a)), o_substitute(values, a, ctx.truncation))

@@ -195,6 +195,13 @@ def test_compose_and_invert():
         w = random_word(rng, 2, rng.randint(0, 5))
         assert apply_automorphism(inv, apply_automorphism(phi, w)) == w
     assert compose(phi, inv) == identity_automorphism(2)
+    # these maps skip the homology check; the checked constructor agrees
+    for psi in (phi, inv, twist(2, "sep", 2, -3), identity_automorphism(2)):
+        assert homology_inverse(psi) is not None
+        checked = FreeAutomorphism(2, psi.images, psi.factorization)
+        assert checked == psi
+        assert checked.factorization == psi.factorization
+        assert checked.boundary_preserving == psi.boundary_preserving
 
 
 def test_invert_requires_factorization():
