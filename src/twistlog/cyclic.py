@@ -30,20 +30,27 @@ def necklace_block(block: dict, p: int, dim: int, weight: int = 1) -> dict:
 
     The result holds every rotation of every code in ``block``; an orbit
     whose coefficients cancel keeps its members with numerator 0, which
-    marks them visited (``tensor_from_scaled`` drops them)."""
+    marks them visited (``tensor_from_scaled`` drops them).  A fixed point
+    (a power of one letter, every code of degree 1 among them) is its own
+    orbit and takes p times its coefficient without a walk."""
     top = dim ** (p - 1)
     get = block.get
     out = {}
     for x, s in block.items():
         if x in out:
             continue
-        orbit = [x]
         r = (x % top) * dim + x // top
+        if r == x:
+            out[x] = s * weight * p
+            continue
+        orbit = [x]
         while r != x:
             orbit.append(r)
             s += get(r, 0)
             r = (r % top) * dim + r // top
-        out.update(dict.fromkeys(orbit, s * weight * (p // len(orbit))))
+        s *= weight * (p // len(orbit))
+        for r in orbit:
+            out[r] = s
     return out
 
 

@@ -30,9 +30,10 @@ from .tensor import (
 
 
 class Endomorphism:
-    """Substitution endomorphism, stored by its values on the basis of H."""
+    """Substitution endomorphism, stored by its values on the basis of H;
+    ``_table`` holds them in the form ``apply`` reads, made on the first apply."""
 
-    __slots__ = ("ctx", "h_values")
+    __slots__ = ("ctx", "h_values", "_table")
 
     def __init__(self, ctx: AlgebraContext, h_values):
         h_values = tuple(h_values)
@@ -45,6 +46,7 @@ class Endomorphism:
                 raise ValueError("endomorphism must map H into T-hat_1")
         self.ctx = ctx
         self.h_values = h_values
+        self._table = None
 
     def apply(self, t: Tensor) -> Tensor:
         """Image of an arbitrary tensor over its tails, longest prefixes
@@ -53,10 +55,12 @@ class Endomorphism:
         if t.ctx != self.ctx:
             raise ValueError("context mismatch")
         cap, dim = self.ctx.truncation, self.ctx.dim
-        scaled = [scaled_terms(v) for v in self.h_values]
-        vden = lcm(*(vd for _, vd in scaled))
-        values = [sorted((q, {v: c * (vden // vd) for v, c in b.items()}) for q, b in vb.items())
-                  for vb, vd in scaled]
+        if self._table is None:  # each value's blocks, ascending in degree, over vden
+            scaled = [scaled_terms(v) for v in self.h_values]
+            vden = lcm(*(vd for _, vd in scaled))
+            self._table = vden, [sorted((q, {v: c * (vden // vd) for v, c in b.items()})
+                                        for q, b in vb.items()) for vb, vd in scaled]
+        vden, values = self._table
         blocks, den = scaled_terms(t)
         tails = {}  # prefix code -> U(tail) as blocks over vden**(N - length)
         for length in range(max(blocks, default=0), -1, -1):

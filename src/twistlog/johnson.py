@@ -29,6 +29,7 @@ from .tensor import (
     AlgebraContext,
     Tensor,
     add_block_product,
+    add_block_square,
     filtration_degree,
     graded_part,
     one_tensor,
@@ -79,20 +80,20 @@ def l_invariant_tensor(theta: Expansion, w: GroupWord) -> Tensor:
 
 
 def _half_n_square(t: Tensor, ctx: AlgebraContext) -> Tensor:
-    """(1/2) N(t t) in ``ctx``, over unordered pairs of degrees of t."""
+    """(1/2) N(t t) in ``ctx``, over unordered pairs of degrees and codes."""
     cap, dim = ctx.truncation, ctx.dim
     blocks, den = scaled_terms(t)
     degrees = sorted(blocks)
     square = {}
     for i, p in enumerate(degrees):
         left = blocks[p]
+        if 0 < 2 * p <= cap:  # N kills degree 0
+            add_block_square(square, 2 * p, left, dim**p)
         doubled = {k: 2 * c for k, c in left.items()}
-        for q in degrees[i:]:
+        for q in degrees[i + 1:]:
             if p + q > cap:
                 break
-            if p + q:  # N kills degree 0
-                factor = left if p == q else doubled
-                add_block_product(square, p + q, factor, blocks[q], dim**q)
+            add_block_product(square, p + q, doubled, blocks[q], dim**q)
     out = {d: necklace_block(block, d, dim) for d, block in square.items()}
     return tensor_from_scaled(ctx, out, 2 * den * den)
 

@@ -17,6 +17,7 @@ import heapq
 from .rationals import ONE, Rat
 from .tensor import (
     Tensor,
+    capped_product,
     decode_monomial,
     one_tensor,
     scaled_terms,
@@ -101,34 +102,34 @@ def is_lie(t: Tensor) -> bool:
 
 def exp(t: Tensor) -> Tensor:
     """exp(u) = sum u^n / n!; requires zero constant term, so the series
-    terminates at the truncation."""
+    terminates at the truncation.  Horner's scheme, as in ``log``:
+    exp(u) = E_1, E_n = 1 + u E_{n+1} / n, E_{N+1} = 1, each E_n kept only
+    up to degree N + 1 - n."""
     if t.coefficient(()):
         raise ValueError("exp: nonzero constant term")
-    out = one_tensor(t.ctx)
-    power = one_tensor(t.ctx)
-    factorial = 1
-    for n in range(1, t.ctx.truncation + 1):
-        power = power * t
-        if not power:
-            break
-        factorial *= n
-        out = out + power.scale(Rat(1, factorial))
-    return out
+    top = t.ctx.truncation
+    e = one_tensor(t.ctx)
+    for n in range(top, 0, -1):
+        e = capped_product(t, e, top + 1 - n).scale(Rat(1, n)) + 1
+    return e
 
 
 def log(t: Tensor) -> Tensor:
-    """log(u) = sum (-1)^{n-1}/n (u-1)^n; requires constant term exactly 1."""
+    """log(1 + u) = sum (-1)^{n-1}/n u^n; requires constant term exactly 1.
+
+    Horner's scheme log(1 + u) = u P_1, P_k = 1/k - u P_{k+1}, P_N = 1/N, run
+    on Q_k = (-1)^{k+1} P_k = (-1)^{k+1}/k + u Q_{k+1}, which never negates.
+    Each Q_k is kept only up to degree N - k: u has no constant term, so
+    u Q_k up to degree N - k + 1 reads Q_k only up to degree N - k, and the
+    result is exactly the power series at the truncation."""
     if t.coefficient(()) != ONE:
         raise ValueError("log: constant term must be 1")
+    top = t.ctx.truncation
     u = t - one_tensor(t.ctx)
-    out = zero_tensor(t.ctx)
-    power = one_tensor(t.ctx)
-    for n in range(1, t.ctx.truncation + 1):
-        power = power * u
-        if not power:
-            break
-        out = out + power.scale(Rat(1 if n % 2 else -1, n))
-    return out
+    q = zero_tensor(t.ctx)
+    for k in range(top, 0, -1):
+        q = capped_product(u, q, top - k) + Rat(1 if k % 2 else -1, k)
+    return capped_product(u, q, top)
 
 
 def bch(u: Tensor, v: Tensor) -> Tensor:

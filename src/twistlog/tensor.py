@@ -20,11 +20,17 @@ block, kept canonical by gcd(den, *numerators) == 1 (den == 1 for the zero
 tensor).  Every kernel operation works on these ints and reduces once per
 result instead of once per term.
 
+Products.  ``capped_product`` (``*`` at the truncation) takes the left
+blocks in descending degree, so each output degree is built as a fresh dict
+from its highest left block, mostly its largest, with the larger block
+innermost: a block times a unit is one pass, not one 1-term loop per code.
+
 ``Tensor.terms`` is the read-only monomial -> Rat view of the same data,
 decoded on first use; other modules that need the ints go through
-``scaled_terms`` and ``tensor_from_scaled``, through ``add_block_product``
-(the one loop that multiplies blocks) for products, and through
-``encode_monomial`` and ``decode_monomial`` for single codes.
+``scaled_terms`` and ``tensor_from_scaled``, through ``capped_product``,
+``add_block_product`` and ``add_block_square`` (the square's diagonal
+under N) for products, and through ``encode_monomial`` and
+``decode_monomial`` for single codes.
 """
 
 from __future__ import annotations
@@ -325,24 +331,7 @@ class Tensor:
         if not isinstance(other, Tensor):
             return self.scale(other)
         self._check_same(other)
-        cap, dim = self.ctx.truncation, self.ctx.dim
-        right = sorted(other._blocks.items())
-        out = {}
-        merged = set()  # degrees fed by more than one pair of blocks
-        for p, left in self._blocks.items():
-            room = cap - p
-            for q, block in right:
-                if q > room:
-                    break
-                if add_block_product(out, p + q, left, block, dim**q):
-                    merged.add(p + q)
-        for d in merged:
-            block = {k: c for k, c in out[d].items() if c}
-            if block:
-                out[d] = block
-            else:
-                del out[d]
-        return _reduced(self.ctx, out, self._den * other._den)
+        return capped_product(self, other, self.ctx.truncation)
 
     def __rmul__(self, other):
         # scalars commute; Tensor*Tensor never reaches here
@@ -387,27 +376,65 @@ class Tensor:
 def add_block_product(out: dict, degree: int, left: dict, right: dict, shift: int) -> bool:
     """Add the product of two blocks into ``out[degree]``: every code of
     ``left`` followed by every code of ``right``, ``shift`` being dim to the
-    power of right's degree, with the product of their numerators.  Returns
-    True when ``out[degree]`` already held terms, whose sums may now be 0;
-    a fresh block has no zeros, since one pair of degrees concatenates into
-    distinct codes."""
+    power of right's degree, with the product of their numerators.  A fresh
+    block is built with the larger block innermost.  Returns True when
+    ``out[degree]`` already held terms, whose sums may now be 0; a fresh
+    block has no zeros, since one pair of degrees concatenates into distinct
+    codes."""
     acc = out.get(degree)
     if acc is None:
-        out[degree] = {
-            base + b: ca * cb
-            for a, ca in left.items()
-            for base in (a * shift,)
-            for b, cb in right.items()
-        }
+        if len(left) <= len(right):
+            out[degree] = {base + b: ca * cb for a, ca in left.items()
+                           for base in (a * shift,) for b, cb in right.items()}
+        else:
+            out[degree] = {a * shift + b: ca * cb for b, cb in right.items() for a, ca in left.items()}
         return False
-    get = acc.get
-    items = right.items()
+    get, items = acc.get, right.items()
     for a, ca in left.items():
         base = a * shift
         for b, cb in items:
-            key = base + b
-            acc[key] = get(key, 0) + ca * cb
+            acc[base + b] = get(base + b, 0) + ca * cb
     return True
+
+
+def add_block_square(out: dict, degree: int, block: dict, shift: int) -> None:
+    """Add into ``out[degree]`` a block with the same image as block * block
+    under N (``twistlog.cyclic``), and valid only under N: codes ab and ba
+    of one degree are rotations of each other, so each unordered pair is
+    added once, as ab with weight 2, and aa with weight 1.  ``shift`` is
+    dim to the power of the block's degree."""
+    acc = out.setdefault(degree, {})
+    get = acc.get
+    items = list(block.items())
+    for i, (a, ca) in enumerate(items):
+        base = a * shift
+        acc[base + a] = get(base + a, 0) + ca * ca
+        ca *= 2
+        for b, cb in items[i + 1:]:
+            acc[base + b] = get(base + b, 0) + ca * cb
+
+
+def capped_product(a: Tensor, b: Tensor, cap: int) -> Tensor:
+    """a * b with every degree above ``cap`` dropped, reduced once.  Left
+    blocks go in descending degree, so each output degree is built fresh
+    from its highest left block, mostly its largest."""
+    left, right, dim = a._blocks, b._blocks, a.ctx.dim
+    right = sorted(right.items())
+    out = {}
+    merged = set()  # degrees fed by more than one pair of blocks
+    for p, x in sorted(left.items(), reverse=True):
+        for q, y in right:
+            if p + q > cap:
+                break
+            if add_block_product(out, p + q, x, y, dim**q):
+                merged.add(p + q)
+    for d in merged:
+        block = {k: c for k, c in out[d].items() if c}
+        if block:
+            out[d] = block
+        else:
+            del out[d]
+    return _reduced(a.ctx, out, a._den * b._den)
 
 
 def scaled_terms(t: Tensor) -> tuple:

@@ -83,6 +83,21 @@ def test_log_h_values_inverts_exp():
         assert endo.log_h_values() == list(d.values)
 
 
+def test_value_table_is_built_once_per_endomorphism():
+    rng = random.Random(919)
+    ctx = AlgebraContext(2, 4)
+    endo = Endomorphism(ctx, random_triangular_values(rng, ctx))
+    assert endo._table is None
+    t = random_tensor_1(rng, ctx)
+    first = endo.apply(t)
+    table = endo._table
+    assert table is not None
+    assert endo.apply(t) == first
+    endo.apply(random_tensor_1(rng, ctx))
+    endo.log_h_values()
+    assert endo._table is table
+
+
 def test_solve_round_trip():
     rng = random.Random(717)
     ctx = AlgebraContext(2, 4)

@@ -1,5 +1,7 @@
 """Loop invariant, Johnson maps, twist formulas, and the Goldman-side action."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -43,6 +45,7 @@ from twistlog.tensor import (
     graded_part,
     monomial_tensor,
     symplectic_form,
+    tensor_to_json,
     truncate,
     zero_tensor,
 )
@@ -91,6 +94,24 @@ def test_l_invariant_tensor_shape(theta25):
     for v in L.values:
         assert is_lie(v)
     assert dapply(L, symplectic_form(theta25.ctx)) == 0
+
+
+@pytest.mark.parametrize(
+    "genus, truncation, word, digest",
+    [
+        (2, 5, "a1", "378f983df1b0d850"),
+        (2, 5, "a1 b2", "4698dfd1362061fd"),
+        (2, 5, "a1 b1 A1 B1", "5d2c88c19ecd4f09"),
+        (2, 5, "a1 a2 B1 b2 b2", "914f8a69a6d89fa2"),
+        (2, 5, "B2 a1 b1 A2 b1 a1 A1 B2", "e5a700ca15ee86fe"),
+        (1, 8, "a1 b1", "74ab8d76e6c6ec30"),
+        (1, 8, "A1 B1 a1 b1 a1", "d86ee40a77c5a32b"),
+    ],
+)
+def test_l_invariant_tensor_is_pinned(genus, truncation, word, digest):
+    theta = build_symplectic(genus, truncation)
+    obj = tensor_to_json(l_invariant_tensor(theta, word_from_string(genus, word)))
+    assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16] == digest
 
 
 def test_l_invariant_degree_two_is_class_squared(theta25):

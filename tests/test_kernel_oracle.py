@@ -4,7 +4,10 @@ The oracle below is the plain textbook arithmetic on monomial -> Fraction
 dicts, with no shared code path with ``twistlog.tensor``, the derivation
 kernel or the substitution kernel.  Random tensors
 at genus 1-3 and truncation <= 5 carry random rationals; genus 3 gives
-dim 6, so monomial codes are base 6, not a power of two.
+dim 6, so monomial codes are base 6, not a power of two.  Dense tensors of
+up to 40 monomials with small coefficients at genus 1-2 exercise both loop
+orders of the product, merged degrees whose sums cancel, and full blocks
+of one degree in the square kernel.
 """
 
 from fractions import Fraction
@@ -44,6 +47,25 @@ def o_mul(a, b, cap):
             if len(m1) + len(m2) <= cap:
                 out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
+
+
+def o_exp(u, cap):
+    """sum u^n / n!, for u with no constant term."""
+    out, power = {(): Fraction(1)}, {(): Fraction(1)}
+    for n in range(1, cap + 1):
+        power = {m: c / n for m, c in o_mul(power, u, cap).items()}
+        out = o_add(out, power)
+    return out
+
+
+def o_log(a, cap):
+    """sum (-1)^(n-1) / n (a - 1)^n, for a with constant term 1."""
+    u = o_add(a, {(): Fraction(-1)})
+    out, power = {}, {(): Fraction(1)}
+    for n in range(1, cap + 1):
+        power = o_mul(power, u, cap)
+        out = o_add(out, {m: c * Fraction((-1) ** (n - 1), n) for m, c in power.items()})
+    return out
 
 
 def o_cyclic_n(a):
@@ -106,13 +128,28 @@ contexts = st.builds(AlgebraContext, st.integers(1, 3), st.integers(2, 5))
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 
 
+# small coefficients on few letters, so that sums of products often cancel
+small = st.sampled_from([Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-1, 3)])
+
+
 @st.composite
-def fraction_dicts(draw, ctx, min_degree=0):
+def fraction_dicts(draw, ctx, min_degree=0, max_degree=None, max_size=8, coefficients=rationals):
     mono = st.lists(
-        st.integers(0, ctx.dim - 1), min_size=min_degree, max_size=ctx.truncation
+        st.integers(0, ctx.dim - 1),
+        min_size=min_degree,
+        max_size=ctx.truncation if max_degree is None else max_degree,
     ).map(tuple)
-    raw = draw(st.dictionaries(mono, rationals, max_size=8))
+    raw = draw(st.dictionaries(mono, coefficients, max_size=max_size))
     return {m: c for m, c in raw.items() if c}
+
+
+def dense_dicts(ctx, min_degree=0, max_degree=None):
+    """Up to 40 monomials: enough for blocks larger than their partners on
+    either side of a product, and for dense blocks of one degree."""
+    return fraction_dicts(ctx, min_degree, max_degree, max_size=40, coefficients=small)
+
+
+dense_contexts = st.builds(AlgebraContext, st.integers(1, 2), st.integers(2, 5))
 
 
 @st.composite
@@ -229,6 +266,49 @@ def test_half_n_square_on_single_degrees_and_periodic_squares():
     ]
     for a in cases:
         checked(_half_n_square(Tensor(ctx, a), ctx), o_half_n_square(a, ctx.truncation))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dense_products_match_the_oracle(data):
+    # a dense block against a dense or a one-to-three-monomial partner, on
+    # both sides, so the kernel walks either block innermost
+    ctx = data.draw(dense_contexts)
+    a = data.draw(dense_dicts(ctx))
+    b = data.draw(st.one_of(dense_dicts(ctx), fraction_dicts(ctx, max_size=3, coefficients=small)))
+    ta, tb = Tensor(ctx, a), Tensor(ctx, b)
+    checked(ta * tb, o_mul(a, b, ctx.truncation))
+    checked(tb * ta, o_mul(b, a, ctx.truncation))
+    checked(cyclic_n(ta), o_cyclic_n({m: c for m, c in a.items() if m}))
+
+
+def test_product_drops_a_merged_degree_that_cancels():
+    # (1 + X)(X - 1) = XX - 1: degree 1 gets X from two pairs, summing to 0
+    ctx = AlgebraContext(1, 3)
+    a = {(): Fraction(1), (0,): Fraction(1)}
+    b = {(0,): Fraction(1), (): Fraction(-1)}
+    product = checked(Tensor(ctx, a) * Tensor(ctx, b), o_mul(a, b, ctx.truncation))
+    assert product.degrees() == [0, 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_log_and_exp_match_the_power_series(data):
+    ctx = data.draw(dense_contexts)
+    u = data.draw(st.one_of(dense_dicts(ctx, min_degree=1), fraction_dicts(ctx, min_degree=1)))
+    one_plus_u = {**u, (): Fraction(1)}
+    checked(log(Tensor(ctx, one_plus_u)), o_log(one_plus_u, ctx.truncation))
+    checked(exp(Tensor(ctx, u)), o_exp(u, ctx.truncation))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_square_kernel_matches_the_oracle_on_dense_blocks(data):
+    # one degree d, so the square is the diagonal kernel alone, at cap 2d
+    genus, degree = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    ctx = AlgebraContext(genus, 2 * degree)
+    a = data.draw(dense_dicts(ctx, degree, degree))
+    checked(_half_n_square(Tensor(ctx, a), ctx), o_half_n_square(a, ctx.truncation))
 
 
 # -- algebraic laws -------------------------------------------------------------
