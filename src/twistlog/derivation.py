@@ -14,12 +14,13 @@ rewriting: every tensor reduces to a unique normal form modulo the ideal.
 from __future__ import annotations
 
 import heapq
-from math import factorial, lcm
+from math import factorial
 
 from .rationals import Rat
 from .tensor import (
     AlgebraContext,
     Tensor,
+    common_scaled,
     graded_part,
     scaled_terms,
     symplectic_form,
@@ -103,18 +104,17 @@ def from_tensor(t: Tensor) -> Derivation:
 def to_tensor(d: Derivation) -> Tensor:
     """Inverse of from_tensor: sum_i B_i D(A_i) - A_i D(B_i)."""
     ctx = d.ctx
-    scaled = [scaled_terms(v) for v in d.values]
-    den = lcm(*(den for _, den in scaled))
+    den, scaled = common_scaled(d.values)
     out = {}
-    for j, (blocks, vden) in enumerate(scaled):
+    for j, blocks in enumerate(scaled):
         # the value on A_i is prefixed by B_i, the value on B_i by -A_i
-        head, factor = j ^ 1, (den // vden) * (1 if j % 2 == 0 else -1)
+        head, sign = j ^ 1, 1 if j % 2 == 0 else -1
         for q, block in blocks.items():
             if q + 1 <= ctx.truncation:
                 lead = head * ctx.dim**q
                 target = out.setdefault(q + 1, {})
                 for x, coeff in block.items():
-                    target[lead + x] = coeff * factor
+                    target[lead + x] = coeff * sign
     return tensor_from_scaled(ctx, out, den)
 
 
@@ -136,10 +136,9 @@ def apply(d: Derivation, t: Tensor) -> Tensor:
     cap, dim = d.ctx.truncation, d.ctx.dim
     if d._table is None:
         # each value's blocks, ascending in degree, on the common denominator vden
-        scaled = [scaled_terms(v) for v in d.values]
-        vden = lcm(*(vd for _, vd in scaled))
-        d._table = vden, [[(q, dim**q, [(v, c * (vden // vd)) for v, c in b.items()])
-                           for q, b in sorted(vb.items())] for vb, vd in scaled]
+        vden, scaled = common_scaled(d.values)
+        d._table = vden, [[(q, dim**q, list(b.items())) for q, b in sorted(vb.items())]
+                          for vb in scaled]
     vden, rows = d._table
     blocks, den = scaled_terms(t)
     out = {}

@@ -14,14 +14,13 @@ an expansion restricted there (``expansion.restrict``).
 
 from __future__ import annotations
 
-from math import lcm
-
 from .rationals import Rat
 from .tensor import (
     AlgebraContext,
     Tensor,
     add_block_product,
     basis_tensor,
+    common_scaled,
     graded_part,
     scaled_terms,
     tensor_from_scaled,
@@ -56,10 +55,8 @@ class Endomorphism:
             raise ValueError("context mismatch")
         cap, dim = self.ctx.truncation, self.ctx.dim
         if self._table is None:  # each value's blocks, ascending in degree, over vden
-            scaled = [scaled_terms(v) for v in self.h_values]
-            vden = lcm(*(vd for _, vd in scaled))
-            self._table = vden, [sorted((q, {v: c * (vden // vd) for v, c in b.items()})
-                                        for q, b in vb.items()) for vb, vd in scaled]
+            vden, scaled = common_scaled(self.h_values)
+            self._table = vden, [sorted(vb.items()) for vb in scaled]
         vden, values = self._table
         blocks, den = scaled_terms(t)
         tails = {}  # prefix code -> U(tail) as blocks over vden**(N - length)
@@ -107,7 +104,7 @@ def solve_generator_images(ctx: AlgebraContext, sources, targets):
     The linear system cannot be inconsistent: degree p of the equation
     reads e_i|_p = v_i|_p - [U(s_i - X_i)]_p and the right side only needs
     e-parts of degree < p, so the solution exists, is unique, and is found
-    in one sweep.
+    in one sweep of e_i <- v_i - U(s_i - X_i), truncated at p = 2, ..., N.
     """
     dim = ctx.dim
     if len(sources) != dim or len(targets) != dim:
@@ -127,15 +124,9 @@ def solve_generator_images(ctx: AlgebraContext, sources, targets):
         vals.append(v)
     e = [graded_part(v, 1) for v in vals]
     for p in range(2, ctx.truncation + 1):
-        # all arithmetic for the degree-p sweep happens truncated at p,
-        # so early passes stay cheap at high truncations
+        # truncated at p, so early passes stay cheap; up to degree p,
+        # U(s_i - X_i) reads only the e_j below p, which are already solved
         pass_ctx = AlgebraContext(ctx.genus, p)
         endo = Endomorphism(pass_ctx, [truncate(t, pass_ctx) for t in e])
-        for i in range(dim):
-            piece = graded_part(vals[i], p)
-            if rests[i]:
-                correction = graded_part(endo.apply(truncate(rests[i], pass_ctx)), p)
-                piece = piece - truncate(correction, ctx)
-            if piece:
-                e[i] = e[i] + piece
+        e = [truncate(v, pass_ctx) - endo.apply(truncate(r, pass_ctx)) for v, r in zip(vals, rests)]
     return e

@@ -158,13 +158,14 @@ def total_johnson(theta: Expansion, phi: FreeAutomorphism) -> Endomorphism:
     return intertwiner(theta, images)
 
 
+def _columns(mat: list, ctx: AlgebraContext) -> list:
+    """sum_i mat[i][j] X_i for each column j, as degree-1 tensors."""
+    return [Tensor(ctx, {(i,): row[j] for i, row in enumerate(mat)}) for j in range(ctx.dim)]
+
+
 def homology_action(phi: FreeAutomorphism, ctx: AlgebraContext) -> list:
     """[phi(x_j)] for each generator, as degree-1 tensors."""
-    mat = homology_matrix(phi)
-    return [
-        tensor_from_scaled(ctx, {1: {i: row[j] for i, row in enumerate(mat)}})
-        for j in range(ctx.dim)
-    ]
+    return _columns(homology_matrix(phi), ctx)
 
 
 def johnson_components(theta: Expansion, phi: FreeAutomorphism, top: int) -> list:
@@ -180,15 +181,8 @@ def johnson_components(theta: Expansion, phi: FreeAutomorphism, top: int) -> lis
     if not 1 <= top <= ctx.truncation - 1:
         raise ValueError(f"component {top} out of range at truncation {ctx.truncation}")
     low = restrict(theta, top + 1)
-    values = total_johnson(low, phi).h_values
-    inv = homology_inverse(phi)
-    composed = []
-    for j in range(ctx.dim):
-        acc = zero_tensor(low.ctx)
-        for i, row in enumerate(inv):
-            if row[j]:
-                acc = acc + values[i].scale(row[j])
-        composed.append(acc)
+    tphi = total_johnson(low, phi)
+    composed = [tphi.apply(x) for x in _columns(homology_inverse(phi), low.ctx)]
     return [
         Derivation(ctx, [truncate(graded_part(v, k + 1), ctx) for v in composed])
         for k in range(1, top + 1)

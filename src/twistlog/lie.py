@@ -17,6 +17,7 @@ import heapq
 from .rationals import ONE, Rat
 from .tensor import (
     Tensor,
+    add_block_product,
     capped_product,
     decode_monomial,
     one_tensor,
@@ -165,22 +166,11 @@ def _bracket_expansion(ctx, tree, cache: dict) -> tuple:
                 raise ValueError(f"malformed bracket tree: {tree!r}")
             p, left = _bracket_expansion(ctx, tree[0], cache)
             q, right = _bracket_expansion(ctx, tree[1], cache)
-            dim = ctx.dim
-            after_left, after_right = dim**q, dim**p
-            # u v is distinct for distinct pairs of codes u, v of fixed degrees
-            out = {
-                base + v: cu * cv
-                for u, cu in left.items()
-                for base in (u * after_left,)
-                for v, cv in right.items()
-            }
-            get = out.get
-            for v, cv in right.items():
-                base = v * after_right
-                for u, cu in left.items():
-                    key = base + u
-                    out[key] = get(key, 0) - cu * cv
-            hit = (p + q, {k: c for k, c in out.items() if c})
+            # uv - vu, the second product summed into the first
+            out = {}
+            add_block_product(out, p + q, left, right, ctx.dim**q)
+            add_block_product(out, p + q, {v: -c for v, c in right.items()}, left, ctx.dim**p)
+            hit = (p + q, {k: c for k, c in out[p + q].items() if c})
         cache[tree] = hit
     return hit
 

@@ -27,10 +27,10 @@ innermost: a block times a unit is one pass, not one 1-term loop per code.
 
 ``Tensor.terms`` is the read-only monomial -> Rat view of the same data,
 decoded on first use; other modules that need the ints go through
-``scaled_terms`` and ``tensor_from_scaled``, through ``capped_product``,
-``add_block_product`` and ``add_block_square`` (the square's diagonal
-under N) for products, and through ``encode_monomial`` and
-``decode_monomial`` for single codes.
+``scaled_terms``, ``common_scaled`` and ``tensor_from_scaled``, through
+``capped_product``, ``add_block_product`` and ``add_block_square`` (the
+square's diagonal under N) for products, and through ``encode_monomial``
+and ``decode_monomial`` for single codes.
 """
 
 from __future__ import annotations
@@ -444,6 +444,20 @@ def scaled_terms(t: Tensor) -> tuple:
     return t._blocks, t._den
 
 
+def common_scaled(tensors) -> tuple:
+    """(den, [blocks]): each tensor's blocks over den, the lcm of their
+    denominators, so tensor i has coefficient blocks[i][d][k] / den on the
+    degree-d monomial with code k.  A tensor already over den keeps its own
+    dicts; never mutate them."""
+    scaled = [scaled_terms(t) for t in tensors]
+    den = lcm(*(d for _, d in scaled))
+    return den, [
+        blocks if d == den else
+        {q: {k: c * (den // d) for k, c in b.items()} for q, b in blocks.items()}
+        for blocks, d in scaled
+    ]
+
+
 def tensor_from_scaled(ctx: AlgebraContext, blocks: dict, den: int = 1) -> Tensor:
     """Tensor with coefficient blocks[d][k] / den on the degree-d monomial
     with code k, for int numerators and an int den > 0.  Degrees and codes
@@ -577,8 +591,8 @@ def _perm_signs(k: int):
 
 def wedge_embed(vectors) -> Tensor:
     """Embed X_1 ^ ... ^ X_k into H^{tensor k} by full antisymmetrization:
-    sum over permutations of sign(s) X_{s(1)} ... X_{s(k)}.  In particular
-    X ^ Y = [X, Y]."""
+    sum over permutations of sign(s) X_{s(1)} ... X_{s(k)}, which is
+    k! antisymmetrize(X_1 ... X_k).  In particular X ^ Y = [X, Y]."""
     vectors = list(vectors)
     k = len(vectors)
     if not vectors:
@@ -591,13 +605,10 @@ def wedge_embed(vectors) -> Tensor:
             raise ValueError("context mismatch in wedge")
         if any(d != 1 for d in v._blocks):
             raise ValueError("wedge_embed inputs must be homogeneous of degree 1")
-    out = zero_tensor(ctx)
-    for perm, sign in _perm_signs(k):
-        prod = scalar_tensor(ctx, sign)
-        for p in perm:
-            prod = prod * vectors[p]
-        out = out + prod
-    return out
+    prod = vectors[0]
+    for v in vectors[1:]:
+        prod = prod * v
+    return antisymmetrize(prod).scale(factorial(k))
 
 
 def antisymmetrize(t: Tensor) -> Tensor:

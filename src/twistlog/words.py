@@ -390,10 +390,8 @@ def invert_automorphism(phi: FreeAutomorphism) -> FreeAutomorphism:
         raise ValueError(
             "automorphism has no recorded twist factorization; cannot invert"
         )
-    out = identity_automorphism(phi.genus)
-    for kind, h, power in reversed(phi.factorization):
-        out = compose(out, twist(phi.genus, kind, h, -power))
-    return out
+    fact = [(kind, h, -power) for kind, h, power in reversed(phi.factorization)]
+    return _from_factorization(phi.genus, fact)
 
 
 def homology_matrix(phi: FreeAutomorphism) -> list:

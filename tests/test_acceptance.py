@@ -10,8 +10,10 @@ import re
 
 import pytest
 
-from twistlog.expansion import load_fixture
+from twistlog import suite
+from twistlog.expansion import Expansion, is_symplectic, load_fixture
 from twistlog.johnson import certificate_to_json
+from twistlog.lie import bracket_tree_tensor
 from twistlog.suite import (
     built_expansion,
     fixture_expansion,
@@ -97,3 +99,29 @@ def test_transvection_checks_every_kind_in_the_table(monkeypatch):
     assert "genus 1 wrong:1 on B1" in cert.witness
     assert "genus 3 wrong:3 on B1" in cert.witness
     assert "nonsep" not in cert.witness and "sep:" not in cert.witness
+
+
+def test_omega_ideal_witness_names_the_generator_and_degree(monkeypatch):
+    # [A1,[A1,[A1,B1]]] added to the log of a1 keeps the genus-2 fixture
+    # symplectic at N4, but its twists no longer match exp(-L) mod omega
+    shared = fixture_expansion(2)
+    logs = list(shared.logs)
+    logs[0] = logs[0] + bracket_tree_tensor(shared.ctx, (0, (0, (0, 1))))
+    bent = Expansion(shared.ctx, logs, kind=shared.kind)
+    assert is_symplectic(bent)
+    with monkeypatch.context() as patch:
+        patch.setitem(suite._MEMO, ("fixture", 2), bent)
+        cert = run_check("omega-ideal")
+    assert fixture_expansion(2) is shared
+    assert not cert.passed
+    assert cert.witness == (
+        "nonsep: twist formula fails mod the ideal: generator b1 first differs in degree 4"
+    )
+    # with exp(-L) replaced by the identity, the twist along gamma_1 moves
+    # both a1 and b1, and only the first is named
+    with monkeypatch.context() as patch:
+        patch.setattr(suite, "exp_derivation", lambda d, t: t)
+        witnesses = run_check("omega-ideal").witness.split("; ")
+    assert [w.split(": ")[0] for w in witnesses] == ["nonsep", "sep:1"]
+    assert "generator a1 first differs in degree" in witnesses[1]
+    assert run_check("omega-ideal").passed

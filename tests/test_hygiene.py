@@ -1,7 +1,10 @@
-"""Source hygiene: every name a module imports is used in that module, and
-the library imports no part of the command line."""
+"""Source hygiene: every name a module imports is used in that module, the
+library imports no part of the command line, and every name the benchmark
+harness reaches for still exists."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,6 +13,7 @@ from pathlib import Path
 import twistlog
 
 SRC = Path(twistlog.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _unused_imports(path: Path) -> list:
@@ -42,3 +46,87 @@ def test_library_import_leaves_the_command_line_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# -- the benchmark surface ------------------------------------------------------
+
+
+def _resolves(module: str, attr: str) -> bool:
+    """Whether twistlog.<module> has ``attr``; "Class.method" is looked up
+    in the class dictionary, as the tracer wraps it there."""
+    mod = importlib.import_module(f"twistlog.{module}")
+    owner, _, method = attr.rpartition(".")
+    if owner:
+        return method in vars(getattr(mod, owner, object))
+    return hasattr(mod, attr)
+
+
+def _is_tw(node) -> bool:
+    """``tw`` or ``state["tw"]``: the namespace of twistlog modules that the
+    harness hands to each workload."""
+    if isinstance(node, ast.Name):
+        return node.id == "tw"
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value == "tw"
+    )
+
+
+def _tw_references(path: Path) -> set:
+    """Every (module, name) reached as tw.<module>.<name>, or as <alias>.<name>
+    after ``alias = tw.<module>`` in the same function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    refs = set()
+    for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
+        aliases = {
+            target.id: node.value.attr
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute)
+            and _is_tw(node.value.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(scope):
+            if not isinstance(node, ast.Attribute):
+                continue
+            base = node.value
+            if isinstance(base, ast.Attribute) and _is_tw(base.value):
+                refs.add((base.attr, node.attr))
+            elif isinstance(base, ast.Name) and base.id in aliases:
+                refs.add((aliases[base.id], node.attr))
+    return refs
+
+
+def _module_constant(path: Path, name: str):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} defines no {name}")
+
+
+def test_every_traced_name_resolves():
+    # the tracer looks each (module, attribute) up with getattr, so a
+    # renamed or deleted function breaks every --trace 1 run
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    missing = [(m, a) for m, a, *_ in tracing.TRACED if not _resolves(m, a)]
+    assert not missing, missing
+
+
+def test_every_name_the_benchmark_calls_resolves():
+    modules = _module_constant(PERFBENCH / "run.py", "MODULES")
+    for module in modules:
+        importlib.import_module(f"twistlog.{module}")
+    refs = _tw_references(PERFBENCH / "workloads.py") | _tw_references(PERFBENCH / "run.py")
+    assert ("rationals", "BACKEND") in refs
+    assert ("johnson", "l_invariant_tensor") in refs
+    assert {m for m, _ in refs} <= set(modules) | {"rationals"}
+    missing = sorted((m, a) for m, a in refs if not _resolves(m, a))
+    assert not missing, missing

@@ -7,10 +7,13 @@ at genus 1-3 and truncation <= 5 carry random rationals; genus 3 gives
 dim 6, so monomial codes are base 6, not a power of two.  Dense tensors of
 up to 40 monomials with small coefficients at genus 1-2 exercise both loop
 orders of the product, merged degrees whose sums cancel, and full blocks
-of one degree in the square kernel.
+of one degree in the square kernel.  The last tests pin maps built on the
+kernels (``wedge_embed``, bracket trees, Johnson components) against the
+sums they stand for, written out term by term.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
@@ -18,17 +21,24 @@ from hypothesis import given, settings, strategies as st
 from twistlog.cyclic import cyclic_n, cyclic_n_hat
 from twistlog.derivation import Derivation, apply, from_tensor
 from twistlog.endomorphism import Endomorphism
-from twistlog.johnson import _half_n_square
-from twistlog.lie import exp, log, phi
+from twistlog.expansion import restrict
+from twistlog.johnson import _half_n_square, johnson_components, total_johnson
+from twistlog.lie import bracket, bracket_tree_tensor, exp, log, phi
+from twistlog.suite import built_expansion
 from twistlog.tensor import (
     AlgebraContext,
     Tensor,
+    basis_tensor,
     decode_monomial,
     encode_monomial,
+    graded_part,
     monomial_tensor,
     scaled_terms,
+    truncate,
+    wedge_embed,
     zero_tensor,
 )
+from twistlog.words import compose, homology_inverse, twist
 
 # -- the oracle -----------------------------------------------------------------
 
@@ -65,6 +75,20 @@ def o_log(a, cap):
     for n in range(1, cap + 1):
         power = o_mul(power, u, cap)
         out = o_add(out, {m: c * Fraction((-1) ** (n - 1), n) for m, c in power.items()})
+    return out
+
+
+def o_wedge(vectors, cap):
+    """sum over permutations s of sign(s) v_s(1) ... v_s(k), the sign
+    counted by inversions."""
+    k = len(vectors)
+    out = {}
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        prod = {(): Fraction(-1 if inversions % 2 else 1)}
+        for p in perm:
+            prod = o_mul(prod, vectors[p], cap)
+        out = o_add(out, prod)
     return out
 
 
@@ -387,3 +411,73 @@ def test_endomorphism_apply_matches_the_oracle(data):
     a[()] = data.draw(rationals) or Fraction(1)
     endo = Endomorphism(ctx, [Tensor(ctx, v) for v in values])
     checked(endo.apply(Tensor(ctx, a)), o_substitute(values, a, ctx.truncation))
+
+
+# -- maps built from the kernels ------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_wedge_embed_matches_the_permutation_sum(data):
+    # weighted vectors with at least two basis terms each, so a wedge of
+    # equal or dependent vectors can cancel
+    genus, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    ctx = AlgebraContext(genus, data.draw(st.integers(max(k, 2), 5)))
+    nonzero = rationals.filter(bool)
+    letters = st.integers(0, ctx.dim - 1).map(lambda i: (i,))
+    vectors = [data.draw(st.dictionaries(letters, nonzero, min_size=2, max_size=ctx.dim))
+               for _ in range(k)]
+    checked(wedge_embed([Tensor(ctx, v) for v in vectors]), o_wedge(vectors, ctx.truncation))
+
+
+def _depth(tree):
+    return 0 if isinstance(tree, int) else 1 + max(map(_depth, tree))
+
+
+def _nested_bracket(ctx, tree):
+    if isinstance(tree, int):
+        return basis_tensor(ctx, tree)
+    return bracket(_nested_bracket(ctx, tree[0]), _nested_bracket(ctx, tree[1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_bracket_tree_tensor_matches_nested_brackets(data):
+    # trees above the truncation expand to 0 on both sides
+    ctx = AlgebraContext(data.draw(st.integers(1, 3)), data.draw(st.integers(2, 6)))
+    leaves = st.integers(0, ctx.dim - 1)
+    tree = data.draw(st.recursive(leaves, lambda sub: st.tuples(sub, sub), max_leaves=6)
+                     .filter(lambda t: _depth(t) <= 4))
+    t = bracket_tree_tensor(ctx, tree)
+    assert_canonical(t)
+    assert t == _nested_bracket(ctx, tree)
+
+
+TWISTS = [("nonsep", None), ("sep", 1), ("sep", 2)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(TWISTS), st.sampled_from([-2, -1, 1, 2])),
+                min_size=1, max_size=3),
+       st.integers(1, 4))
+def test_johnson_components_match_the_explicit_sum(factors, top):
+    # tau_k on X_j is the degree-(k+1) part of sum_i inv[i][j] T(phi)(X_i),
+    # T(phi) solved in theta restricted to degree top+1
+    theta = built_expansion(2, 6)
+    ctx = theta.ctx
+    phi = twist(2, *factors[0][0], factors[0][1])
+    for (kind, h), power in factors[1:]:
+        phi = compose(phi, twist(2, kind, h, power))
+    values = total_johnson(restrict(theta, top + 1), phi).h_values
+    inv = homology_inverse(phi)
+    composed = []
+    for j in range(ctx.dim):
+        acc = zero_tensor(values[0].ctx)
+        for i, row in enumerate(inv):
+            acc = acc + values[i].scale(row[j])
+        composed.append(acc)
+    taus = johnson_components(theta, phi, top)
+    assert len(taus) == top
+    for k, tau in enumerate(taus, start=1):
+        assert tau.ctx == ctx
+        assert list(tau.values) == [truncate(graded_part(v, k + 1), ctx) for v in composed]
