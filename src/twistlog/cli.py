@@ -21,9 +21,7 @@ from .expansion import (
     expansion_from_json,
     expansion_to_json,
     exponential_expansion,
-    fixture_genus1,
-    fixture_genus2,
-    fixture_massuyeau_partial,
+    load_fixture,
     standard_expansion,
     symplectic_failures,
 )
@@ -53,49 +51,52 @@ SOURCES = (
     "build",
     "file:PATH",
 )
+FIXTURES = {
+    "fixture:g1": "fixture-genus1",
+    "fixture:g2": "fixture-genus2",
+    "fixture:massuyeau": "fixture-massuyeau-partial",
+}
+BUILDERS = {
+    "builtin:standard": standard_expansion,
+    "builtin:exp": exponential_expansion,
+    "build": build_symplectic,
+}
 
 
 class UsageError(ValueError):
     """A bad argument or input; ``main`` exits 2 on every ValueError."""
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at ``path``.  A file that cannot be read,
+    is not JSON or nests too deeply for the parser is a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} is not JSON: {exc}") from exc
+    except RecursionError:
+        raise UsageError(f"{what} is nested too deeply") from None
+
+
 def _resolve_expansion(source: str, genus, degree) -> Expansion:
     """Map a source descriptor to an Expansion.  genus/degree of None mean
     'use the source's natural default' (fixtures know their own)."""
-    try:
-        if source.startswith("file:"):
-            with open(source[5:]) as fh:
-                theta = expansion_from_json(json.load(fh))
-            if genus is not None and theta.genus != genus:
-                raise UsageError(
-                    f"--genus {genus} conflicts with file genus {theta.genus}"
-                )
-            if degree is not None and theta.truncation != degree:
-                raise UsageError(
-                    f"--degree {degree} conflicts with file truncation "
-                    f"{theta.truncation}"
-                )
-            return theta
-        if source == "fixture:g1":
-            if genus not in (None, 1):
-                raise UsageError("fixture:g1 is a genus-1 expansion")
-            return fixture_genus1(degree)
-        if source == "fixture:g2":
-            if genus not in (None, 2):
-                raise UsageError("fixture:g2 is a genus-2 expansion")
-            return fixture_genus2(degree)
-        if source == "fixture:massuyeau":
-            return fixture_massuyeau_partial(2 if genus is None else genus, degree)
-        genus = 2 if genus is None else genus
-        degree = 5 if degree is None else degree
-        if source == "builtin:standard":
-            return standard_expansion(genus, degree)
-        if source == "builtin:exp":
-            return exponential_expansion(genus, degree)
-        if source == "build":
-            return build_symplectic(genus, degree)
-    except OSError as exc:
-        raise UsageError(f"cannot read expansion file: {exc}") from exc
+    if source.startswith("file:"):
+        theta = expansion_from_json(_read_json(source[5:], "expansion file"))
+        if genus is not None and theta.genus != genus:
+            raise UsageError(f"--genus {genus} conflicts with file genus {theta.genus}")
+        if degree is not None and theta.truncation != degree:
+            raise UsageError(
+                f"--degree {degree} conflicts with file truncation {theta.truncation}"
+            )
+        return theta
+    if source in FIXTURES:
+        return load_fixture(FIXTURES[source], degree, genus)
+    if source in BUILDERS:
+        return BUILDERS[source](2 if genus is None else genus, 5 if degree is None else degree)
     raise UsageError(
         f"unknown expansion source {source!r}; expected one of: " + ", ".join(SOURCES)
     )
@@ -104,13 +105,7 @@ def _resolve_expansion(source: str, genus, degree) -> Expansion:
 def _parse_curve(genus: int, descriptor: str) -> Curve:
     if not descriptor.startswith("conj:"):
         return Curve(*parse_twist(genus, descriptor))
-    try:
-        with open(descriptor[5:]) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read conjugator file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"conjugator file is not JSON: {exc}") from exc
+    obj = _read_json(descriptor[5:], "conjugator file")
     base = "nonsep"
     if isinstance(obj, dict) and "phi" in obj:
         base, obj = obj.get("base", base), obj["phi"]
@@ -171,10 +166,6 @@ def _symplectic_certificate(theta: Expansion) -> Certificate:
 
 
 def _cmd_build_expansion(args) -> int:
-    if args.genus < 1:
-        raise UsageError("--genus must be >= 1")
-    if args.degree < 2:
-        raise UsageError("--degree must be >= 2")
     theta = build_symplectic(args.genus, args.degree)
     payload = json.dumps(expansion_to_json(theta), sort_keys=True, indent=2)
     try:
@@ -188,11 +179,7 @@ def _cmd_build_expansion(args) -> int:
 
 
 def _cmd_check_expansion(args) -> int:
-    try:
-        with open(getattr(args, "in")) as fh:
-            theta = expansion_from_json(json.load(fh))
-    except OSError as exc:
-        raise UsageError(f"cannot read {getattr(args, 'in')!r}: {exc}") from exc
+    theta = expansion_from_json(_read_json(getattr(args, "in"), "expansion file"))
     cert = _symplectic_certificate(theta)
     _emit_certificate(cert, args.output)
     return 0 if cert.passed else 1
@@ -271,11 +258,9 @@ def _cmd_verify(args) -> int:
     return 0 if all(cert.passed for cert in certificates) else 1
 
 
-def _add_common(sub, expansion_default="fixture:g2"):
+def _add_common(sub):
     sub.add_argument(
-        "--expansion",
-        default=expansion_default,
-        help="expansion source: " + " | ".join(SOURCES),
+        "--expansion", default="fixture:g2", help="expansion source: " + " | ".join(SOURCES)
     )
     sub.add_argument("--genus", type=int, default=None)
     sub.add_argument("--degree", type=int, default=None)

@@ -24,7 +24,6 @@ inverse factors of theta(zeta) are antipodes of the forward ones.
 from __future__ import annotations
 
 import json
-import os
 from importlib import resources
 from math import lcm, log10
 
@@ -230,10 +229,6 @@ _FIXTURE_FILES = {
 
 
 def _data_text(filename: str) -> str:
-    override = os.environ.get("TWISTLOG_DATA_DIR")
-    if override:
-        with open(os.path.join(override, filename), "r", encoding="utf-8") as fh:
-            return fh.read()
     return resources.files("twistlog.data").joinpath(filename).read_text("utf-8")
 
 

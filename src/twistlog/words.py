@@ -179,11 +179,11 @@ class FreeAutomorphism:
 
     ``factorization`` records the twist word that produced the map (tuples
     (kind, h, power)); inverses are available exactly when it is present.
-    ``boundary_preserving`` is computed, not asserted: it records whether the
-    boundary word is fixed as a reduced word.
+    ``boundary_preserving`` is computed when read, not asserted: it says
+    whether the boundary word is fixed as a reduced word.
     """
 
-    __slots__ = ("genus", "images", "factorization", "boundary_preserving", "_coded")
+    __slots__ = ("genus", "images", "factorization", "_coded")
 
     def __init__(self, genus: int, images, factorization=None):
         if len(images) != 2 * genus:
@@ -212,8 +212,11 @@ class FreeAutomorphism:
             forward = [2 * g + (s < 0) for g, s in im.letters]
             self._coded.append((forward, [c ^ 1 for c in reversed(forward)]))
         self.factorization = tuple(factorization) if factorization is not None else None
-        zeta = boundary_word(genus)
-        self.boundary_preserving = apply_automorphism(self, zeta) == zeta
+
+    @property
+    def boundary_preserving(self) -> bool:
+        zeta = boundary_word(self.genus)
+        return apply_automorphism(self, zeta) == zeta
 
     def __eq__(self, other):
         return (

@@ -120,7 +120,7 @@ def test_omega_ideal_witness_names_the_generator_and_degree(monkeypatch):
     # with exp(-L) replaced by the identity, the twist along gamma_1 moves
     # both a1 and b1, and only the first is named
     with monkeypatch.context() as patch:
-        patch.setattr(suite, "exp_derivation", lambda d, t: t)
+        patch.setattr("twistlog.johnson.exp_derivation", lambda d, t: t)
         witnesses = run_check("omega-ideal").witness.split("; ")
     assert [w.split(": ")[0] for w in witnesses] == ["nonsep", "sep:1"]
     assert "generator a1 first differs in degree" in witnesses[1]

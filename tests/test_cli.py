@@ -5,18 +5,16 @@ import hashlib
 import json
 import os
 import resource
-import shutil
 import subprocess
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import twistlog
 
-from twistlog import cli
+from twistlog import cli, expansion
 from twistlog.cli import _pretty_tensors, build_parser, main
 from twistlog.derivation import derivation_from_json
 from twistlog.expansion import (
@@ -238,6 +236,22 @@ def test_johnson_malformed_conjugator_exits_two(conjugator, tmp_path):
     _assert_usage_error_in_fresh_interpreter(
         "johnson", "--curve", f"conj:{path}", "--k", "1", "--expansion", "fixture:g2"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-expansion", "--in", "{path}"],
+    ["eval", "--expansion", "file:{path}", "--word", "a1"],
+    ["johnson", "--curve", "conj:{path}", "--k", "1"],
+])
+def test_deeply_nested_json_is_a_usage_error(argv, tmp_path):
+    # deeper than the JSON parser's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    proc = _run_in_fresh_interpreter(*[arg.format(path=path) for arg in argv])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("twistlog: error:") and "nested too deeply" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_johnson_refuses_a_conjugator_singular_on_homology(tmp_path, capsys):
@@ -464,21 +478,21 @@ def test_verify_with_no_checks_selected_is_a_usage_error(suite, capsys):
     assert len(err.splitlines()) == 1
 
 
-def test_fixture_generator_names_are_checked(tmp_path, monkeypatch, capsys):
+def test_fixture_generator_names_are_checked(monkeypatch, capsys):
     # a data file naming a generator c1 must not load as a1
-    for name in ("genus1.json", "genus2.json", "massuyeau_partial.json"):
-        with resources.as_file(resources.files("twistlog.data").joinpath(name)) as src:
-            shutil.copy(src, tmp_path / name)
-    payload = json.loads((tmp_path / "genus1.json").read_text())
+    data_text = expansion._data_text
+    payload = json.loads(data_text("genus1.json"))
     payload["generators"]["c1"] = payload["generators"].pop("a1")
-    (tmp_path / "genus1.json").write_text(json.dumps(payload))
-    monkeypatch.setenv("TWISTLOG_DATA_DIR", str(tmp_path))
+    edited = json.dumps(payload)
+    monkeypatch.setattr(
+        expansion, "_data_text", lambda name: edited if name == "genus1.json" else data_text(name)
+    )
     assert main(["eval", "--expansion", "fixture:g1", "--word", "a1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("twistlog: error:") and "'c1'" in err
     assert len(err.splitlines()) == 1
-    # the untouched files in the same directory still load
+    # the untouched files still load
     assert main(["eval", "--expansion", "fixture:g2", "--word", "a1"]) == 0
     capsys.readouterr()
 

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import twistlog
 
 SRC = Path(twistlog.__file__).resolve().parent
@@ -33,19 +35,36 @@ def _unused_imports(path: Path) -> list:
 def test_modules_use_every_name_they_import():
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name != "__init__.py":  # the package namespace re-exports
-            unused += _unused_imports(path)
+        unused += _unused_imports(path)
     assert not unused, unused
+
+
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__"))
+LIBRARY = [name for name in MODULES if name != "cli"]
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
 def test_library_import_leaves_the_command_line_unloaded():
     # the parser is built when twistlog.cli is imported, so library users
     # must never import it
-    code = "import sys, twistlog; print(sorted({'twistlog.cli', 'argparse'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert {"tensor", "suite"} <= set(LIBRARY)
+    imports = "".join(f"import twistlog.{name}; " for name in LIBRARY)
+    loaded = "sorted({'twistlog.cli', 'argparse'} & set(sys.modules))"
+    proc = _run_fresh(f"import sys; {imports}print({loaded})")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_each_module_imports_on_its_own(name):
+    # the package namespace imports nothing, so no module may rely on
+    # another having been imported first
+    proc = _run_fresh(f"import twistlog.{name}")
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- the benchmark surface ------------------------------------------------------
