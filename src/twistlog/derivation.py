@@ -175,11 +175,6 @@ def commutator(d1: Derivation, d2: Derivation) -> Derivation:
     return Derivation(d1.ctx, values)
 
 
-def is_symplectic_derivation(d: Derivation) -> bool:
-    """True iff d kills the symplectic form."""
-    return not apply(d, symplectic_form(d.ctx))
-
-
 def exp_derivation(d: Derivation, t: Tensor) -> Tensor:
     """sum_k d^k(t) / k!, accumulated until a term vanishes exactly.
 
@@ -266,10 +261,6 @@ def omega_ideal_reduce(t: Tensor, ideal: OmegaIdealContext) -> Tensor:
                 else:
                     rem[y] = prev + coeff * c
     return tensor_from_scaled(t.ctx, out, den)
-
-
-def omega_ideal_equal(t1: Tensor, t2: Tensor, ideal: OmegaIdealContext) -> bool:
-    return not omega_ideal_reduce(t1 - t2, ideal)
 
 
 # -- serialization ------------------------------------------------------------

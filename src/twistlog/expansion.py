@@ -153,11 +153,6 @@ def is_group_like(theta: Expansion) -> bool:
     return all(t is None or is_lie(t) for t in theta.logs)
 
 
-def boundary_log(theta: Expansion) -> Tensor:
-    """ell(zeta) for the boundary word zeta = prod [a_i, b_i]."""
-    return log_evaluate(theta, boundary_word(theta.genus))
-
-
 def symplectic_failures(theta: Expansion) -> list:
     """The witnesses against theta being symplectic: group-like, and
     ell(zeta) = omega exactly at the truncation.  A partial expansion
@@ -244,11 +239,6 @@ def _tree_from_json(ctx: AlgebraContext, tree) -> tuple:
     raise ValueError(f"malformed bracket tree: {tree!r}")
 
 
-def fixture_trusted_degree(kind: str) -> int:
-    payload = json.loads(_data_text(_FIXTURE_FILES[kind]))
-    return payload["max_trusted_degree"]
-
-
 def load_fixture(kind: str, truncation: int | None = None, genus: int | None = None) -> Expansion:
     """Load a shipped expansion from its bracket-form data file.
 
@@ -266,7 +256,7 @@ def load_fixture(kind: str, truncation: int | None = None, genus: int | None = N
         truncation = trusted_cap
     if truncation > trusted_cap:
         raise ValueError(
-            f"fixture {kind} is only trusted up to truncation {trusted_cap}, "
+            f"{kind} is only trusted up to truncation {trusted_cap}, "
             f"requested {truncation}"
         )
     file_genus = payload["genus"]
@@ -275,7 +265,7 @@ def load_fixture(kind: str, truncation: int | None = None, genus: int | None = N
     elif genus is None:
         genus = file_genus
     elif genus != file_genus:
-        raise ValueError(f"fixture {kind} has genus {file_genus}, requested {genus}")
+        raise ValueError(f"{kind} has genus {file_genus}, requested {genus}")
     ctx = AlgebraContext(genus, truncation)
     _check_size(genus, truncation)
     logs = [None] * ctx.dim
@@ -300,18 +290,6 @@ def load_fixture(kind: str, truncation: int | None = None, genus: int | None = N
                 acc[code] = get(code, 0) + factor * c
         logs[index] = tensor_from_scaled(ctx, blocks, den)
     return Expansion(ctx, logs, kind=kind)
-
-
-def fixture_genus1(truncation: int | None = None) -> Expansion:
-    return load_fixture("fixture-genus1", truncation)
-
-
-def fixture_genus2(truncation: int | None = None) -> Expansion:
-    return load_fixture("fixture-genus2", truncation)
-
-
-def fixture_massuyeau_partial(genus: int = 2, truncation: int | None = None) -> Expansion:
-    return load_fixture("fixture-massuyeau-partial", truncation, genus=genus)
 
 
 # -- the symplectic builder --------------------------------------------------

@@ -12,6 +12,7 @@ actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import factorial
 
 from .cyclic import cyclic_n, necklace_block
@@ -194,15 +195,13 @@ def johnson_component(theta: Expansion, phi: FreeAutomorphism, k: int) -> Deriva
     return johnson_components(theta, phi, k)[k - 1]
 
 
-def _compositions(total: int, n: int, minimum: int):
-    """Ordered n-tuples of integers >= minimum summing to total."""
-    if n == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for first in range(minimum, total - minimum * (n - 1) + 1):
-        for rest in _compositions(total - first, n - 1, minimum):
-            yield (first,) + rest
+def _apply_word(parts: dict, word: tuple, j: int) -> Tensor:
+    """L_{m_1} ... L_{m_n} X_j for the word (m_1, ..., m_n), applied
+    rightmost first; ``parts`` maps each m to graded_component(L, m)."""
+    acc = parts[word[-1]].values[j]
+    for m in reversed(word[:-1]):
+        acc = apply_derivation(parts[m], acc)
+    return acc
 
 
 def separating_tau_formula(L: Derivation, k: int) -> Derivation:
@@ -220,11 +219,11 @@ def separating_tau_formula(L: Derivation, k: int) -> Derivation:
     parts = {m: graded_component(L, m) for m in range(4, k + 3)}
     for n in range(1, k // 2 + 1):
         coeff = Rat((-1) ** n, factorial(n))
-        for comp in _compositions(2 * n + k, n, 4):
+        for word in product(range(4, k + 5 - 2 * n), repeat=n):
+            if sum(word) != 2 * n + k:
+                continue
             for j in range(ctx.dim):
-                acc = parts[comp[-1]].values[j]
-                for m in reversed(comp[:-1]):
-                    acc = apply_derivation(parts[m], acc)
+                acc = _apply_word(parts, word, j)
                 if acc:
                     out[j] = out[j] + acc.scale(coeff)
     return Derivation(ctx, out)
@@ -253,9 +252,14 @@ def sigma_act(theta: Expansion, u: GroupWord, v: GroupWord) -> Tensor:
 
 def sigma_act_log_square(theta: Expansion, x: GroupWord, v: GroupWord) -> Tensor:
     """Action of (log x)^2, pushed through theta: the loop-ring element maps
-    to ell(x)^2, so the acting derivation is -N(ell(x) ell(x)) = -2 L(x)."""
+    to ell(x)^2, so the acting derivation is -N(ell(x) ell(x)), formed one
+    degree up by the plain product and not through ``l_invariant``."""
     _require_symplectic(theta)
-    return apply_derivation(l_invariant(theta, x), evaluate(theta, v)).scale(-2)
+    ctx = theta.ctx
+    ell = truncate(log_evaluate(theta, x), AlgebraContext(ctx.genus, ctx.truncation + 1))
+    n_square = from_tensor(cyclic_n(ell * ell))
+    acting = Derivation(ctx, [truncate(w, ctx) for w in n_square.values])
+    return -apply_derivation(acting, evaluate(theta, v))
 
 
 # -- certificates ---------------------------------------------------------------
@@ -357,33 +361,40 @@ def tau_formula_failures(theta: Expansion, tc: FreeAutomorphism, L: Derivation) 
       tau_2(t_C) = -L4 + (1/2)[L2, L4] + (1/2) L3 L3
     """
     ctx = theta.ctx
-    l2, l3, l4 = (graded_component(L, m) for m in (2, 3, 4))
+    parts = {m: graded_component(L, m) for m in (2, 3, 4)}
     tau1, tau2 = johnson_components(theta, tc, 2)
     failures = []
     for j in range(ctx.dim):
         name = ctx.basis_name(j)
-        l2x, l3x, l4x = l2.values[j], l3.values[j], l4.values[j]
-        if tau1.values[j] != -l3x:
+        if tau1.values[j] != -parts[3].values[j]:
             failures.append(f"tau_1 {name} != -L3 {name}")
-        rhs = (
-            -l4x
-            + (apply_derivation(l2, l4x) - apply_derivation(l4, l2x)).scale(Rat(1, 2))
-            + apply_derivation(l3, l3x).scale(Rat(1, 2))
-        )
+        l24, l42, l33 = (_apply_word(parts, word, j) for word in ((2, 4), (4, 2), (3, 3)))
+        rhs = -parts[4].values[j] + (l24 - l42 + l33).scale(Rat(1, 2))
         if tau2.values[j] != rhs:
             failures.append(f"tau_2 {name} formula mismatch")
     return failures
 
 
+# (c, u, v): c L_u = L_v on H, where v None is 0.  In order:
+#   L2 L2 = L2 L3 = L3 L2 = 0,  L2 L2 L2 L4 = L2 L2 L4 L2 = 0,  2 L2 L4 L2 = L2 L2 L4
+_OPERATOR_IDENTITIES = (
+    (1, (2, 2), None),
+    (1, (2, 3), None),
+    (1, (3, 2), None),
+    (1, (2, 2, 2, 4), None),
+    (1, (2, 2, 4, 2), None),
+    (2, (2, 4, 2), (2, 2, 4)),
+)
+
+
+def _word_name(word: tuple, name: str) -> str:
+    return " ".join(f"L{m}" for m in word) + f" {name}"
+
+
 def verify_operator_identities(theta: Expansion, curve: Curve) -> Certificate:
     """The nilpotency and composition identities of the low components of
-    L(C) for non-separating C, plus the closed formulas for tau_1, tau_2
-    (``tau_formula_failures``):
-
-      L2 L2 = L2 L3 = L3 L2 = 0                     on H
-      L2 L2 L2 L4 = L2 L2 L4 L2 = 0                 on H
-      2 L2 L4 L2 = L2 L2 L4                         on H
-    """
+    L(C) for non-separating C (``_OPERATOR_IDENTITIES``), plus the closed
+    formulas for tau_1, tau_2 (``tau_formula_failures``)."""
     _require_symplectic(theta)
     if curve.kind != "nonsep":
         raise ValueError("operator identities hold along non-separating curves")
@@ -393,36 +404,16 @@ def verify_operator_identities(theta: Expansion, curve: Curve) -> Certificate:
         "genus": ctx.genus,
         "truncation": ctx.truncation,
     }
-    word = curve_word(ctx.genus, curve)
-    L = l_invariant(theta, word)
-    l2 = graded_component(L, 2)
-    l3 = graded_component(L, 3)
-    l4 = graded_component(L, 4)
-
-    def l2_(t):
-        return apply_derivation(l2, t)
-
-    def l3_(t):
-        return apply_derivation(l3, t)
-
-    def l4_(t):
-        return apply_derivation(l4, t)
-
+    L = l_invariant(theta, curve_word(ctx.genus, curve))
+    parts = {m: graded_component(L, m) for m in (2, 3, 4)}
     failures = []
     for j in range(ctx.dim):
         name = ctx.basis_name(j)
-        l2x, l3x, l4x = l2.values[j], l3.values[j], l4.values[j]
-        if l2_(l2x):
-            failures.append(f"L2 L2 {name} != 0")
-        if l2_(l3x):
-            failures.append(f"L2 L3 {name} != 0")
-        if l3_(l2x):
-            failures.append(f"L3 L2 {name} != 0")
-        if l2_(l2_(l2_(l4x))):
-            failures.append(f"L2 L2 L2 L4 {name} != 0")
-        if l2_(l2_(l4_(l2x))):
-            failures.append(f"L2 L2 L4 L2 {name} != 0")
-        if l2_(l4_(l2x)).scale(2) != l2_(l2_(l4x)):
-            failures.append(f"2 L2 L4 L2 {name} != L2 L2 L4 {name}")
+        for c, u, v in _OPERATOR_IDENTITIES:
+            lhs = _apply_word(parts, u, j)
+            if v is None and lhs:
+                failures.append(f"{_word_name(u, name)} != 0")
+            elif v is not None and lhs.scale(c) != _apply_word(parts, v, j):
+                failures.append(f"{c} {_word_name(u, name)} != {_word_name(v, name)}")
     failures += tau_formula_failures(theta, curve_twist(ctx.genus, curve), L)
     return certificate("operator_identities", params, failures)

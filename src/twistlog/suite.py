@@ -404,39 +404,34 @@ def check_connecting() -> Certificate:
     return certificate("connecting", params, failures)
 
 
-SUITE = (
-    ("fixture-genus1", lambda: _check_fixture(1)),
-    ("fixture-genus2", lambda: _check_fixture(2)),
-    ("builder", check_builder),
-    ("dehn-twist", check_dehn_twist),
-    ("transvection", check_transvection),
-    ("tau-formulas", check_tau_formulas),
-    ("separating-series", check_separating_series),
-    ("necklace-oracle", check_necklace_oracle),
-    ("l-invariance", check_l_invariance),
-    ("sigma-key-formula", check_sigma_key_formula),
-    ("disjointness", check_disjointness),
-    ("operator-identities", check_operator_identities),
-    ("omega-ideal", check_omega_ideal),
-    ("connecting", check_connecting),
-)
+SUITE = {
+    "fixture-genus1": lambda: _check_fixture(1),
+    "fixture-genus2": lambda: _check_fixture(2),
+    "builder": check_builder,
+    "dehn-twist": check_dehn_twist,
+    "transvection": check_transvection,
+    "tau-formulas": check_tau_formulas,
+    "separating-series": check_separating_series,
+    "necklace-oracle": check_necklace_oracle,
+    "l-invariance": check_l_invariance,
+    "sigma-key-formula": check_sigma_key_formula,
+    "disjointness": check_disjointness,
+    "operator-identities": check_operator_identities,
+    "omega-ideal": check_omega_ideal,
+    "connecting": check_connecting,
+}
 
 
 def suite_names() -> list:
-    return [name for name, _ in SUITE]
+    return list(SUITE)
 
 
 def run_check(name: str) -> Certificate:
     """The named check's certificate, its params carrying the check's
     wall-clock ``seconds``."""
-    for key, fn in SUITE:
-        if key == name:
-            t0 = time.perf_counter()
-            cert = fn()
-            seconds = round(time.perf_counter() - t0, 4)
-            return replace(cert, params={**cert.params, "seconds": seconds})
-    raise ValueError(f"unknown check {name!r}; known: {', '.join(suite_names())}")
-
-
-def run_suite(names=None) -> list:
-    return [run_check(name) for name in (suite_names() if names is None else names)]
+    if name not in SUITE:
+        raise ValueError(f"unknown check {name!r}; known: {', '.join(SUITE)}")
+    t0 = time.perf_counter()
+    cert = SUITE[name]()
+    seconds = round(time.perf_counter() - t0, 4)
+    return replace(cert, params={**cert.params, "seconds": seconds})

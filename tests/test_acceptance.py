@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from twistlog import suite
+from twistlog import johnson, suite
 from twistlog.expansion import Expansion, is_symplectic, load_fixture
 from twistlog.johnson import certificate_to_json
 from twistlog.lie import bracket_tree_tensor
@@ -125,3 +125,19 @@ def test_omega_ideal_witness_names_the_generator_and_degree(monkeypatch):
     assert [w.split(": ")[0] for w in witnesses] == ["nonsep", "sep:1"]
     assert "generator a1 first differs in degree" in witnesses[1]
     assert run_check("omega-ideal").passed
+
+
+def test_sigma_check_compares_two_computations(monkeypatch):
+    # with L doubled, the squared-log action (computed without L) still
+    # meets the key formula, and both comparisons against L must fail
+    half_n_square = johnson._half_n_square
+    monkeypatch.setattr(
+        johnson, "_half_n_square", lambda t, ctx: half_n_square(t, ctx).scale(2)
+    )
+    cert = run_check("sigma-key-formula")
+    assert cert.witness == (
+        "genus 1: L(a1) theta(b1) != -theta(b1) ell(a1); "
+        "genus 1: sigma and -2 L disagree; "
+        "genus 2: L(a1) theta(b1) != -theta(b1) ell(a1); "
+        "genus 2: sigma and -2 L disagree"
+    )

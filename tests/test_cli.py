@@ -22,8 +22,7 @@ from twistlog.expansion import (
     evaluate,
     expansion_to_json,
     exponential_expansion,
-    fixture_genus2,
-    fixture_massuyeau_partial,
+    load_fixture,
 )
 from twistlog.lie import bracket
 from twistlog.rationals import Rat
@@ -44,7 +43,7 @@ def test_no_arguments_is_a_usage_error(capsys):
 def test_eval_json_round_trips(capsys):
     rc = main(["eval", "--word", "a1 b2", "--expansion", "fixture:g2", "--output", "json"])
     assert rc == 0
-    theta = fixture_genus2()
+    theta = load_fixture("fixture-genus2")
     expected = evaluate(theta, word_from_string(2, "a1 b2"))
     assert tensor_from_json(json.loads(capsys.readouterr().out)) == expected
 
@@ -115,7 +114,7 @@ def test_check_flags_non_symplectic_expansion(tmp_path, capsys):
 
 def test_check_partial_expansion_passes(tmp_path, capsys):
     path = tmp_path / "partial.json"
-    path.write_text(json.dumps(expansion_to_json(fixture_massuyeau_partial())))
+    path.write_text(json.dumps(expansion_to_json(load_fixture("fixture-massuyeau-partial"))))
     rc = main(["check-expansion", "--in", str(path), "--output", "json"])
     assert rc == 0
     cert = json.loads(capsys.readouterr().out)
@@ -476,6 +475,20 @@ def test_verify_with_no_checks_selected_is_a_usage_error(suite, capsys):
     assert out == ""
     assert err.startswith("twistlog: error: no checks selected")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--expansion", "fixture:g1", "--genus", "2"], "fixture-genus1 has genus 1, requested 2"),
+    (
+        ["--expansion", "fixture:g2", "--degree", "9"],
+        "fixture-genus2 is only trusted up to truncation 4, requested 9",
+    ),
+])
+def test_fixture_refusals_name_the_fixture_once(argv, message, capsys):
+    assert main(["eval", "--word", "a1", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"twistlog: error: {message}\n"
 
 
 def test_fixture_generator_names_are_checked(monkeypatch, capsys):

@@ -17,8 +17,6 @@ from twistlog.derivation import (
     exp_derivation,
     from_tensor,
     graded_component,
-    is_symplectic_derivation,
-    omega_ideal_equal,
     omega_ideal_reduce,
     to_tensor,
 )
@@ -152,10 +150,9 @@ def test_image_of_n_kills_omega():
     ctx = AlgebraContext(2, 4)
     for _ in range(15):
         d = from_tensor(cyclic_n(random_naming_tensor(rng, ctx, min_degree=1)))
-        assert is_symplectic_derivation(d)
         assert apply(d, symplectic_form(ctx)) == 0
     skew = from_tensor(monomial_tensor(AlgebraContext(1, 3), (0, 0, 1)))
-    assert not is_symplectic_derivation(skew)
+    assert apply(skew, symplectic_form(skew.ctx))
 
 
 def test_symplectic_derivations_close_under_bracket():
@@ -164,7 +161,7 @@ def test_symplectic_derivations_close_under_bracket():
     for _ in range(10):
         d1 = from_tensor(cyclic_n(random_naming_tensor(rng, ctx, min_degree=1)))
         d2 = from_tensor(cyclic_n(random_naming_tensor(rng, ctx, min_degree=1)))
-        assert is_symplectic_derivation(commutator(d1, d2))
+        assert not apply(commutator(d1, d2), symplectic_form(ctx))
 
 
 def test_exp_derivation_terminates_and_multiplies():
@@ -201,7 +198,7 @@ def test_omega_ideal_reduce():
         v = random_naming_tensor(rng, ctx, min_degree=1, terms=1)
         t = random_naming_tensor(rng, ctx, min_degree=1)
         assert omega_ideal_reduce(u * omega * v, ideal) == 0
-        assert omega_ideal_equal(t, t + u * omega, ideal)
+        assert not omega_ideal_reduce(t - (t + u * omega), ideal)
         # reduction is a projector with a canonical residual
         r = omega_ideal_reduce(t, ideal)
         assert omega_ideal_reduce(r, ideal) == r

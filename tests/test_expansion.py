@@ -12,17 +12,12 @@ import pytest
 from twistlog import expansion as expansion_module
 from twistlog.expansion import (
     Expansion,
-    boundary_log,
     build_symplectic,
     connecting_automorphism,
     evaluate,
     expansion_from_json,
     expansion_to_json,
     exponential_expansion,
-    fixture_genus1,
-    fixture_genus2,
-    fixture_massuyeau_partial,
-    fixture_trusted_degree,
     is_group_like,
     is_symplectic,
     load_fixture,
@@ -96,7 +91,7 @@ def test_constructor_validation():
 
 def test_evaluate_is_a_homomorphism():
     rng = random.Random(8128)
-    theta = fixture_genus2()
+    theta = load_fixture("fixture-genus2")
     for _ in range(10):
         u = random_word(rng, 2, rng.randint(0, 5))
         v = random_word(rng, 2, rng.randint(0, 5))
@@ -108,7 +103,7 @@ def test_evaluate_is_a_homomorphism():
 
 def test_group_like_values_have_lie_logs():
     rng = random.Random(246)
-    theta = fixture_genus1()
+    theta = load_fixture("fixture-genus1")
     for _ in range(10):
         w = random_word(rng, 1, rng.randint(1, 6))
         assert is_lie(log_evaluate(theta, w))
@@ -128,7 +123,7 @@ def test_lower_central_series_filtration():
 
 def test_genus1_fixture_log_values():
     # published low-degree values of the genus-1 log on a1
-    theta = fixture_genus1()
+    theta = load_fixture("fixture-genus1")
     ctx = theta.ctx
     a, b = basis_tensor(ctx, 0), basis_tensor(ctx, 1)
     ell = theta.logs[0]
@@ -141,23 +136,22 @@ def test_genus1_fixture_log_values():
 
 
 def test_fixtures_are_symplectic():
-    for theta in (fixture_genus1(), fixture_genus2()):
+    for theta in (load_fixture("fixture-genus1"), load_fixture("fixture-genus2")):
         assert is_symplectic(theta)
-        assert boundary_log(theta) == symplectic_form(theta.ctx)
+        assert log_evaluate(theta, boundary_word(theta.genus)) == symplectic_form(theta.ctx)
 
 
 def test_fixture_trusted_degrees():
-    assert fixture_trusted_degree("fixture-genus1") == 6
-    assert fixture_trusted_degree("fixture-genus2") == 5
-    assert fixture_trusted_degree("fixture-massuyeau-partial") == 5
-    assert fixture_genus1().truncation == 5
-    assert fixture_genus2().truncation == 4
+    # the default truncation is one below the trusted degree
+    assert load_fixture("fixture-genus1").truncation + 1 == 6
+    assert load_fixture("fixture-genus2").truncation + 1 == 5
+    assert load_fixture("fixture-massuyeau-partial").truncation + 1 == 5
     # asking beyond the trusted degree is an error, not an extrapolation
     with pytest.raises(ValueError):
-        fixture_genus1(truncation=6)
+        load_fixture("fixture-genus1", 6)
     with pytest.raises(ValueError):
-        fixture_genus2(truncation=5)
-    assert fixture_genus1(truncation=3).truncation == 3
+        load_fixture("fixture-genus2", 5)
+    assert load_fixture("fixture-genus1", 3).truncation == 3
     with pytest.raises(ValueError):
         load_fixture("fixture-genus1", genus=2)
     with pytest.raises(ValueError):
@@ -165,7 +159,7 @@ def test_fixture_trusted_degrees():
 
 
 def test_partial_fixture():
-    theta = fixture_massuyeau_partial()
+    theta = load_fixture("fixture-massuyeau-partial")
     assert theta.genus == 2 and theta.partial
     # a1 and b1 are determined, the second handle is not
     assert theta.log_of(0) is not None
@@ -174,12 +168,12 @@ def test_partial_fixture():
     with pytest.raises(ValueError):
         evaluate(theta, generator_word(2, 2))
     with pytest.raises(ValueError):
-        boundary_log(theta)
+        log_evaluate(theta, boundary_word(theta.genus))
     with pytest.raises(ValueError):
         is_symplectic(theta)
     assert is_group_like(theta)  # determined logs are all Lie
     # the data is genus-independent; only the ambient algebra changes
-    wide = fixture_massuyeau_partial(genus=3)
+    wide = load_fixture("fixture-massuyeau-partial", genus=3)
     assert wide.genus == 3
     assert evaluate(wide, generator_word(3, 0)).terms == evaluate(
         theta, generator_word(2, 0)
@@ -195,12 +189,12 @@ def test_builder_produces_symplectic_expansions():
 
 def test_builder_reproduces_fixtures():
     # the canonical build agrees with the published tables on the nose
-    assert build_symplectic(1, 5) == fixture_genus1()
-    assert build_symplectic(2, 4) == fixture_genus2()
+    assert build_symplectic(1, 5) == load_fixture("fixture-genus1")
+    assert build_symplectic(2, 4) == load_fixture("fixture-genus2")
 
 
 def test_builder_idempotent_on_fixture_seed():
-    fx = fixture_genus2()
+    fx = load_fixture("fixture-genus2")
     again = build_symplectic(2, 4, seed=fx)
     assert again.logs == fx.logs
 
@@ -212,7 +206,7 @@ def test_builder_restriction_coherence():
 
 def test_restrict_evaluates_as_the_truncated_expansion():
     rng = random.Random(1008)
-    for theta in (build_symplectic(2, 5), standard_expansion(1, 5), fixture_genus1()):
+    for theta in (build_symplectic(2, 5), standard_expansion(1, 5), load_fixture("fixture-genus1")):
         assert restrict(theta, theta.truncation) is theta
         with pytest.raises(ValueError):
             restrict(theta, theta.truncation + 1)
@@ -229,7 +223,7 @@ def test_restrict_evaluates_as_the_truncated_expansion():
 
 
 def test_restrict_keeps_undetermined_logs():
-    theta = fixture_massuyeau_partial()
+    theta = load_fixture("fixture-massuyeau-partial")
     low = restrict(theta, 3)
     assert [t is None for t in low.logs] == [t is None for t in theta.logs]
     a1 = generator_word(2, 0)
@@ -291,7 +285,7 @@ def test_builder_refuses_a_non_lie_defect(monkeypatch):
 def test_symplectic_verdict_agrees_with_the_boundary_log():
     for make in (
         lambda: build_symplectic(2, 4),
-        lambda: fixture_genus1(),
+        lambda: load_fixture("fixture-genus1"),
         lambda: exponential_expansion(2, 4),
         lambda: exponential_expansion(1, 2),
         lambda: standard_expansion(2, 4),
@@ -299,7 +293,7 @@ def test_symplectic_verdict_agrees_with_the_boundary_log():
     ):
         theta = make()
         fresh = Expansion(theta.ctx, theta.logs, kind=theta.kind)
-        symplectic = boundary_log(theta) == symplectic_form(theta.ctx)
+        symplectic = log_evaluate(theta, boundary_word(theta.genus)) == symplectic_form(theta.ctx)
         assert ("ell(zeta) != omega" not in symplectic_failures(fresh)) == symplectic
     assert is_symplectic(variant_expansion(1, 5))
     assert not is_symplectic(standard_expansion(2, 4))
@@ -316,9 +310,9 @@ def test_builder_refuses_oversized_algebras_at_once():
 
 def test_builder_seed_validation():
     with pytest.raises(ValueError):
-        build_symplectic(2, 4, seed=fixture_genus1())  # genus mismatch
+        build_symplectic(2, 4, seed=load_fixture("fixture-genus1"))  # genus mismatch
     with pytest.raises(ValueError):
-        build_symplectic(2, 4, seed=fixture_massuyeau_partial())  # partial
+        build_symplectic(2, 4, seed=load_fixture("fixture-massuyeau-partial"))  # partial
     with pytest.raises(ValueError):
         build_symplectic(1, 4, seed=standard_expansion(1, 4))  # not group-like
 
@@ -339,13 +333,17 @@ def test_connecting_automorphism_intertwines():
 def test_connecting_automorphism_validation():
     with pytest.raises(ValueError):
         connecting_automorphism(exponential_expansion(1, 3), exponential_expansion(1, 4))
-    partial = fixture_massuyeau_partial(truncation=4)
+    partial = load_fixture("fixture-massuyeau-partial", 4)
     with pytest.raises(ValueError):
         connecting_automorphism(partial, partial)
 
 
 def test_expansion_json_round_trip():
-    for theta in (fixture_genus1(), fixture_massuyeau_partial(), build_symplectic(2, 3)):
+    for theta in (
+        load_fixture("fixture-genus1"),
+        load_fixture("fixture-massuyeau-partial"),
+        build_symplectic(2, 3),
+    ):
         obj = expansion_to_json(theta)
         back = expansion_from_json(obj)
         assert back == theta and back.kind == theta.kind

@@ -13,8 +13,7 @@ from twistlog.expansion import (
     build_symplectic,
     evaluate,
     exponential_expansion,
-    fixture_genus1,
-    fixture_massuyeau_partial,
+    load_fixture,
     log_evaluate,
     restrict,
 )
@@ -124,7 +123,7 @@ def test_l_invariant_degree_two_is_class_squared(theta25):
 
 
 def test_genus1_low_components():
-    theta = fixture_genus1()
+    theta = load_fixture("fixture-genus1")
     ctx = theta.ctx
     a, b = basis_tensor(ctx, 0), basis_tensor(ctx, 1)
     t = l_invariant_tensor(theta, generator_word(1, 0))
@@ -144,7 +143,7 @@ def test_genus1_low_components():
 
 def test_partial_fixture_matches_genus1_components():
     # the partial fixture's first handle gives the same degree-4 values
-    theta = fixture_massuyeau_partial()
+    theta = load_fixture("fixture-massuyeau-partial")
     ctx = theta.ctx
     a, b = basis_tensor(ctx, 0), basis_tensor(ctx, 1)
     L = l_invariant(theta, generator_word(2, 0))
@@ -388,7 +387,7 @@ def test_dehn_twist_formula_needs_a_good_jet():
     # this truncation but destroys extendability: the twist formula then
     # fails exactly in the top degree.  This is the phenomenon that forces
     # the builder to run one corrective pass beyond its target degree.
-    fx = fixture_genus1()
+    fx = load_fixture("fixture-genus1")
     ctx = fx.ctx
     a, b = basis_tensor(ctx, 0), basis_tensor(ctx, 1)
     pert = bracket(a, bracket(a, bracket(a, bracket(a, b))))
@@ -407,6 +406,27 @@ def test_operator_identities_certificate(theta25):
     assert cert.passed
     with pytest.raises(ValueError):
         verify_operator_identities(theta25, Curve("sep", 1))
+
+
+def test_operator_identity_witnesses_are_pinned(monkeypatch):
+    # L(w) + L(b1) in place of L(w) breaks the identities on A1 and B1;
+    # every witness, in its order, is pinned
+    theta = build_symplectic(2, 6)
+    plain = l_invariant
+    monkeypatch.setattr(
+        "twistlog.johnson.l_invariant",
+        lambda th, w: plain(th, w) + plain(th, word_from_string(th.genus, "b1")),
+    )
+    cert = verify_operator_identities(theta, Curve("nonsep"))
+    assert not cert.passed
+    assert cert.witness == (
+        "L2 L2 A1 != 0; L2 L2 L2 L4 A1 != 0; L2 L2 L4 L2 A1 != 0; "
+        "2 L2 L4 L2 A1 != L2 L2 L4 A1; "
+        "L2 L2 B1 != 0; L2 L2 L2 L4 B1 != 0; L2 L2 L4 L2 B1 != 0; "
+        "2 L2 L4 L2 B1 != L2 L2 L4 B1; "
+        "tau_2 A1 formula mismatch; tau_2 B1 formula mismatch"
+    )
+    assert hashlib.sha256(cert.witness.encode()).hexdigest().startswith("ff454a1febd025c0")
 
 
 def test_twist_formula_respects_conjugation(theta25):

@@ -17,7 +17,7 @@ from twistlog.lie import (
     lyndon_bracket_forms,
     phi,
 )
-from twistlog.expansion import fixture_genus1, fixture_genus2
+from twistlog.expansion import load_fixture
 from twistlog.johnson import johnson_component, l_invariant
 from twistlog.suite import built_expansion
 from twistlog.words import twist, word_from_string
@@ -228,7 +228,7 @@ def test_shared_memo_forms_equal_separate_forms():
             values += johnson_component(theta, twist(2, kind, h), k).values
     # a value that is not Lie, and values over another alphabet, in between
     values.insert(5, values[0] * values[1] + values[2])
-    values[9:9] = l_invariant(fixture_genus1(), word_from_string(1, "a1 b1")).values
+    values[9:9] = l_invariant(load_fixture("fixture-genus1"), word_from_string(1, "a1 b1")).values
     separate = []
     for v in values:
         try:
@@ -272,7 +272,7 @@ def test_antipode_of_exp_is_exp_of_minus_for_lie_elements():
         for _ in range(8):
             u = random_lie(rng, ctx)
             assert antipode(exp(u)) == exp(-u)
-    for theta in (fixture_genus1(), fixture_genus2()):
+    for theta in (load_fixture("fixture-genus1"), load_fixture("fixture-genus2")):
         for u in theta.logs:
             assert antipode(exp(u)) == exp(-u)
     # S(u) = -u fails for the non-Lie u = X_1 X_2, and so does the identity
