@@ -42,15 +42,6 @@ from .suite import run_check, suite_names
 from .tensor import tensor_to_json
 from .words import automorphism_from_json, parse_twist, word_from_string
 
-SOURCES = (
-    "builtin:standard",
-    "builtin:exp",
-    "fixture:g1",
-    "fixture:g2",
-    "fixture:massuyeau",
-    "build",
-    "file:PATH",
-)
 FIXTURES = {
     "fixture:g1": "fixture-genus1",
     "fixture:g2": "fixture-genus2",
@@ -61,6 +52,7 @@ BUILDERS = {
     "builtin:exp": exponential_expansion,
     "build": build_symplectic,
 }
+SOURCES = (*FIXTURES, *BUILDERS, "file:PATH")
 
 
 class UsageError(ValueError):

@@ -25,8 +25,8 @@ from math import lcm
 from .tensor import Tensor, scaled_terms, tensor_from_scaled
 
 
-def necklace_block(block: dict, p: int, dim: int, weight: int = 1) -> dict:
-    """weight * N of a block of degree-p codes, walking each orbit once.
+def necklace_block(block: dict, p: int, dim: int) -> dict:
+    """N of a block of degree-p codes, walking each orbit once.
 
     The result holds every rotation of every code in ``block``; an orbit
     whose coefficients cancel keeps its members with numerator 0, which
@@ -41,14 +41,14 @@ def necklace_block(block: dict, p: int, dim: int, weight: int = 1) -> dict:
             continue
         r = (x % top) * dim + x // top
         if r == x:
-            out[x] = s * weight * p
+            out[x] = s * p
             continue
         orbit = [x]
         while r != x:
             orbit.append(r)
             s += get(r, 0)
             r = (r % top) * dim + r // top
-        s *= weight * (p // len(orbit))
+        s *= p // len(orbit)
         for r in orbit:
             out[r] = s
     return out
@@ -80,9 +80,10 @@ def cyclic_n_hat(t: Tensor) -> Tensor:
     blocks, den = scaled_terms(t)
     dim = t.ctx.dim
     common = lcm(*(p for p in blocks if p))
-    out = {
-        p: necklace_block(block, p, dim, common // p) for p, block in blocks.items() if p
-    }
+    out = {}
+    for p, block in blocks.items():
+        if p:
+            out[p] = {x: s * (common // p) for x, s in necklace_block(block, p, dim).items()}
     return tensor_from_scaled(t.ctx, out, den * common)
 
 

@@ -46,15 +46,12 @@ from .tensor import (
 )
 from .words import GroupWord, boundary_word, gen_name, generator_word, parse_name
 
-EXPANSION_KINDS = (
-    "standard",
-    "exponential",
-    "fixture-genus1",
-    "fixture-genus2",
-    "fixture-massuyeau-partial",
-    "built",
-    "user",
-)
+_FIXTURE_FILES = {
+    "fixture-genus1": "genus1.json",
+    "fixture-genus2": "genus2.json",
+    "fixture-massuyeau-partial": "massuyeau_partial.json",
+}
+EXPANSION_KINDS = ("standard", "exponential", *_FIXTURE_FILES, "built", "user")
 
 
 class Expansion:
@@ -214,13 +211,6 @@ def exponential_expansion(genus: int, truncation: int) -> Expansion:
     _check_size(genus, truncation)
     logs = [basis_tensor(ctx, i) for i in range(ctx.dim)]
     return Expansion(ctx, logs, kind="exponential")
-
-
-_FIXTURE_FILES = {
-    "fixture-genus1": "genus1.json",
-    "fixture-genus2": "genus2.json",
-    "fixture-massuyeau-partial": "massuyeau_partial.json",
-}
 
 
 def _data_text(filename: str) -> str:

@@ -48,7 +48,6 @@ from .words import (
     gen_name,
     generator_word,
     homology_inverse,
-    homology_matrix,
     invert_automorphism,
     twist,
     twist_word,
@@ -152,21 +151,12 @@ def total_johnson(theta: Expansion, phi: FreeAutomorphism) -> Endomorphism:
     by its values on H."""
     if theta.genus != phi.genus:
         raise ValueError("genus mismatch between expansion and automorphism")
-    images = [
-        evaluate(theta, apply_automorphism(phi, generator_word(theta.genus, i)))
-        for i in range(theta.ctx.dim)
-    ]
-    return intertwiner(theta, images)
+    return intertwiner(theta, [evaluate(theta, im) for im in phi.images])
 
 
 def _columns(mat: list, ctx: AlgebraContext) -> list:
     """sum_i mat[i][j] X_i for each column j, as degree-1 tensors."""
     return [Tensor(ctx, {(i,): row[j] for i, row in enumerate(mat)}) for j in range(ctx.dim)]
-
-
-def homology_action(phi: FreeAutomorphism, ctx: AlgebraContext) -> list:
-    """[phi(x_j)] for each generator, as degree-1 tensors."""
-    return _columns(homology_matrix(phi), ctx)
 
 
 def johnson_components(theta: Expansion, phi: FreeAutomorphism, top: int) -> list:
@@ -303,10 +293,9 @@ def twist_formula_witness(
     tc = curve_twist(ctx.genus, curve)
     minus_l = -L
     for i in range(ctx.dim):
-        gen = generator_word(ctx.genus, i)
-        start = evaluate(theta, gen)
+        start = evaluate(theta, generator_word(ctx.genus, i))
         lhs = exp_derivation(minus_l, start if reduce is None else reduce(start))
-        rhs = evaluate(theta, apply_automorphism(tc, gen))
+        rhs = evaluate(theta, tc.images[i])
         if lhs == rhs:
             continue
         diff = lhs - rhs if reduce is None else reduce(lhs - rhs)

@@ -49,7 +49,6 @@ from .johnson import (
     certificate,
     curve_word,
     describe_curve,
-    homology_action,
     johnson_components,
     l_invariant,
     l_invariant_tensor,
@@ -66,7 +65,6 @@ from .tensor import (
     AlgebraContext,
     Tensor,
     antisymmetrize,
-    basis_tensor,
     filtration_degree,
     graded_part,
     intersection,
@@ -81,6 +79,8 @@ from .words import (
     format_twist,
     generator_word,
     handle_word,
+    homology_class,
+    homology_matrix,
     invert,
     twist,
     twist_word,
@@ -188,16 +188,12 @@ def check_transvection() -> Certificate:
         ctx = AlgebraContext(genus, 2)
         for kind, entry in TWIST_KINDS.items():
             for h in range(1, genus + 1) if entry.takes_h else (None,):
-                counts = [0] * ctx.dim
-                for g, sign in twist_word(genus, kind, h).letters:
-                    counts[g] += sign
-                c = sum(
-                    (basis_tensor(ctx, i).scale(n) for i, n in enumerate(counts)), zero_tensor(ctx)
-                )
-                action = homology_action(twist(genus, kind, h), ctx)
+                c = homology_class(twist_word(genus, kind, h))
+                action = homology_matrix(twist(genus, kind, h))
                 for j in range(ctx.dim):
-                    pairing = sum(n * intersection(ctx, j, i) for i, n in enumerate(counts))
-                    if action[j] != basis_tensor(ctx, j) - c.scale(pairing):
+                    pairing = sum(n * intersection(ctx, j, i) for i, n in enumerate(c))
+                    column = [int(i == j) - pairing * n for i, n in enumerate(c)]
+                    if [row[j] for row in action] != column:
                         where = f"{format_twist(kind, h)} on {ctx.basis_name(j)}"
                         failures.append(f"genus {genus} {where}")
     return certificate("transvection", {"genera": [1, 2, 3]}, failures)

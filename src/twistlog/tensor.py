@@ -41,7 +41,7 @@ from types import MappingProxyType
 from typing import Iterable
 
 from .rationals import ONE, ZERO, Rat, rat_from_string, rat_to_string
-from .words import parse_name
+from .words import gen_name, parse_name
 
 Monomial = tuple  # tuple of basis indices; length is the tensor degree
 
@@ -83,8 +83,7 @@ class AlgebraContext:
 
     def basis_name(self, index: int) -> str:
         self.check_index(index)
-        letter = "A" if index % 2 == 0 else "B"
-        return f"{letter}{index // 2 + 1}"
+        return gen_name(index).upper()
 
     def basis_index(self, name: str) -> int:
         return parse_name(
@@ -256,6 +255,8 @@ class Tensor:
         )
 
     def __hash__(self):
+        if self._blocks.keys() <= {0}:  # a scalar equals its value, so hashes as it
+            return hash(Rat(self._blocks.get(0, {0: 0})[0], self._den))
         return hash((
             self.ctx,
             self._den,

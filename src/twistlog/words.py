@@ -128,8 +128,8 @@ def word_to_string(w: GroupWord) -> str:
     return " ".join(bits)
 
 
-def generator_word(genus: int, index: int, sign: int = 1) -> GroupWord:
-    return GroupWord(genus, [(index, sign)])
+def generator_word(genus: int, index: int) -> GroupWord:
+    return GroupWord(genus, [(index, 1)])
 
 
 def concat(w1: GroupWord, w2: GroupWord) -> GroupWord:
@@ -397,15 +397,17 @@ def invert_automorphism(phi: FreeAutomorphism) -> FreeAutomorphism:
     return _from_factorization(phi.genus, fact)
 
 
+def homology_class(w: GroupWord) -> list:
+    """The class of w in H as ints: the exponent sum of each generator."""
+    counts = [0] * (2 * w.genus)
+    for gen, sign in w.letters:
+        counts[gen] += sign
+    return counts
+
+
 def homology_matrix(phi: FreeAutomorphism) -> list:
-    """The integer matrix of phi on H: entry [i][j] is the exponent sum of
-    generator i in phi(x_j)."""
-    n = 2 * phi.genus
-    mat = [[0] * n for _ in range(n)]
-    for j, im in enumerate(phi.images):
-        for gen, sign in im.letters:
-            mat[gen][j] += sign
-    return mat
+    """The integer matrix of phi on H: column j is the class of phi(x_j)."""
+    return [list(row) for row in zip(*map(homology_class, phi.images))]
 
 
 def homology_inverse(phi: FreeAutomorphism) -> list | None:

@@ -11,16 +11,26 @@ import re
 import pytest
 
 from twistlog import johnson, suite
-from twistlog.expansion import Expansion, is_symplectic, load_fixture
+from twistlog.expansion import (
+    Expansion,
+    build_symplectic,
+    connecting_automorphism,
+    exponential_expansion,
+    is_symplectic,
+    load_fixture,
+)
 from twistlog.johnson import certificate_to_json
-from twistlog.lie import bracket_tree_tensor
+from twistlog.lie import bracket, bracket_tree_tensor
+from twistlog.rationals import Rat
 from twistlog.suite import (
+    _connecting_failures,
     built_expansion,
     fixture_expansion,
     run_check,
     suite_names,
     variant_expansion,
 )
+from twistlog.tensor import AlgebraContext, basis_tensor, graded_part
 from twistlog.words import TWIST_KINDS, TwistKind, generator_word
 
 # SHA-256 of each certificate's canonical JSON without its timing params,
@@ -141,3 +151,21 @@ def test_sigma_check_compares_two_computations(monkeypatch):
         "genus 2: L(a1) theta(b1) != -theta(b1) ell(a1); "
         "genus 2: sigma and -2 L disagree"
     )
+
+
+def test_connecting_sees_a_nonzero_u1_in_lambda3():
+    # the suite's pairs are genus 1, where Lambda^3 H = 0; here a seed with
+    # (1/3)[A2, B2] in the log of a1 gives a genus-2 pair whose u_1 is not 0
+    ctx = AlgebraContext(2, 4)
+    logs = [basis_tensor(ctx, i) for i in range(ctx.dim)]
+    logs[0] = logs[0] + bracket(basis_tensor(ctx, 2), basis_tensor(ctx, 3)).scale(Rat(1, 3))
+    built = build_symplectic(2, 4)
+    seeded = build_symplectic(2, 4, seed=Expansion(ctx, logs))
+    u1 = [graded_part(v, 2) for v in connecting_automorphism(built, seeded).h_values]
+    assert sum(map(bool, u1)) == 3
+    assert _connecting_failures("seeded", built, seeded) == []
+    # the exponential expansion is not symplectic: its u_1 leaves Lambda^3 H
+    assert _connecting_failures("exp", built, exponential_expansion(2, 4)) == [
+        "exp: (log U)|_H does not kill omega",
+        "exp: u_1 is not in Lambda^3 H",
+    ]

@@ -149,7 +149,18 @@ def _malformed_generators(theta_json, case):
         name = case[5:]
         gens = [dict(g, name=name) if g["name"][0] == name[0] else g for g in theta_json["generators"]]
         return dict(theta_json, generators=gens)
+    if case == "generators-object":
+        return dict(theta_json, generators={first["name"]: first["log"]})
+    if case == "generator-int":
+        return dict(theta_json, generators=[1])
     return dict(theta_json, generators=[first["name"]])  # a bare string
+
+
+# the refusal a case must reach, where another refusal would also exit 2
+_MALFORMED_MESSAGES = {
+    "generators-object": "expansion JSON 'generators' must be a list",
+    "generator-int": "generator entry must be an object with 'name' and 'log': 1",
+}
 
 
 def _limit_address_space():
@@ -181,6 +192,7 @@ def _assert_usage_error_in_fresh_interpreter(*argv, module="twistlog.cli"):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("twistlog: error:")
     assert len(proc.stderr.splitlines()) == 1
+    return proc
 
 
 @pytest.mark.parametrize(
@@ -189,6 +201,8 @@ def _assert_usage_error_in_fresh_interpreter(*argv, module="twistlog.cli"):
         "genus-string",
         "generator-without-log",
         "generator-bare-string",
+        "generators-object",
+        "generator-int",
         # generator names are ASCII [ab][1-9][0-9]*, matched in full
         "name:a+1",
         "name:a 1",
@@ -199,7 +213,8 @@ def _assert_usage_error_in_fresh_interpreter(*argv, module="twistlog.cli"):
 def test_check_expansion_malformed_json_exits_two(case, tmp_path):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(_malformed_generators(expansion_to_json(exponential_expansion(1, 3)), case)))
-    _assert_usage_error_in_fresh_interpreter("check-expansion", "--in", str(path))
+    proc = _assert_usage_error_in_fresh_interpreter("check-expansion", "--in", str(path))
+    assert _MALFORMED_MESSAGES.get(case, "") in proc.stderr
 
 
 def test_check_expansion_refuses_an_exponent_coefficient_at_once(tmp_path):
@@ -486,6 +501,19 @@ def test_verify_with_no_checks_selected_is_a_usage_error(suite, capsys):
 ])
 def test_fixture_refusals_name_the_fixture_once(argv, message, capsys):
     assert main(["eval", "--word", "a1", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"twistlog: error: {message}\n"
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--genus", "2"], "--genus 2 conflicts with file genus 1"),
+    (["--degree", "3"], "--degree 3 conflicts with file truncation 4"),
+])
+def test_file_source_refuses_a_conflicting_genus_or_degree(option, message, tmp_path, capsys):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(expansion_to_json(exponential_expansion(1, 4))))
+    assert main(["eval", "--word", "a1", "--expansion", f"file:{path}", *option]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"twistlog: error: {message}\n"

@@ -115,6 +115,19 @@ def test_commutator_is_a_derivation():
     assert apply(c, t1) == apply(d1, apply(d2, t1)) - apply(d2, apply(d1, t1))
 
 
+def test_derivations_refuse_values_and_tensors_of_another_shape():
+    ctx, other = AlgebraContext(2, 4), AlgebraContext(2, 3)
+    values = [basis_tensor(ctx, i) for i in range(ctx.dim)]
+    with pytest.raises(ValueError, match="expected 4 values on H"):
+        Derivation(ctx, values[:-1])
+    with pytest.raises(ValueError, match="context mismatch in derivation values"):
+        Derivation(ctx, [basis_tensor(other, i) for i in range(other.dim)])
+    d = Derivation(ctx, values)
+    for act in (apply, exp_derivation):
+        with pytest.raises(ValueError, match="context mismatch"):
+            act(d, basis_tensor(other, 0))
+
+
 def test_value_table_is_built_once_per_derivation():
     rng = random.Random(8128)
     ctx = AlgebraContext(2, 4)

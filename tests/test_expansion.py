@@ -158,6 +158,19 @@ def test_fixture_trusted_degrees():
         load_fixture("no-such-fixture")
 
 
+def test_fixture_refuses_a_malformed_bracket_tree(monkeypatch):
+    data_text = expansion_module._data_text
+    payload = json.loads(data_text("genus1.json"))
+    payload["generators"]["a1"][0][1] = ["A1"]
+    edited = json.dumps(payload)
+    monkeypatch.setattr(
+        expansion_module, "_data_text", lambda name: edited if name == "genus1.json" else data_text(name)
+    )
+    with pytest.raises(ValueError) as refused:
+        load_fixture("fixture-genus1")
+    assert str(refused.value) == "malformed bracket tree: ['A1']"
+
+
 def test_partial_fixture():
     theta = load_fixture("fixture-massuyeau-partial")
     assert theta.genus == 2 and theta.partial

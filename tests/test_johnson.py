@@ -23,7 +23,6 @@ from twistlog.johnson import (
     curve_twist,
     curve_word,
     describe_curve,
-    homology_action,
     johnson_component,
     johnson_components,
     l_invariant,
@@ -213,15 +212,6 @@ def test_describe_curve():
     assert describe_curve(Curve("sep", 2)) == "sep:2"
     label = describe_curve(Curve("nonsep", phi=twist(2, "sep", 1)))
     assert label == "conj(sep1^1):nonsep"
-
-
-def test_homology_action_transvection():
-    ctx = AlgebraContext(2, 2)
-    action = homology_action(twist(2, "nonsep"), ctx)
-    # b1 -> b1 a1 on homology is B1 + A1; everything else is fixed
-    assert action[1] == basis_tensor(ctx, 1) + basis_tensor(ctx, 0)
-    for j in (0, 2, 3):
-        assert action[j] == basis_tensor(ctx, j)
 
 
 def test_total_johnson_intertwines(theta25):

@@ -19,6 +19,7 @@ from twistlog.tensor import (
     scalar_tensor,
     symplectic_form,
     tensor_from_json,
+    tensor_from_scaled,
     tensor_to_json,
     truncate,
     wedge_embed,
@@ -76,6 +77,8 @@ def test_constructor_drops_zeros_and_checks_degree():
         Tensor(ctx, {(0, 0, 0, 0): Rat(1)})
     with pytest.raises(ValueError):
         Tensor(ctx, {(5,): Rat(1)})
+    with pytest.raises(ValueError, match="denominator must be positive, got 0"):
+        tensor_from_scaled(ctx, {}, 0)
 
 
 def test_arithmetic_basics():
@@ -324,6 +327,14 @@ def test_equality_with_unrelated_objects_is_false():
             t == value
     with pytest.raises(ValueError, match="bool"):
         zero_tensor(ctx) == False  # noqa: E712
+
+
+def test_scalar_tensors_hash_as_the_values_they_equal():
+    ctx = AlgebraContext(2, 3)
+    assert 1 in {one_tensor(ctx)}
+    assert {zero_tensor(ctx): "z"}.get(0) == "z"
+    assert {Rat(3, 2): "q"}.get(scalar_tensor(ctx, Rat(3, 2))) == "q"
+    assert {basis_tensor(ctx, 0): "a"}.get(basis_tensor(ctx, 0)) == "a"
 
 
 def test_equality_never_parses_strings():

@@ -73,6 +73,8 @@ def test_free_reduction():
         GroupWord(1, [(5, 1)])
     with pytest.raises(ValueError):
         GroupWord(1, [(0, 2)])
+    with pytest.raises(ValueError, match="genus must be >= 1, got 0"):
+        GroupWord(0)
 
 
 def test_invert_concat_conjugate():
@@ -105,6 +107,9 @@ def test_twist_nonseparating_images():
     for i in (0, 2, 3):
         assert t.images[i] == generator_word(2, i)
     assert t.boundary_preserving
+    assert twist(2, "nonsep", power=0) == identity_automorphism(2)
+    with pytest.raises(ValueError, match="nonsep twist takes no h, got h=1"):
+        twist(2, "nonsep", 1)
 
 
 def test_twist_separating_conjugates_first_handles():
@@ -195,6 +200,8 @@ def test_compose_and_invert():
         w = random_word(rng, 2, rng.randint(0, 5))
         assert apply_automorphism(inv, apply_automorphism(phi, w)) == w
     assert compose(phi, inv) == identity_automorphism(2)
+    with pytest.raises(ValueError, match="genus mismatch"):
+        compose(twist(1, "nonsep"), phi)
     # these maps skip the homology check; the checked constructor agrees
     for psi in (phi, inv, twist(2, "sep", 2, -3), identity_automorphism(2)):
         assert homology_inverse(psi) is not None
