@@ -45,7 +45,7 @@ from .words import automorphism_from_json, parse_twist, word_from_string
 FIXTURES = {
     "fixture:g1": "fixture-genus1",
     "fixture:g2": "fixture-genus2",
-    "fixture:massuyeau": "fixture-massuyeau-partial",
+    "fixture:massuyeau": "fixture-massuyeau",
 }
 BUILDERS = {
     "builtin:standard": standard_expansion,
@@ -75,23 +75,24 @@ def _read_json(path: str, what: str):
 
 def _resolve_expansion(source: str, genus, degree) -> Expansion:
     """Map a source descriptor to an Expansion.  genus/degree of None mean
-    'use the source's natural default' (fixtures know their own)."""
-    if source.startswith("file:"):
-        theta = expansion_from_json(_read_json(source[5:], "expansion file"))
-        if genus is not None and theta.genus != genus:
-            raise UsageError(f"--genus {genus} conflicts with file genus {theta.genus}")
-        if degree is not None and theta.truncation != degree:
-            raise UsageError(
-                f"--degree {degree} conflicts with file truncation {theta.truncation}"
-            )
-        return theta
-    if source in FIXTURES:
-        return load_fixture(FIXTURES[source], degree, genus)
+    'use the source's natural default' (fixtures and files know their own)."""
     if source in BUILDERS:
         return BUILDERS[source](2 if genus is None else genus, 5 if degree is None else degree)
-    raise UsageError(
-        f"unknown expansion source {source!r}; expected one of: " + ", ".join(SOURCES)
-    )
+    if source.startswith("file:"):
+        theta = expansion_from_json(_read_json(source[5:], "expansion file"))
+    elif source in FIXTURES:
+        theta = load_fixture(FIXTURES[source], degree)
+    else:
+        raise UsageError(
+            f"unknown expansion source {source!r}; expected one of: " + ", ".join(SOURCES)
+        )
+    if genus is not None and theta.genus != genus:
+        raise UsageError(f"--genus {genus} conflicts with {source}, of genus {theta.genus}")
+    if degree is not None and theta.truncation != degree:
+        raise UsageError(
+            f"--degree {degree} conflicts with {source}, of truncation {theta.truncation}"
+        )
+    return theta
 
 
 def _parse_curve(genus: int, descriptor: str) -> Curve:
@@ -149,8 +150,6 @@ def _emit_certificate(cert: Certificate, mode: str) -> None:
 
 def _symplectic_certificate(theta: Expansion) -> Certificate:
     params = {"genus": theta.genus, "truncation": theta.truncation, "kind": theta.kind}
-    if theta.partial:
-        params["partial"] = True
     return certificate("is-symplectic", params, symplectic_failures(theta))
 
 

@@ -1,14 +1,13 @@
 """Cyclic symmetrization operators and the necklace bracket.
 
 nu rotates a monomial one step to the left (X_1 X_2 ... X_p -> X_2 ... X_p X_1),
-N sums the p rotations of a degree-p monomial (and kills degree 0), and
-N-hat is the degreewise normalization (1/p) N, so N-hat restricts to the
-identity on the image of N.  The image of N inside T-hat_1 is exactly the
-nu-invariant part, and under the duality of the derivation module it is the
-algebra of derivations killing the symplectic form; the necklace bracket below
-writes the derivation commutator directly on nu-invariant tensors.
+and N sums the p rotations of a degree-p monomial (and kills degree 0).  The
+image of N inside T-hat_1 is exactly the nu-invariant part, and under the
+duality of the derivation module it is the algebra of derivations killing the
+symplectic form; the necklace bracket below writes the derivation commutator
+directly on nu-invariant tensors.
 
-All four work on monomial codes (see ``twistlog.tensor``).  N is one walk
+All three work on monomial codes (see ``twistlog.tensor``).  N is one walk
 per necklace: starting from any code not yet visited, the walk steps
 through the rotations of its orbit O, sums the coefficients found there,
 and gives each of the |O| distinct rotations that sum times p/|O|, since
@@ -73,18 +72,6 @@ def cyclic_n(t: Tensor) -> Tensor:
     dim = t.ctx.dim
     out = {p: necklace_block(block, p, dim) for p, block in blocks.items() if p}
     return tensor_from_scaled(t.ctx, out, den)
-
-
-def cyclic_n_hat(t: Tensor) -> Tensor:
-    """N-hat: degreewise (1/p) N; the identity on the image of N."""
-    blocks, den = scaled_terms(t)
-    dim = t.ctx.dim
-    common = lcm(*(p for p in blocks if p))
-    out = {}
-    for p, block in blocks.items():
-        if p:
-            out[p] = {x: s * (common // p) for x, s in necklace_block(block, p, dim).items()}
-    return tensor_from_scaled(t.ctx, out, den * common)
 
 
 def is_nu_invariant(t: Tensor) -> bool:

@@ -4,11 +4,10 @@ builder, and intertwiners (connecting automorphisms, total Johnson maps).
 An expansion is stored through the logarithms of its generator values, one
 Lie-or-general tensor per free-group generator.  Storing logs makes the
 homomorphism condition structural: evaluation is a product of exponentials.
-A ``None`` log marks a generator the expansion does not determine, which
-happens only for the shipped partial fixture.  Truncation belongs to the
-expansion: ``restrict`` gives the same expansion at a lower degree, and work
-that needs only low degrees is done there.  An expansion is immutable, so
-it memoizes its exponentials, its restrictions and its symplectic verdict.
+Truncation belongs to the expansion: ``restrict`` gives the same expansion
+at a lower degree, and work that needs only low degrees is done there.  An
+expansion is immutable, so it memoizes its exponentials, its restrictions and
+its symplectic verdict.
 
 The builder turns any group-like seed into a symplectic expansion one degree
 at a time: at degree m it measures the defect of the boundary condition,
@@ -49,7 +48,7 @@ from .words import GroupWord, boundary_word, gen_name, generator_word, parse_nam
 _FIXTURE_FILES = {
     "fixture-genus1": "genus1.json",
     "fixture-genus2": "genus2.json",
-    "fixture-massuyeau-partial": "massuyeau_partial.json",
+    "fixture-massuyeau": "massuyeau.json",
 }
 EXPANSION_KINDS = ("standard", "exponential", *_FIXTURE_FILES, "built", "user")
 
@@ -71,8 +70,6 @@ class Expansion:
         if len(logs) != ctx.dim:
             raise ValueError(f"expected {ctx.dim} generator logs, got {len(logs)}")
         for i, t in enumerate(logs):
-            if t is None:
-                continue
             if t.ctx != ctx:
                 raise ValueError(f"log of {gen_name(i)} lives in the wrong context")
             if t.coefficient(()):
@@ -96,23 +93,11 @@ class Expansion:
     def truncation(self) -> int:
         return self.ctx.truncation
 
-    @property
-    def partial(self) -> bool:
-        return any(t is None for t in self.logs)
-
-    def log_of(self, index: int) -> Tensor:
-        t = self.logs[index]
-        if t is None:
-            raise ValueError(
-                f"partial expansion does not determine the generator {gen_name(index)}"
-            )
-        return t
-
     def _exp_letter(self, index: int, sign: int) -> Tensor:
         key = (index, sign)
         cached = self._exp_cache.get(key)
         if cached is None:
-            t = self.log_of(index)
+            t = self.logs[index]
             cached = exp(t if sign == 1 else -t)
             self._exp_cache[key] = cached
         return cached
@@ -145,41 +130,37 @@ def log_evaluate(theta: Expansion, w: GroupWord) -> Tensor:
 
 
 def is_group_like(theta: Expansion) -> bool:
-    """True iff every determined generator log is a Lie element; values on
-    the whole group then follow by Baker-Campbell-Hausdorff."""
-    return all(t is None or is_lie(t) for t in theta.logs)
+    """True iff every generator log is a Lie element; values on the whole
+    group then follow by Baker-Campbell-Hausdorff."""
+    return all(is_lie(t) for t in theta.logs)
 
 
 def symplectic_failures(theta: Expansion) -> list:
     """The witnesses against theta being symplectic: group-like, and
-    ell(zeta) = omega exactly at the truncation.  A partial expansion
-    leaves the boundary value undetermined, so only its determined logs
-    are tested.  exp and log are inverse bijections of the truncated
-    algebra, so theta(zeta) = exp(omega) is tested instead, with no
-    logarithm.  Proved once per expansion; each call gets a fresh list."""
+    ell(zeta) = omega exactly at the truncation.  exp and log are inverse
+    bijections of the truncated algebra, so theta(zeta) = exp(omega) is
+    tested instead, with no logarithm.  Proved once per expansion; each
+    call gets a fresh list."""
     if theta._failures is None:
         failures = []
         if not is_group_like(theta):
             failures.append("a generator log is not Lie")
-        if not theta.partial:
-            zeta = evaluate(theta, boundary_word(theta.genus))
-            if zeta != exp(symplectic_form(theta.ctx)):
-                failures.append("ell(zeta) != omega")
+        zeta = evaluate(theta, boundary_word(theta.genus))
+        if zeta != exp(symplectic_form(theta.ctx)):
+            failures.append("ell(zeta) != omega")
         theta._failures = tuple(failures)
     return list(theta._failures)
 
 
 def is_symplectic(theta: Expansion) -> bool:
     """Group-like and ell(zeta) = omega, both exact at the truncation."""
-    if theta.partial:
-        raise ValueError("partial expansion: the boundary value is undetermined")
     return not symplectic_failures(theta)
 
 
 def restrict(theta: Expansion, degree: int) -> Expansion:
     """theta with its logs truncated at ``degree``: theta itself at its own
-    truncation, an error above it.  Undetermined logs stay undetermined.
-    Made once per degree, so its exponentials are computed once too."""
+    truncation, an error above it.  Made once per degree, so its
+    exponentials are computed once too."""
     if degree > theta.truncation:
         raise ValueError(f"cannot restrict truncation {theta.truncation} up to {degree}")
     if degree == theta.truncation:
@@ -187,7 +168,7 @@ def restrict(theta: Expansion, degree: int) -> Expansion:
     low = theta._restrictions.get(degree)
     if low is None:
         ctx = AlgebraContext(theta.genus, degree)
-        logs = [None if t is None else truncate(t, ctx) for t in theta.logs]
+        logs = [truncate(t, ctx) for t in theta.logs]
         low = theta._restrictions[degree] = Expansion(ctx, logs, kind=theta.kind)
     return low
 
@@ -229,14 +210,13 @@ def _tree_from_json(ctx: AlgebraContext, tree) -> tuple:
     raise ValueError(f"malformed bracket tree: {tree!r}")
 
 
-def load_fixture(kind: str, truncation: int | None = None, genus: int | None = None) -> Expansion:
+def load_fixture(kind: str, truncation: int | None = None) -> Expansion:
     """Load a shipped expansion from its bracket-form data file.
 
     The data determines the expansion modulo degree ``max_trusted_degree``,
     so the largest honest truncation is one less; asking beyond that is an
-    error, never a silent extrapolation.  ``genus`` is only free for the
-    partial fixture, whose data is genus-independent.  Sizes above
-    MAX_MONOMIALS are refused with ValueError before anything is built.
+    error, never a silent extrapolation.  Sizes above MAX_MONOMIALS are
+    refused with ValueError before anything is built.
     """
     if kind not in _FIXTURE_FILES:
         raise ValueError(f"unknown fixture {kind!r}")
@@ -249,16 +229,10 @@ def load_fixture(kind: str, truncation: int | None = None, genus: int | None = N
             f"{kind} is only trusted up to truncation {trusted_cap}, "
             f"requested {truncation}"
         )
-    file_genus = payload["genus"]
-    if file_genus is None:
-        genus = 2 if genus is None else genus
-    elif genus is None:
-        genus = file_genus
-    elif genus != file_genus:
-        raise ValueError(f"{kind} has genus {file_genus}, requested {genus}")
+    genus = payload["genus"]
     ctx = AlgebraContext(genus, truncation)
     _check_size(genus, truncation)
-    logs = [None] * ctx.dim
+    logs = {}
     expansions = {}
     for name, entries in payload["generators"].items():
         index = _gen_index(ctx, name)
@@ -279,7 +253,7 @@ def load_fixture(kind: str, truncation: int | None = None, genus: int | None = N
             for code, c in expansion.items():
                 acc[code] = get(code, 0) + factor * c
         logs[index] = tensor_from_scaled(ctx, blocks, den)
-    return Expansion(ctx, logs, kind=kind)
+    return Expansion(ctx, _complete_logs(ctx, logs, kind), kind=kind)
 
 
 # -- the symplectic builder --------------------------------------------------
@@ -351,8 +325,6 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
         seed = exponential_expansion(genus, truncation)
     if seed.genus != genus:
         raise ValueError(f"seed genus {seed.genus} != requested genus {genus}")
-    if seed.partial:
-        raise ValueError("partial expansion cannot seed the builder")
     logs = [truncate(t, work_ctx) for t in seed.logs]
     for i, t in enumerate(logs):
         if not is_lie(t):
@@ -405,8 +377,6 @@ def connecting_automorphism(theta1: Expansion, theta2: Expansion) -> Endomorphis
     """U with U o theta1 = theta2 on generators, by its values on H."""
     if theta1.ctx != theta2.ctx:
         raise ValueError("expansions must share genus and truncation")
-    if theta1.partial or theta2.partial:
-        raise ValueError("partial expansions have no connecting automorphism")
     ctx = theta1.ctx
     return intertwiner(
         theta1, [evaluate(theta2, generator_word(ctx.genus, i)) for i in range(ctx.dim)]
@@ -424,7 +394,6 @@ def expansion_to_json(theta: Expansion) -> dict:
         "generators": [
             {"name": gen_name(i), "log": tensor_to_json(t)}
             for i, t in enumerate(theta.logs)
-            if t is not None
         ],
     }
 
@@ -440,18 +409,24 @@ def expansion_from_json(obj: dict) -> Expansion:
     kind = obj["kind"]
     if not isinstance(obj["generators"], list):
         raise ValueError("expansion JSON 'generators' must be a list")
-    logs = [None] * ctx.dim
-    seen = set()
+    logs = {}
     for entry in obj["generators"]:
         if not isinstance(entry, dict) or "log" not in entry:
             raise ValueError(f"generator entry must be an object with 'name' and 'log': {entry!r}")
         name = entry.get("name")
         index = _gen_index(ctx, name)
-        if index in seen:
+        if index in logs:
             raise ValueError(f"duplicate generator {name!r} in expansion JSON")
-        seen.add(index)
         logs[index] = tensor_from_json(entry["log"], ctx)
-    return Expansion(ctx, logs, kind=kind)
+    return Expansion(ctx, _complete_logs(ctx, logs, "expansion JSON"), kind=kind)
+
+
+def _complete_logs(ctx: AlgebraContext, logs: dict, source: str) -> list:
+    """The logs by flat generator index, refusing a source that omits any."""
+    missing = [gen_name(i) for i in range(ctx.dim) if i not in logs]
+    if missing:
+        raise ValueError(f"{source} is missing the generators {', '.join(missing)}")
+    return [logs[i] for i in range(ctx.dim)]
 
 
 def _gen_index(ctx: AlgebraContext, name) -> int:

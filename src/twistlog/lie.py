@@ -5,9 +5,7 @@ brackets [u,v] = uv - vu.  Membership is decided by the Dynkin-Specht-Wever
 criterion: a homogeneous degree-n tensor u is Lie iff Phi(u) = n*u, where
 Phi sends a monomial X_1...X_n to the nested bracket [X_1,[...[X_{n-1},X_n]]].
 exp and log are the truncated mutually inverse series between T-hat_1 and
-1 + T-hat_1, and the BCH product is computed as log(exp(u)exp(v)) -- never
-from tabulated coefficients, so the classical low-degree coefficients are a
-test of this module instead of an input to it.
+1 + T-hat_1.
 """
 
 from __future__ import annotations
@@ -131,19 +129,6 @@ def log(t: Tensor) -> Tensor:
     for k in range(top, 0, -1):
         q = capped_product(u, q, top - k) + Rat(1 if k % 2 else -1, k)
     return capped_product(u, q, top)
-
-
-def bch(u: Tensor, v: Tensor) -> Tensor:
-    """Baker-Campbell-Hausdorff product log(exp(u)exp(v)).  Inputs must be
-    Lie; the result is re-certified rather than assumed."""
-    if not is_lie(u):
-        raise ValueError("bch: first argument is not a Lie element")
-    if not is_lie(v):
-        raise ValueError("bch: second argument is not a Lie element")
-    result = log(exp(u) * exp(v))
-    if not is_lie(result):  # cannot happen; guards against kernel bugs
-        raise ArithmeticError("bch result failed the Lie certification")
-    return result
 
 
 # -- bracket trees and the Lyndon-basis display form ---------------------------

@@ -590,31 +590,9 @@ def _perm_signs(k: int):
     return cached
 
 
-def wedge_embed(vectors) -> Tensor:
-    """Embed X_1 ^ ... ^ X_k into H^{tensor k} by full antisymmetrization:
-    sum over permutations of sign(s) X_{s(1)} ... X_{s(k)}, which is
-    k! antisymmetrize(X_1 ... X_k).  In particular X ^ Y = [X, Y]."""
-    vectors = list(vectors)
-    k = len(vectors)
-    if not vectors:
-        raise ValueError("empty wedge")
-    ctx = vectors[0].ctx
-    if k > ctx.truncation:
-        raise ValueError(f"wedge degree {k} exceeds truncation {ctx.truncation}")
-    for v in vectors:
-        if v.ctx != ctx:
-            raise ValueError("context mismatch in wedge")
-        if any(d != 1 for d in v._blocks):
-            raise ValueError("wedge_embed inputs must be homogeneous of degree 1")
-    prod = vectors[0]
-    for v in vectors[1:]:
-        prod = prod * v
-    return antisymmetrize(prod).scale(factorial(k))
-
-
 def antisymmetrize(t: Tensor) -> Tensor:
-    """Degreewise projector onto the image of wedge_embed:
-    (1/k!) sum over permutations of sign(s) . (permuted monomial)."""
+    """Degreewise projector onto the antisymmetric tensors, Lambda^k H in
+    degree k: (1/k!) sum over permutations of sign(s) . (permuted monomial)."""
     dim = t.ctx.dim
     whole = factorial(max(t._blocks, default=0))  # a multiple of every k! below
     out = {}

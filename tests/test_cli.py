@@ -26,7 +26,13 @@ from twistlog.expansion import (
 )
 from twistlog.lie import bracket
 from twistlog.rationals import Rat
-from twistlog.tensor import AlgebraContext, basis_tensor, one_tensor, tensor_from_json
+from twistlog.tensor import (
+    AlgebraContext,
+    basis_tensor,
+    one_tensor,
+    tensor_from_json,
+    tensor_to_json,
+)
 from twistlog.words import (
     MAX_POWER_LETTERS,
     automorphism_to_json,
@@ -112,13 +118,29 @@ def test_check_flags_non_symplectic_expansion(tmp_path, capsys):
     assert out.startswith("FAIL") and "ell(zeta) != omega" in out
 
 
-def test_check_partial_expansion_passes(tmp_path, capsys):
-    path = tmp_path / "partial.json"
-    path.write_text(json.dumps(expansion_to_json(load_fixture("fixture-massuyeau-partial"))))
-    rc = main(["check-expansion", "--in", str(path), "--output", "json"])
-    assert rc == 0
+def test_check_expansion_passes_massuyeaus_expansion(tmp_path, capsys):
+    path = tmp_path / "massuyeau.json"
+    path.write_text(json.dumps(expansion_to_json(load_fixture("fixture-massuyeau"))))
+    assert main(["check-expansion", "--in", str(path), "--output", "json"]) == 0
     cert = json.loads(capsys.readouterr().out)
-    assert cert["params"]["partial"] is True
+    assert cert["status"] == "pass"
+    assert cert["params"] == {"genus": 1, "truncation": 4, "kind": "fixture-massuyeau"}
+
+
+def test_check_expansion_refuses_a_file_missing_generators(tmp_path, capsys):
+    # a genus-2 file giving only log a1 = A1 leaves the boundary condition
+    # untestable, so neither check-expansion nor a file: source accepts it
+    a1 = {"name": "a1", "log": tensor_to_json(basis_tensor(AlgebraContext(2, 3), 0))}
+    path = tmp_path / "a1-only.json"
+    path.write_text(json.dumps({"genus": 2, "truncation": 3, "kind": "user", "generators": [a1]}))
+    for argv in (
+        ["check-expansion", "--in", str(path)],
+        ["eval", "--word", "a1", "--expansion", f"file:{path}"],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "twistlog: error: expansion JSON is missing the generators b1, a2, b2\n"
 
 
 def test_build_expansion_argument_validation(tmp_path, capsys):
@@ -313,11 +335,11 @@ def test_johnson_refuses_a_long_factorization_at_once(tmp_path):
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("case", ["partial-fixture", "expansion-file", "conjugator-file"])
+@pytest.mark.parametrize("case", ["fixture", "expansion-file", "conjugator-file"])
 def test_absurd_genus_is_refused_at_once(case, tmp_path):
     # each of these once allocated a list of 2g entries, about 16 GB
     path = tmp_path / "input.json"
-    if case == "partial-fixture":
+    if case == "fixture":
         argv = ["eval", "--expansion", "fixture:massuyeau", "--genus", "1000000000", "--word", "a1"]
     elif case == "expansion-file":
         path.write_text(json.dumps(
@@ -378,11 +400,11 @@ def test_sigma_command(capsys):
                "--output", "json"])
     assert rc == 0
     tensor_from_json(json.loads(capsys.readouterr().out))
-    # the partial fixture cannot certify symplecticity, so sigma refuses it
+    # Massuyeau's expansion is symplectic at genus 1, so sigma accepts it
     rc = main(["sigma", "--loop", "a1", "--word", "b1",
-               "--expansion", "fixture:massuyeau"])
-    assert rc == 2
-    capsys.readouterr()
+               "--expansion", "fixture:massuyeau", "--output", "json"])
+    assert rc == 0
+    assert tensor_from_json(json.loads(capsys.readouterr().out)).ctx.genus == 1
 
 
 def test_l_invariant_outputs(capsys):
@@ -493,10 +515,14 @@ def test_verify_with_no_checks_selected_is_a_usage_error(suite, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--expansion", "fixture:g1", "--genus", "2"], "fixture-genus1 has genus 1, requested 2"),
+    (["--expansion", "fixture:g1", "--genus", "2"], "--genus 2 conflicts with fixture:g1, of genus 1"),
     (
         ["--expansion", "fixture:g2", "--degree", "9"],
         "fixture-genus2 is only trusted up to truncation 4, requested 9",
+    ),
+    (
+        ["--expansion", "fixture:massuyeau", "--genus", "2"],
+        "--genus 2 conflicts with fixture:massuyeau, of genus 1",
     ),
 ])
 def test_fixture_refusals_name_the_fixture_once(argv, message, capsys):
@@ -507,16 +533,17 @@ def test_fixture_refusals_name_the_fixture_once(argv, message, capsys):
 
 
 @pytest.mark.parametrize("option, message", [
-    (["--genus", "2"], "--genus 2 conflicts with file genus 1"),
-    (["--degree", "3"], "--degree 3 conflicts with file truncation 4"),
+    (["--genus", "2"], "--genus 2 conflicts with {source}, of genus 1"),
+    (["--degree", "3"], "--degree 3 conflicts with {source}, of truncation 4"),
 ])
 def test_file_source_refuses_a_conflicting_genus_or_degree(option, message, tmp_path, capsys):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(expansion_to_json(exponential_expansion(1, 4))))
-    assert main(["eval", "--word", "a1", "--expansion", f"file:{path}", *option]) == 2
+    source = f"file:{path}"
+    assert main(["eval", "--word", "a1", "--expansion", source, *option]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"twistlog: error: {message}\n"
+    assert err == f"twistlog: error: {message.format(source=source)}\n"
 
 
 def test_fixture_generator_names_are_checked(monkeypatch, capsys):

@@ -1,10 +1,10 @@
-"""Cyclic operators nu, N, N-hat and the necklace bracket with its oracle."""
+"""Cyclic operators nu, N and the necklace bracket with its oracle."""
 
 import random
 
 import pytest
 
-from twistlog.cyclic import cyclic_n, cyclic_n_hat, is_nu_invariant, necklace_bracket, nu
+from twistlog.cyclic import cyclic_n, is_nu_invariant, necklace_bracket, nu
 from twistlog.derivation import commutator, from_tensor
 from twistlog.rationals import Rat
 from twistlog.tensor import (
@@ -44,19 +44,6 @@ def test_cyclic_n_sums_rotations():
     assert cyclic_n(one_tensor(ctx)) == 0
     aa = monomial_tensor(ctx, (0, 0))
     assert cyclic_n(aa) == aa.scale(2)
-
-
-def test_cyclic_n_hat_normalizes():
-    rng = random.Random(7321)
-    ctx = AlgebraContext(2, 4)
-    for degree in (1, 2, 3, 4):
-        t = random_nu_invariant(rng, ctx, degree)
-        # N-hat restricts to the identity on the image of N
-        assert cyclic_n_hat(t) == t
-    mixed = monomial_tensor(ctx, (0, 1)) + monomial_tensor(ctx, (1, 1, 0))
-    assert cyclic_n_hat(mixed) == cyclic_n(
-        monomial_tensor(ctx, (0, 1), Rat(1, 2))
-    ) + cyclic_n(monomial_tensor(ctx, (1, 1, 0), Rat(1, 3)))
 
 
 def test_is_nu_invariant():

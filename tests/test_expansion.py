@@ -145,15 +145,13 @@ def test_fixture_trusted_degrees():
     # the default truncation is one below the trusted degree
     assert load_fixture("fixture-genus1").truncation + 1 == 6
     assert load_fixture("fixture-genus2").truncation + 1 == 5
-    assert load_fixture("fixture-massuyeau-partial").truncation + 1 == 5
+    assert load_fixture("fixture-massuyeau").truncation + 1 == 5
     # asking beyond the trusted degree is an error, not an extrapolation
     with pytest.raises(ValueError):
         load_fixture("fixture-genus1", 6)
     with pytest.raises(ValueError):
         load_fixture("fixture-genus2", 5)
     assert load_fixture("fixture-genus1", 3).truncation == 3
-    with pytest.raises(ValueError):
-        load_fixture("fixture-genus1", genus=2)
     with pytest.raises(ValueError):
         load_fixture("no-such-fixture")
 
@@ -171,26 +169,30 @@ def test_fixture_refuses_a_malformed_bracket_tree(monkeypatch):
     assert str(refused.value) == "malformed bracket tree: ['A1']"
 
 
-def test_partial_fixture():
-    theta = load_fixture("fixture-massuyeau-partial")
-    assert theta.genus == 2 and theta.partial
-    # a1 and b1 are determined, the second handle is not
-    assert theta.log_of(0) is not None
-    with pytest.raises(ValueError):
-        theta.log_of(2)
-    with pytest.raises(ValueError):
-        evaluate(theta, generator_word(2, 2))
-    with pytest.raises(ValueError):
-        log_evaluate(theta, boundary_word(theta.genus))
-    with pytest.raises(ValueError):
-        is_symplectic(theta)
-    assert is_group_like(theta)  # determined logs are all Lie
-    # the data is genus-independent; only the ambient algebra changes
-    wide = load_fixture("fixture-massuyeau-partial", genus=3)
-    assert wide.genus == 3
-    assert evaluate(wide, generator_word(3, 0)).terms == evaluate(
-        theta, generator_word(2, 0)
-    ).terms
+def test_fixture_refuses_a_data_file_missing_a_generator(monkeypatch):
+    data_text = expansion_module._data_text
+    payload = json.loads(data_text("genus1.json"))
+    del payload["generators"]["b1"]
+    edited = json.dumps(payload)
+    monkeypatch.setattr(
+        expansion_module, "_data_text", lambda name: edited if name == "genus1.json" else data_text(name)
+    )
+    with pytest.raises(ValueError) as refused:
+        load_fixture("fixture-genus1")
+    assert str(refused.value) == "fixture-genus1 is missing the generators b1"
+
+
+def test_massuyeau_fixture_is_a_genus1_symplectic_expansion():
+    theta = load_fixture("fixture-massuyeau")
+    assert theta.genus == 1 and theta.truncation == 4
+    assert symplectic_failures(theta) == [] and is_symplectic(theta)
+    # another symplectic expansion than the genus-1 fixture, from degree 3 on
+    other = load_fixture("fixture-genus1", 4)
+    differ = [
+        d for d in range(1, 5)
+        if any(graded_part(s, d) != graded_part(t, d) for s, t in zip(theta.logs, other.logs))
+    ]
+    assert differ[0] == 3
 
 
 def test_builder_produces_symplectic_expansions():
@@ -219,7 +221,12 @@ def test_builder_restriction_coherence():
 
 def test_restrict_evaluates_as_the_truncated_expansion():
     rng = random.Random(1008)
-    for theta in (build_symplectic(2, 5), standard_expansion(1, 5), load_fixture("fixture-genus1")):
+    for theta in (
+        build_symplectic(2, 5),
+        standard_expansion(1, 5),
+        load_fixture("fixture-genus1"),
+        load_fixture("fixture-massuyeau"),
+    ):
         assert restrict(theta, theta.truncation) is theta
         with pytest.raises(ValueError):
             restrict(theta, theta.truncation + 1)
@@ -233,14 +240,6 @@ def test_restrict_evaluates_as_the_truncated_expansion():
             for _ in range(6):
                 w = random_word(rng, theta.genus, rng.randint(0, 6))
                 assert evaluate(low, w) == truncate(evaluate(theta, w), low.ctx)
-
-
-def test_restrict_keeps_undetermined_logs():
-    theta = load_fixture("fixture-massuyeau-partial")
-    low = restrict(theta, 3)
-    assert [t is None for t in low.logs] == [t is None for t in theta.logs]
-    a1 = generator_word(2, 0)
-    assert evaluate(low, a1) == truncate(evaluate(theta, a1), low.ctx)
 
 
 def test_symplectic_failures_are_proved_once_and_returned_fresh():
@@ -325,8 +324,6 @@ def test_builder_seed_validation():
     with pytest.raises(ValueError):
         build_symplectic(2, 4, seed=load_fixture("fixture-genus1"))  # genus mismatch
     with pytest.raises(ValueError):
-        build_symplectic(2, 4, seed=load_fixture("fixture-massuyeau-partial"))  # partial
-    with pytest.raises(ValueError):
         build_symplectic(1, 4, seed=standard_expansion(1, 4))  # not group-like
 
 
@@ -346,15 +343,12 @@ def test_connecting_automorphism_intertwines():
 def test_connecting_automorphism_validation():
     with pytest.raises(ValueError):
         connecting_automorphism(exponential_expansion(1, 3), exponential_expansion(1, 4))
-    partial = load_fixture("fixture-massuyeau-partial", 4)
-    with pytest.raises(ValueError):
-        connecting_automorphism(partial, partial)
 
 
 def test_expansion_json_round_trip():
     for theta in (
         load_fixture("fixture-genus1"),
-        load_fixture("fixture-massuyeau-partial"),
+        load_fixture("fixture-massuyeau"),
         build_symplectic(2, 3),
     ):
         obj = expansion_to_json(theta)
@@ -374,6 +368,11 @@ def test_expansion_json_validation():
     bad_name = dict(good, generators=[dict(good["generators"][0], name="c1")])
     with pytest.raises(ValueError):
         expansion_from_json(bad_name)
+    # every generator needs a log; the refusal names the missing ones
+    one = dict(expansion_to_json(exponential_expansion(2, 3)))
+    one["generators"] = one["generators"][:1]
+    with pytest.raises(ValueError, match=r"^expansion JSON is missing the generators b1, a2, b2$"):
+        expansion_from_json(one)
 
 
 def _tree_by_products(ctx, tree):
@@ -385,7 +384,7 @@ def _tree_by_products(ctx, tree):
 @pytest.mark.parametrize("kind, filename", [
     ("fixture-genus1", "genus1.json"),
     ("fixture-genus2", "genus2.json"),
-    ("fixture-massuyeau-partial", "massuyeau_partial.json"),
+    ("fixture-massuyeau", "massuyeau.json"),
 ])
 def test_fixture_logs_equal_their_bracket_products(kind, filename):
     # the loader expands each tree into integer numerators once; here every

@@ -149,3 +149,57 @@ def test_every_name_the_benchmark_calls_resolves():
     assert {m for m, _ in refs} <= set(modules) | {"rationals"}
     missing = sorted((m, a) for m, a in refs if not _resolves(m, a))
     assert not missing, missing
+
+
+# -- public names without a caller ----------------------------------------------
+
+# Public names that nothing in the package or the benchmark harness refers
+# to, each kept for a reason; any other such name is dead code.
+UNCALLED = {
+    "johnson.verify_nilpotent_dependence":
+        "the benchmark tracer wraps it by name; twist actions on nilpotent quotients need it",
+    "lie.bracket": "test tool: [u, v] by products",
+    "lie.bracket_tree_tensor": "test tool: a bracket tree by products",
+    "tensor.monomial_tensor": "test tool: one monomial with a coefficient",
+    "words.automorphism_to_json": "writer of the conj:FILE automorphism format",
+    "derivation.derivation_from_json": "reader of the l-invariant --output json format",
+    "words.FreeAutomorphism.boundary_preserving":
+        "twists along a Humphries set on the word side need it",
+}
+
+
+def _public_definitions() -> dict:
+    """{"module.name" or "module.Class.property": name} for the top-level
+    public functions and classes of the package and their properties."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found[f"{path.stem}.{node.name}"] = node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                decorators = {d.id for d in getattr(item, "decorator_list", ()) if isinstance(d, ast.Name)}
+                if "property" in decorators and not item.name.startswith("_"):
+                    found[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    return found
+
+
+def _referenced_names(paths) -> set:
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    # a reference is a name or an attribute in the package or in the
+    # harness's tracer and workloads; tests do not count
+    callers = [*SRC.glob("*.py"), PERFBENCH / "tracing.py", PERFBENCH / "workloads.py"]
+    used = _referenced_names(callers)
+    uncalled = {key for key, name in _public_definitions().items() if name not in used}
+    assert uncalled == set(UNCALLED)

@@ -8,17 +8,18 @@ dim 6, so monomial codes are base 6, not a power of two.  Dense tensors of
 up to 40 monomials with small coefficients at genus 1-2 exercise both loop
 orders of the product, merged degrees whose sums cancel, and full blocks
 of one degree in the square kernel.  The last tests pin maps built on the
-kernels (``wedge_embed``, bracket trees, Johnson components) against the
-sums they stand for, written out term by term.
+kernels (the wedge embedding k! antisymmetrize(v_1 ... v_k), bracket trees,
+Johnson components) against the sums they stand for, written out term by
+term.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import factorial, gcd
 
 from hypothesis import given, settings, strategies as st
 
-from twistlog.cyclic import cyclic_n, cyclic_n_hat
+from twistlog.cyclic import cyclic_n
 from twistlog.derivation import Derivation, apply, from_tensor
 from twistlog.endomorphism import Endomorphism
 from twistlog.expansion import restrict
@@ -28,6 +29,7 @@ from twistlog.suite import built_expansion
 from twistlog.tensor import (
     AlgebraContext,
     Tensor,
+    antisymmetrize,
     basis_tensor,
     decode_monomial,
     encode_monomial,
@@ -35,7 +37,6 @@ from twistlog.tensor import (
     monomial_tensor,
     scaled_terms,
     truncate,
-    wedge_embed,
     zero_tensor,
 )
 from twistlog.words import compose, homology_inverse, twist
@@ -98,10 +99,6 @@ def o_cyclic_n(a):
         for k in range(len(m)):
             out = o_add(out, {m[k:] + m[:k]: c})
     return out
-
-
-def o_cyclic_n_hat(a):
-    return {w: c / len(w) for w, c in o_cyclic_n(a).items()}
 
 
 def o_half_n_square(a, cap):
@@ -211,7 +208,6 @@ def test_kernel_ops_match_the_oracle(case, q):
     checked(ta * tb, o_mul(a, b, ctx.truncation))
     checked(ta.scale(q), {m: c * q for m, c in a.items() if c * q})
     checked(cyclic_n(ta), o_cyclic_n({m: c for m, c in a.items() if m}))
-    checked(cyclic_n_hat(ta), o_cyclic_n_hat({m: c for m, c in a.items() if m}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,7 +261,6 @@ def test_cyclic_operators_on_periodic_necklaces():
         t = Tensor(ctx, a)
         positive = {m: c for m, c in a.items() if m}
         checked(cyclic_n(t), o_cyclic_n(positive))
-        checked(cyclic_n_hat(t), o_cyclic_n_hat(positive))
 
 
 @settings(max_examples=60, deadline=None)
@@ -427,7 +422,10 @@ def test_wedge_embed_matches_the_permutation_sum(data):
     letters = st.integers(0, ctx.dim - 1).map(lambda i: (i,))
     vectors = [data.draw(st.dictionaries(letters, nonzero, min_size=2, max_size=ctx.dim))
                for _ in range(k)]
-    checked(wedge_embed([Tensor(ctx, v) for v in vectors]), o_wedge(vectors, ctx.truncation))
+    product = Tensor(ctx, {(): Fraction(1)})
+    for v in vectors:
+        product = product * Tensor(ctx, v)
+    checked(antisymmetrize(product).scale(factorial(k)), o_wedge(vectors, ctx.truncation))
 
 
 def _depth(tree):
