@@ -24,17 +24,18 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from math import lcm, log10
+from math import gcd, lcm, log10, prod
 
 from .endomorphism import Endomorphism, solve_generator_images
 from .lie import _bracket_expansion, _bracket_first, _phi_tails, exp, is_lie, log
-from .rationals import rat_from_string
+from .rationals import Rat, rat_from_string
 from .tensor import (
     AlgebraContext,
     Tensor,
     antipode,
     basis_tensor,
     graded_part,
+    graded_scale,
     one_tensor,
     scaled_terms,
     symplectic_form,
@@ -59,9 +60,14 @@ class Expansion:
     logs[i] is ell(x_i) for the generator with flat index i (a1, b1, a2, ...);
     the degree-0 part must vanish and the degree-1 part must be the
     generator's own homology class.
+
+    Words are multiplied in graded integer coordinates: the exponential
+    cache holds sigma_lam(exp(+-ell_i)), where sigma_lam multiplies the
+    degree-d part by lam**d and lam, worked out from the logs on first use,
+    makes every one of them an integer tensor with constant term 1.
     """
 
-    __slots__ = ("ctx", "kind", "logs", "_exp_cache", "_restrictions", "_failures")
+    __slots__ = ("ctx", "kind", "logs", "_exp_cache", "_lam", "_restrictions", "_failures")
 
     def __init__(self, ctx: AlgebraContext, logs, kind: str = "user"):
         if kind not in EXPANSION_KINDS:
@@ -81,7 +87,8 @@ class Expansion:
         self.ctx = ctx
         self.kind = kind
         self.logs = logs
-        self._exp_cache = {}
+        self._exp_cache = {}  # (index, sign) -> sigma_lam(exp(sign * ell_i))
+        self._lam = None
         self._restrictions = {}  # degree -> restrict(self, degree)
         self._failures = None  # symplectic_failures, once computed
 
@@ -93,12 +100,28 @@ class Expansion:
     def truncation(self) -> int:
         return self.ctx.truncation
 
+    def _letter_scale(self) -> int:
+        """lam, the integer that makes every sigma_lam(exp(+-ell_i)) integral."""
+        if self._lam is None:
+            self._lam = _integral_scale(self.logs, self.truncation)
+        return self._lam
+
     def _exp_letter(self, index: int, sign: int) -> Tensor:
+        """sigma_lam(exp(sign * ell_i)), an integer tensor."""
         key = (index, sign)
         cached = self._exp_cache.get(key)
         if cached is None:
             t = self.logs[index]
-            cached = exp(t if sign == 1 else -t)
+            if sign == -1 and antipode(t) == -t:
+                # S(exp u) = exp(S u), and S commutes with sigma_lam
+                cached = antipode(self._exp_letter(index, 1))
+            else:
+                cached = graded_scale(exp(t if sign == 1 else -t), self._letter_scale())
+                if scaled_terms(cached)[1] != 1:
+                    raise ArithmeticError(
+                        f"exp(+-log {gen_name(index)}) is not integral in the "
+                        f"coordinates scaled by {self._letter_scale()}"
+                    )
             self._exp_cache[key] = cached
         return cached
 
@@ -115,13 +138,43 @@ class Expansion:
 
 def evaluate(theta: Expansion, w: GroupWord) -> Tensor:
     """theta(w): product over the letters of exp(+-log), an element of
-    1 + T-hat_1."""
+    1 + T-hat_1.  The letters' cached sigma_lam-scaled exponentials are
+    integer tensors, so their product takes no gcd pass, and the word is
+    rescaled once, by sigma_{1/lam}, at the end."""
     if w.genus != theta.genus:
         raise ValueError(f"word genus {w.genus} != expansion genus {theta.genus}")
     out = one_tensor(theta.ctx)
     for index, sign in w.letters:
         out = out * theta._exp_letter(index, sign)
-    return out
+    return graded_scale(out, Rat(1, theta._letter_scale()))
+
+
+def _integral_scale(logs, truncation: int) -> int:
+    """The lam for which every sigma_lam(exp(+-ell_i)) is an integer tensor.
+
+    Let q_ia be the reduced denominator of the degree-a part of ell_i.  For
+    each prime p <= N, v_p(lam) = max over i, a of ceil((1 + v_p(q_ia)) / a),
+    so every coefficient of sigma_lam(ell_i) has p-adic valuation >= 1, and
+    a product of k of them, of valuation >= k, survives the 1/k! of exp, as
+    v_p(k!) < k.
+    The part of each q_ia prime to every p <= N is taken whole, through
+    the lcm; the 1/k! hold no such prime.  Only primes <= N are tried, so
+    no denominator is ever factored."""
+    primes = [p for p in range(2, truncation + 1) if all(p % f for f in range(2, p))]
+    powers = dict.fromkeys(primes, 1)
+    rest = 1
+    for t in logs:
+        blocks, den = scaled_terms(t)
+        for a, block in blocks.items():
+            q = den // gcd(den, *block.values())
+            for p in primes:
+                v = 0
+                while q % p == 0:
+                    q //= p
+                    v += 1
+                powers[p] = max(powers[p], (v + a) // a)
+            rest = lcm(rest, q)
+    return rest * prod(p**e for p, e in powers.items())
 
 
 def log_evaluate(theta: Expansion, w: GroupWord) -> Tensor:

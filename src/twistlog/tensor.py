@@ -23,7 +23,13 @@ result instead of once per term.
 Products.  ``capped_product`` (``*`` at the truncation) takes the left
 blocks in descending degree, so each output degree is built as a fresh dict
 from its highest left block, mostly its largest, with the larger block
-innermost: a block times a unit is one pass, not one 1-term loop per code.
+innermost: a block times a unit is one pass, not one 1-term loop per code,
+and a block times the unit block {0: 1} is a plain dict copy.  Over den 1
+a product needs no gcd pass either, which is why a word is evaluated in
+graded integer coordinates: ``graded_scale`` (sigma_r, the degree-d part
+times r**d) by a suitable integer makes every letter exponential an integer
+tensor with constant term 1, and one sigma_{1/r} at the end of the word
+gives back the canonical value.
 
 ``Tensor.terms`` is the read-only monomial -> Rat view of the same data,
 decoded on first use; other modules that need the ints go through
@@ -373,18 +379,23 @@ class Tensor:
 
 # -- the scaled form ---------------------------------------------------------
 
+_UNIT = {0: 1}  # the degree-0 block of an integer tensor with constant term 1
+
 
 def add_block_product(out: dict, degree: int, left: dict, right: dict, shift: int) -> bool:
     """Add the product of two blocks into ``out[degree]``: every code of
     ``left`` followed by every code of ``right``, ``shift`` being dim to the
     power of right's degree, with the product of their numerators.  A fresh
-    block is built with the larger block innermost.  Returns True when
+    block is built with the larger block innermost; a fresh block times the
+    unit block is a copy of ``left``, never ``left`` itself.  Returns True when
     ``out[degree]`` already held terms, whose sums may now be 0; a fresh
     block has no zeros, since one pair of degrees concatenates into distinct
     codes."""
     acc = out.get(degree)
     if acc is None:
-        if len(left) <= len(right):
+        if shift == 1 and right == _UNIT:  # right is of degree 0
+            out[degree] = dict(left)
+        elif len(left) <= len(right):
             out[degree] = {base + b: ca * cb for a, ca in left.items()
                            for base in (a * shift,) for b, cb in right.items()}
         else:
@@ -394,7 +405,8 @@ def add_block_product(out: dict, degree: int, left: dict, right: dict, shift: in
     for a, ca in left.items():
         base = a * shift
         for b, cb in items:
-            acc[base + b] = get(base + b, 0) + ca * cb
+            k = base + b
+            acc[k] = get(k, 0) + ca * cb
     return True
 
 
@@ -430,11 +442,12 @@ def capped_product(a: Tensor, b: Tensor, cap: int) -> Tensor:
             if add_block_product(out, p + q, x, y, dim**q):
                 merged.add(p + q)
     for d in merged:
-        block = {k: c for k, c in out[d].items() if c}
-        if block:
-            out[d] = block
-        else:
-            del out[d]
+        if 0 in out[d].values():
+            block = {k: c for k, c in out[d].items() if c}
+            if block:
+                out[d] = block
+            else:
+                del out[d]
     return _reduced(a.ctx, out, a._den * b._den)
 
 
@@ -463,12 +476,15 @@ def tensor_from_scaled(ctx: AlgebraContext, blocks: dict, den: int = 1) -> Tenso
     """Tensor with coefficient blocks[d][k] / den on the degree-d monomial
     with code k, for int numerators and an int den > 0.  Degrees and codes
     are trusted to be valid for ``ctx``; zero numerators and empty blocks
-    are dropped and the result is reduced to canonical form."""
+    are dropped and the result is reduced to canonical form.  A block with
+    no zero that needs no reduction is kept as the caller's own dict, so
+    the caller must never touch it again."""
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
     clean = {}
     for d, block in blocks.items():
-        block = {k: c for k, c in block.items() if c}
+        if 0 in block.values():
+            block = {k: c for k, c in block.items() if c}
         if block:
             clean[d] = block
     return _reduced(ctx, clean, den)
@@ -519,6 +535,21 @@ def graded_part(t: Tensor, m: int) -> Tensor:
         raise ValueError(f"degree {m} out of range [0, {t.ctx.truncation}]")
     block = t._blocks.get(m)
     return _reduced(t.ctx, {m: block} if block else {}, t._den)
+
+
+def graded_scale(t: Tensor, r) -> Tensor:
+    """sigma_r(t): the degree-d part times r**d.  For r != 0 this is the
+    algebra automorphism X -> rX, which commutes with products and with the
+    antipode; sigma_0 keeps only the constant term."""
+    p, q = _split(r)
+    if not p:
+        return graded_part(t, 0)
+    top = max(t._blocks, default=0)
+    out = {}
+    for d, block in t._blocks.items():
+        f = p**d * q ** (top - d)
+        out[d] = block if f == 1 else {k: c * f for k, c in block.items()}
+    return _reduced(t.ctx, out, t._den * q**top)
 
 
 def filtration_degree(t: Tensor) -> int:

@@ -26,7 +26,7 @@ from twistlog.expansion import (
     standard_expansion,
     symplectic_failures,
 )
-from twistlog.lie import bracket, is_lie
+from twistlog.lie import bracket, exp, is_lie
 from twistlog.suite import variant_expansion
 from twistlog.rationals import Rat
 from twistlog.tensor import (
@@ -34,8 +34,10 @@ from twistlog.tensor import (
     basis_tensor,
     filtration_degree,
     graded_part,
+    graded_scale,
     monomial_tensor,
     one_tensor,
+    scaled_terms,
     symplectic_form,
     truncate,
     zero_tensor,
@@ -399,3 +401,94 @@ def test_fixture_logs_equal_their_bracket_products(kind, filename):
                 acc = acc + _tree_by_products(ctx, tree).scale(Rat(coeff))
             index = 2 * int(name[1:]) - 2 + (name[0] == "b")
             assert theta.logs[index] == acc
+
+
+# -- words in graded integer coordinates, against the plain rational product --
+
+
+def _plain_evaluate(theta, w):
+    """theta(w) as the product of the letters' exponentials over Q."""
+    out = one_tensor(theta.ctx)
+    for index, sign in w.letters:
+        t = theta.logs[index]
+        out = out * exp(t if sign == 1 else -t)
+    return out
+
+
+# 10**39 + 3 is prime
+BIG_PRIME = 10**39 + 3
+
+
+def _awkward_expansion(coeff):
+    """Genus 1, degree 5, read from its JSON: log a1 = A1 + coeff [A1, B1],
+    log b1 = B1."""
+    ctx = AlgebraContext(1, 5)
+    a, b = basis_tensor(ctx, 0), basis_tensor(ctx, 1)
+    theta = Expansion(ctx, [a + bracket(a, b).scale(coeff), b])
+    return expansion_from_json(json.loads(json.dumps(expansion_to_json(theta))))
+
+
+ORACLE_EXPANSIONS = {
+    "built-g1": lambda: build_symplectic(1, 6),
+    "built-g2": lambda: build_symplectic(2, 5),
+    "built-g3": lambda: build_symplectic(3, 4),
+    "fixture-genus1": lambda: load_fixture("fixture-genus1"),
+    "fixture-genus2": lambda: load_fixture("fixture-genus2"),
+    "standard": lambda: standard_expansion(2, 5),
+    "exponential": lambda: exponential_expansion(2, 5),
+    "quarter": lambda: _awkward_expansion(Rat(1, 4)),
+    "seventh": lambda: _awkward_expansion(Rat(1, 7)),
+    "big-prime": lambda: _awkward_expansion(Rat(1, BIG_PRIME)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_EXPANSIONS)
+def test_evaluate_equals_the_plain_rational_product(name):
+    theta = ORACLE_EXPANSIONS[name]()
+    rng = random.Random(name)
+    for length in (0, 1, 2, 3, 6, 10):
+        w = random_word(rng, theta.genus, length)
+        assert evaluate(theta, w) == _plain_evaluate(theta, w)
+
+
+@pytest.mark.parametrize("coeff, lam", [
+    # 30 holds the primes <= 5 and is the least r with 4 | r**2, yet
+    # (1/4 [A1, B1])**2 / 2 = 1/32 [A1, B1]**2 needs 32 | r**4
+    (Rat(1, 4), 60),
+    (Rat(1, 7), 30 * 7),
+    (Rat(1, BIG_PRIME), 30 * BIG_PRIME),
+])
+def test_letter_scale_covers_awkward_denominators(coeff, lam):
+    start = time.perf_counter()
+    theta = _awkward_expansion(coeff)
+    w = word_from_string(1, "a1 b1 A1 a1 a1 B1")
+    assert evaluate(theta, w) == _plain_evaluate(theta, w)
+    assert time.perf_counter() - start < 1
+    assert theta._letter_scale() == lam
+    assert scaled_terms(graded_scale(exp(theta.logs[0]), 30))[1] != 1
+
+
+def test_letter_scale_of_the_built_and_shipped_expansions():
+    for theta in (build_symplectic(2, 5), load_fixture("fixture-genus1"), load_fixture("fixture-genus2")):
+        assert theta._letter_scale() == 60
+
+
+def test_a_letter_scale_too_small_is_refused(monkeypatch):
+    monkeypatch.setattr(expansion_module, "_integral_scale", lambda logs, truncation: 30)
+    theta = _awkward_expansion(Rat(1, 4))
+    with pytest.raises(ArithmeticError, match="not integral"):
+        evaluate(theta, word_from_string(1, "a1"))
+
+
+@pytest.mark.parametrize("make, antipodal", [
+    (lambda: build_symplectic(2, 4), True),
+    (lambda: load_fixture("fixture-genus1"), True),
+    (lambda: load_fixture("fixture-genus2"), True),
+    (lambda: standard_expansion(2, 4), False),  # log(1 + X) is not Lie
+])
+def test_inverse_letters_come_from_the_antipode_when_it_negates_the_log(make, antipodal):
+    theta = make()
+    for i, t in enumerate(theta.logs):
+        assert theta._exp_letter(i, -1) == graded_scale(exp(-t), theta._letter_scale())
+        # only the antipode path reads the forward letter
+        assert ((i, 1) in theta._exp_cache) == antipodal

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import twistlog
+from twistlog import expansion, johnson, words
 
 SRC = Path(twistlog.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -128,15 +129,43 @@ def _module_constant(path: Path, name: str):
     raise AssertionError(f"{path.name} defines no {name}")
 
 
-def test_every_traced_name_resolves():
-    # the tracer looks each (module, attribute) up with getattr, so a
-    # renamed or deleted function breaks every --trace 1 run
+def _tracing():
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_resolves():
+    # the tracer looks each (module, attribute) up with getattr, so a
+    # renamed or deleted function breaks every --trace 1 run
+    tracing = _tracing()
     assert tracing.TRACED
     missing = [(m, a) for m, a, *_ in tracing.TRACED if not _resolves(m, a)]
     assert not missing, missing
+
+
+def test_a_traced_loop_invariant_reaches_products_and_the_exp_cache():
+    # a traced run reports tensor.mul.useful_ratio and
+    # expansion.exp_cache_hit_ratio only if l_invariant_tensor still goes
+    # through a Tensor * Tensor product and through expansion.evaluate
+    tracing = _tracing()
+    for module in {row[0] for row in tracing.TRACED}:
+        importlib.import_module(f"twistlog.{module}")
+    theta = expansion.load_fixture("fixture-genus2")
+    w = words.word_from_string(2, "a1 b2 a1 B1")
+    expected = johnson.l_invariant_tensor(theta, w)
+    theta = expansion.load_fixture("fixture-genus2")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = johnson.l_invariant_tensor(theta, w)
+    finally:
+        tracer.uninstall()
+    assert traced == expected
+    assert tracer.counters["tensor.mul.pairs"] > 0
+    assert tracer.counters["expansion.exp_cache.hits"] > 0
+    assert tracer.counters["expansion.exp_cache.misses"] > 0
 
 
 def test_every_name_the_benchmark_calls_resolves():

@@ -29,11 +29,13 @@ from twistlog.suite import built_expansion
 from twistlog.tensor import (
     AlgebraContext,
     Tensor,
+    add_block_product,
     antisymmetrize,
     basis_tensor,
     decode_monomial,
     encode_monomial,
     graded_part,
+    graded_scale,
     monomial_tensor,
     scaled_terms,
     truncate,
@@ -207,6 +209,7 @@ def test_kernel_ops_match_the_oracle(case, q):
     checked(ta - tb, o_add(a, {m: -c for m, c in b.items()}))
     checked(ta * tb, o_mul(a, b, ctx.truncation))
     checked(ta.scale(q), {m: c * q for m, c in a.items() if c * q})
+    checked(graded_scale(ta, q), {m: c * q ** len(m) for m, c in a.items() if c * q ** len(m)})
     checked(cyclic_n(ta), o_cyclic_n({m: c for m, c in a.items() if m}))
 
 
@@ -302,12 +305,28 @@ def test_dense_products_match_the_oracle(data):
 
 
 def test_product_drops_a_merged_degree_that_cancels():
-    # (1 + X)(X - 1) = XX - 1: degree 1 gets X from two pairs, summing to 0
+    # (1 + X)(X - 1) = XX - 1 and (1 + X)(1 - X) = 1 - XX: degree 1 gets X
+    # from two pairs, summing to 0; the second right factor has the unit
+    # block, so its degree-1 block starts as a copy of the left one
     ctx = AlgebraContext(1, 3)
     a = {(): Fraction(1), (0,): Fraction(1)}
-    b = {(0,): Fraction(1), (): Fraction(-1)}
-    product = checked(Tensor(ctx, a) * Tensor(ctx, b), o_mul(a, b, ctx.truncation))
-    assert product.degrees() == [0, 2]
+    for sign in (1, -1):
+        b = {(0,): Fraction(sign), (): Fraction(-sign)}
+        product = checked(Tensor(ctx, a) * Tensor(ctx, b), o_mul(a, b, ctx.truncation))
+        assert product.degrees() == [0, 2]
+
+
+def test_a_block_times_the_unit_block_is_a_fresh_copy():
+    left = {3: 5, 7: -2}
+    out = {}
+    add_block_product(out, 2, left, {0: 1}, 1)
+    assert out[2] == left and out[2] is not left
+    add_block_product(out, 2, {3: 1}, {0: 1}, 1)
+    assert out[2] == {3: 6, 7: -2} and left == {3: 5, 7: -2}
+    # {0: 1} of degree 1 is the first basis vector, not the unit
+    out = {}
+    add_block_product(out, 3, left, {0: 1}, 4)
+    assert out[3] == {12: 5, 28: -2}
 
 
 @settings(max_examples=40, deadline=None)
