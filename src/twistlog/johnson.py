@@ -136,9 +136,8 @@ def describe_curve(curve: Curve) -> str:
     label = format_twist(curve.kind, curve.h)
     if curve.phi is None:
         return label
-    fact = curve.phi.factorization
-    twists = "user" if fact is None else ",".join(
-        f"{kind}{h if h is not None else ''}^{power}" for kind, h, power in fact
+    twists = ",".join(
+        f"{kind}{h if h is not None else ''}^{power}" for kind, h, power in curve.phi.factorization
     )
     return f"conj({twists}):{label}"
 

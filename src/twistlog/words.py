@@ -3,11 +3,12 @@
 Generators come in the fixed order a1, b1, ..., ag, bg, flat-indexed exactly
 like the homology basis (2i-2 <-> a_i, 2i-1 <-> b_i).  A word is a freely
 reduced sequence of signed letters; the boundary word is the product of the
-handle commutators [a_i, b_i] = a_i b_i a_i^-1 b_i^-1.  Automorphisms are
-given by their generator images; the Dehn twists along adapted curves come
-from one table of twist kinds, ``TWIST_KINDS``, and inverses are maintained
-through recorded twist factorizations (inverse twists are written down
-directly, so no general free-group inversion is ever needed).
+handle commutators [a_i, b_i] = a_i b_i a_i^-1 b_i^-1.  Every automorphism
+is a word in Dehn twists along adapted curves, which come from one table of
+twist kinds, ``TWIST_KINDS``: it carries that twist word (its
+factorization) along with its generator images.  Inverses, on the group and
+on H, are read from the inverse twist word, so no general free-group
+inversion is ever needed.
 
 Text format: whitespace-separated tokens a1..ag, b1..bg, with uppercase
 A1..Bg denoting inverse letters; the empty string is the identity.
@@ -16,10 +17,7 @@ A1..Bg denoting inverse letters; the empty string is the identity.
 from __future__ import annotations
 
 import re
-from math import gcd
 from typing import Callable, NamedTuple
-
-from .rationals import Rat
 
 # ASCII only: the classes name code points, so no other script's digits match
 _COUNT = "[1-9][0-9]*"
@@ -174,36 +172,21 @@ def handle_word(genus: int, h: int) -> GroupWord:
 
 
 class FreeAutomorphism:
-    """Endomorphism of the free group by generator images; the constructors
-    below only ever produce automorphisms.
+    """Automorphism of the free group: a twist word and its generator images.
 
-    ``factorization`` records the twist word that produced the map (tuples
-    (kind, h, power)); inverses are available exactly when it is present.
-    ``boundary_preserving`` is computed when read, not asserted: it says
-    whether the boundary word is fixed as a reduced word.
+    ``factorization`` is the twist word, a tuple of (kind, h, power) read as
+    the composite t_1 o t_2 o ...; ``images`` are the images of the
+    generators under it.  The constructor trusts that the two agree, so only
+    ``twist``, ``identity_automorphism``, ``compose`` and
+    ``_from_factorization`` call it; outside input goes through
+    ``automorphism_from_json``, which checks it.  ``boundary_preserving`` is
+    computed when read, not asserted: it says whether the boundary word is
+    fixed as a reduced word.
     """
 
     __slots__ = ("genus", "images", "factorization", "_coded")
 
-    def __init__(self, genus: int, images, factorization=None):
-        if len(images) != 2 * genus:
-            raise ValueError(f"expected {2 * genus} generator images")
-        for im in images:
-            if im.genus != genus:
-                raise ValueError("genus mismatch in generator image")
-        self._fill(genus, images, factorization)
-        if homology_inverse(self) is None:
-            raise ValueError("generator images are singular on homology")
-
-    @classmethod
-    def _product(cls, genus: int, images, factorization) -> "FreeAutomorphism":
-        """A twist power or a composite of checked maps: nonsingular on H by
-        construction, so the check is skipped."""
-        phi = object.__new__(cls)
-        phi._fill(genus, images, factorization)
-        return phi
-
-    def _fill(self, genus: int, images, factorization) -> None:
+    def __init__(self, genus: int, images, factorization):
         self.genus = genus
         self.images = tuple(images)
         # per generator: the coded letters of its image and of the image's inverse
@@ -211,7 +194,7 @@ class FreeAutomorphism:
         for im in self.images:
             forward = [2 * g + (s < 0) for g, s in im.letters]
             self._coded.append((forward, [c ^ 1 for c in reversed(forward)]))
-        self.factorization = tuple(factorization) if factorization is not None else None
+        self.factorization = tuple(factorization)
 
     @property
     def boundary_preserving(self) -> bool:
@@ -261,9 +244,7 @@ def apply_automorphism(phi: FreeAutomorphism, w: GroupWord) -> GroupWord:
 
 
 def identity_automorphism(genus: int) -> FreeAutomorphism:
-    return FreeAutomorphism._product(
-        genus, [generator_word(genus, i) for i in range(2 * genus)], ()
-    )
+    return FreeAutomorphism(genus, [generator_word(genus, i) for i in range(2 * genus)], ())
 
 
 # Most letters that a twist factorization may repeat in total: |power| times
@@ -274,10 +255,10 @@ def identity_automorphism(genus: int) -> FreeAutomorphism:
 # substitutes image words and cancels each one against the word built so
 # far (``apply_automorphism``), so the cost still grows with the image
 # lengths: at this bound, johnson --curve conj:FILE --k 1 on fixture:g2
-# took at most 0.74 s, for 62 entries {"kind": "sep", "h": 2, "power": 1};
-# one entry of h = 2, power 62 took 0.36 s.  At 1000 letters the same
-# shapes took 2.2 s and 0.83 s, and 8 entries of 248 letters each (1984 in
-# all) took 5.6 s (Python 3.11, one core of a 2-vCPU host, the slowest of
+# took at most 0.58 s, for 62 entries {"kind": "sep", "h": 2, "power": 1};
+# one entry of h = 2, power 62 took 0.35 s.  At 1000 letters the same
+# shapes took 2.0 s and 0.90 s, and 8 entries of 248 letters each (1984 in
+# all) took 5.4 s (Python 3.11, one core of a 2-vCPU host, the slowest of
 # three fresh processes).
 MAX_POWER_LETTERS = 500
 
@@ -372,7 +353,7 @@ def twist(genus: int, kind: str, h: int | None = None, power: int = 1) -> FreeAu
         return identity_automorphism(genus)
     gens = [generator_word(genus, i) for i in range(2 * genus)]
     images = entry.images(gens, h, _word_power(entry.word(genus, h), power))
-    return FreeAutomorphism._product(genus, images, [(kind, h, power)])
+    return FreeAutomorphism(genus, images, [(kind, h, power)])
 
 
 def compose(phi1: FreeAutomorphism, phi2: FreeAutomorphism) -> FreeAutomorphism:
@@ -380,19 +361,11 @@ def compose(phi1: FreeAutomorphism, phi2: FreeAutomorphism) -> FreeAutomorphism:
     if phi1.genus != phi2.genus:
         raise ValueError("genus mismatch")
     images = [apply_automorphism(phi1, im) for im in phi2.images]
-    fact = None
-    if phi1.factorization is not None and phi2.factorization is not None:
-        fact = phi1.factorization + phi2.factorization
-    return FreeAutomorphism._product(phi1.genus, images, fact)
+    return FreeAutomorphism(phi1.genus, images, phi1.factorization + phi2.factorization)
 
 
 def invert_automorphism(phi: FreeAutomorphism) -> FreeAutomorphism:
-    """Inverse through the recorded twist factorization (reversed, powers
-    negated).  Raises if the automorphism carries no factorization."""
-    if phi.factorization is None:
-        raise ValueError(
-            "automorphism has no recorded twist factorization; cannot invert"
-        )
+    """Inverse through the twist factorization (reversed, powers negated)."""
     fact = [(kind, h, -power) for kind, h, power in reversed(phi.factorization)]
     return _from_factorization(phi.genus, fact)
 
@@ -410,45 +383,33 @@ def homology_matrix(phi: FreeAutomorphism) -> list:
     return [list(row) for row in zip(*map(homology_class, phi.images))]
 
 
-def homology_inverse(phi: FreeAutomorphism) -> list | None:
-    """The inverse of ``homology_matrix(phi)`` as rows of exact rationals,
-    or None when the matrix is singular.
-
-    Gauss-Jordan elimination on [M | I] in integers: a row update
-    multiplies through by the pivot instead of dividing by it, and divides
-    out the row's gcd, so only the last step makes fractions."""
-    mat = homology_matrix(phi)
-    n = len(mat)
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if rows[r][c]), None)
-        if pivot is None:
-            return None
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        p = rows[c][c]
-        for r in range(n):
-            a = rows[r][c]
-            if r != c and a:
-                row = [p * x - a * y for x, y in zip(rows[r], rows[c])]
-                g = gcd(*row)
-                rows[r] = [x // g for x in row] if g > 1 else row
-    return [[Rat(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
+def homology_inverse(phi: FreeAutomorphism) -> list:
+    """The inverse of ``homology_matrix(phi)`` as integer rows: the product
+    of the matrices of the inverse twist powers, in reverse order.  Each
+    distinct twist power is built once, since a factorization may repeat
+    one entry hundreds of times."""
+    n = 2 * phi.genus
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = {}
+    for kind, h, power in phi.factorization:
+        if (kind, h, power) not in steps:
+            steps[kind, h, power] = homology_matrix(twist(phi.genus, kind, h, -power))
+        step = steps[kind, h, power]
+        inv = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in step]
+    return inv
 
 
 # -- serialization -----------------------------------------------------------
 
 
 def automorphism_to_json(phi: FreeAutomorphism) -> dict:
-    fact = None
-    if phi.factorization is not None:
-        fact = [
-            {"kind": kind, **({"h": h} if h is not None else {}), "power": power}
-            for kind, h, power in phi.factorization
-        ]
     return {
         "genus": phi.genus,
         "images": [word_to_string(im) for im in phi.images],
-        "factorization": fact,
+        "factorization": [
+            {"kind": kind, **({"h": h} if h is not None else {}), "power": power}
+            for kind, h, power in phi.factorization
+        ],
     }
 
 
@@ -458,35 +419,32 @@ def automorphism_from_json(obj: dict) -> FreeAutomorphism:
     genus = obj["genus"]
     if type(genus) is not int or genus < 1:
         raise ValueError(f"automorphism JSON genus must be a positive integer, got {genus!r}")
-    fact = None
-    if obj.get("factorization") is not None:
-        if not isinstance(obj["factorization"], list):
-            raise ValueError("automorphism JSON 'factorization' must be a list")
-        fact, letters = [], 0
-        for entry in obj["factorization"]:
-            if not isinstance(entry, dict):
-                raise ValueError(f"factorization entry must be an object: {entry!r}")
-            kind, h, power = entry.get("kind"), entry.get("h"), entry.get("power", 1)
-            if type(power) is not int:
-                raise ValueError(f"twist power must be an integer, got {power!r}")
-            letters += max(1, _twist_kind(genus, kind, h).letters(h) * abs(power))
-            fact.append((kind, h, power))
-        _check_letters(f"factorization of {len(fact)} entries", letters)
-    if "images" in obj and obj["images"] is not None:
-        if not isinstance(obj["images"], list) or not all(
-            isinstance(s, str) for s in obj["images"]
-        ):
+    if obj.get("factorization") is None:
+        raise ValueError(
+            "automorphism JSON needs a 'factorization' list of twists;"
+            " images alone are not accepted"
+        )
+    if not isinstance(obj["factorization"], list):
+        raise ValueError("automorphism JSON 'factorization' must be a list")
+    fact, letters = [], 0
+    for entry in obj["factorization"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"factorization entry must be an object: {entry!r}")
+        kind, h, power = entry.get("kind"), entry.get("h"), entry.get("power", 1)
+        if type(power) is not int:
+            raise ValueError(f"twist power must be an integer, got {power!r}")
+        letters += max(1, _twist_kind(genus, kind, h).letters(h) * abs(power))
+        fact.append((kind, h, power))
+    _check_letters(f"factorization of {len(fact)} entries", letters)
+    images = obj.get("images")
+    if images is not None:
+        if not isinstance(images, list) or not all(isinstance(s, str) for s in images):
             raise ValueError("automorphism JSON 'images' must be a list of words")
-        images = [word_from_string(genus, s) for s in obj["images"]]
-        phi = FreeAutomorphism(genus, images, factorization=fact)
-        if fact is not None:
-            rebuilt = _from_factorization(genus, fact)
-            if rebuilt.images != phi.images:
-                raise ValueError("automorphism JSON: images disagree with factorization")
-        return phi
-    if fact is None:
-        raise ValueError("automorphism JSON needs images or a factorization")
-    return _from_factorization(genus, fact)
+        images = tuple(word_from_string(genus, s) for s in images)
+    phi = _from_factorization(genus, fact)
+    if images is not None and phi.images != images:
+        raise ValueError("automorphism JSON: images disagree with factorization")
+    return phi
 
 
 def _from_factorization(genus: int, fact) -> FreeAutomorphism:
@@ -494,4 +452,4 @@ def _from_factorization(genus: int, fact) -> FreeAutomorphism:
     for kind, h, power in fact:
         out = compose(out, twist(genus, kind, h, power))
     # re-attach the requested factorization verbatim
-    return FreeAutomorphism._product(genus, out.images, fact)
+    return FreeAutomorphism(genus, out.images, fact)

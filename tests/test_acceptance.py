@@ -68,6 +68,12 @@ def test_suite_roster_is_stable():
     assert suite_names() == list(EXPECTED)
 
 
+def test_an_unknown_check_is_refused_with_the_known_ones():
+    with pytest.raises(ValueError) as refusal:
+        run_check("nope")
+    assert str(refusal.value) == f"unknown check 'nope'; known: {', '.join(EXPECTED)}"
+
+
 @pytest.mark.parametrize(
     "number,name", [(i + 1, name) for i, name in enumerate(EXPECTED)]
 )

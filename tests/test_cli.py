@@ -20,6 +20,7 @@ from twistlog.derivation import derivation_from_json
 from twistlog.expansion import (
     _check_size,
     evaluate,
+    expansion_from_json,
     expansion_to_json,
     exponential_expansion,
     load_fixture,
@@ -239,6 +240,18 @@ def test_check_expansion_malformed_json_exits_two(case, tmp_path):
     assert _MALFORMED_MESSAGES.get(case, "") in proc.stderr
 
 
+@pytest.mark.parametrize("case", ["generators-object", "generator-int"])
+def test_malformed_generators_are_refused_in_process(case, tmp_path, capsys):
+    theta_json = _malformed_generators(expansion_to_json(exponential_expansion(1, 3)), case)
+    with pytest.raises(ValueError) as refusal:
+        expansion_from_json(theta_json)
+    assert str(refusal.value) == _MALFORMED_MESSAGES[case]
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(theta_json))
+    assert main(["check-expansion", "--in", str(path)]) == 2
+    assert _MALFORMED_MESSAGES[case] in capsys.readouterr().err
+
+
 def test_check_expansion_refuses_an_exponent_coefficient_at_once(tmp_path):
     # Fraction("1e10000000") builds a ten-million-digit integer first
     theta_json = expansion_to_json(exponential_expansion(1, 3))
@@ -290,14 +303,19 @@ def test_deeply_nested_json_is_a_usage_error(argv, tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
-def test_johnson_refuses_a_conjugator_singular_on_homology(tmp_path, capsys):
-    # images from a file are checked, even when a factorization comes with them
+@pytest.mark.parametrize("conjugator, message", [
+    # images from a file are checked against the factorization that comes with them
+    ({"genus": 2, "images": ["a1", "a1", "a2", "b2"], "factorization": [{"kind": "nonsep"}]},
+     "disagree"),
+    # images alone are refused as the file is read
+    ({"genus": 2, "images": ["a1", "b1 a1", "a2", "b2"]}, "'factorization'"),
+], ids=["disagreeing-images", "images-only"])
+def test_johnson_refuses_a_conjugator_that_is_not_a_twist_word(conjugator, message, tmp_path, capsys):
     path = tmp_path / "phi.json"
-    path.write_text(json.dumps({"genus": 2, "images": ["a1", "a1", "a2", "b2"],
-                                "factorization": [{"kind": "nonsep"}]}))
+    path.write_text(json.dumps(conjugator))
     argv = ["johnson", "--curve", f"conj:{path}", "--k", "1", "--expansion", "fixture:g2"]
     assert main(argv) == 2
-    assert "singular" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_a_conjugator_base_is_never_a_conjugator_file(tmp_path):
