@@ -1,16 +1,17 @@
 """Command line front end.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage or parse error.  ``main`` returns every one of them, --help and
-argparse's usage errors included; it raises no SystemExit.  All file
-formats are the JSON forms defined by the library modules, re-readable and
-deterministic (sorted monomials).
+2 usage or parse error, 141 the output's reader closed early.  ``main``
+returns every one of them, --help and argparse's usage errors included; it
+raises no SystemExit.  All file formats are the JSON forms defined by the
+library modules, re-readable and deterministic (sorted monomials).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .derivation import derivation_to_json
@@ -326,10 +327,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse's only way to stop
         return exc.code
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that closed early fails here, not at exit
+        return code
     except ValueError as exc:
         print(f"twistlog: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the output's reader has gone (`twistlog ... | head`); send what is
+        # still buffered to devnull, so the interpreter's flush at exit
+        # cannot fail again, and exit as a shell does on SIGPIPE
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # an in-memory stdout has no descriptor
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

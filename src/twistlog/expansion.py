@@ -6,8 +6,8 @@ Lie-or-general tensor per free-group generator.  Storing logs makes the
 homomorphism condition structural: evaluation is a product of exponentials.
 Truncation belongs to the expansion: ``restrict`` gives the same expansion
 at a lower degree, and work that needs only low degrees is done there.  An
-expansion is immutable, so it memoizes its exponentials, its restrictions and
-its symplectic verdict.
+expansion is immutable, so it memoizes its exponentials, its generator
+values, its restrictions and its symplectic verdict.
 
 The builder turns any group-like seed into a symplectic expansion one degree
 at a time: at degree m it measures the defect of the boundary condition,
@@ -64,10 +64,15 @@ class Expansion:
     Words are multiplied in graded integer coordinates: the exponential
     cache holds sigma_lam(exp(+-ell_i)), where sigma_lam multiplies the
     degree-d part by lam**d and lam, worked out from the logs on first use,
-    makes every one of them an integer tensor with constant term 1.
+    makes every one of them an integer tensor with constant term 1.  The
+    generator values theta(x_i^+-1) = exp(+-ell_i) themselves are memoized
+    too, under the same (index, sign) keys, since the paper's formulas and
+    the certificate suite evaluate them again and again.
     """
 
-    __slots__ = ("ctx", "kind", "logs", "_exp_cache", "_lam", "_restrictions", "_failures")
+    __slots__ = (
+        "ctx", "kind", "logs", "_exp_cache", "_values", "_lam", "_restrictions", "_failures",
+    )
 
     def __init__(self, ctx: AlgebraContext, logs, kind: str = "user"):
         if kind not in EXPANSION_KINDS:
@@ -88,6 +93,7 @@ class Expansion:
         self.kind = kind
         self.logs = logs
         self._exp_cache = {}  # (index, sign) -> sigma_lam(exp(sign * ell_i))
+        self._values = {}  # (index, sign) -> exp(sign * ell_i), unscaled
         self._lam = None
         self._restrictions = {}  # degree -> restrict(self, degree)
         self._failures = None  # symplectic_failures, once computed
@@ -140,9 +146,19 @@ def evaluate(theta: Expansion, w: GroupWord) -> Tensor:
     """theta(w): product over the letters of exp(+-log), an element of
     1 + T-hat_1.  The letters' cached sigma_lam-scaled exponentials are
     integer tensors, so their product takes no gcd pass, and the word is
-    rescaled once, by sigma_{1/lam}, at the end."""
+    rescaled once, by sigma_{1/lam}, at the end.  A one-letter word is a
+    generator value, rescaled once per expansion and then looked up; the
+    same tensor is returned each time, and tensors are never mutated."""
     if w.genus != theta.genus:
         raise ValueError(f"word genus {w.genus} != expansion genus {theta.genus}")
+    if len(w.letters) == 1:
+        key = w.letters[0]
+        value = theta._values.get(key)
+        if value is None:
+            value = theta._values[key] = graded_scale(
+                theta._exp_letter(*key), Rat(1, theta._letter_scale())
+            )
+        return value
     out = one_tensor(theta.ctx)
     for index, sign in w.letters:
         out = out * theta._exp_letter(index, sign)

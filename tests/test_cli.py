@@ -194,7 +194,7 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
-def _run_in_fresh_interpreter(*argv, module="twistlog.cli"):
+def _run_in_fresh_interpreter(*argv, module="twistlog.cli", stdout=subprocess.PIPE):
     # a fresh interpreter, so that an uncaught exception would show as a
     # traceback on stderr and exit 1
     pkg_root = str(Path(twistlog.__file__).resolve().parent.parent)
@@ -203,7 +203,8 @@ def _run_in_fresh_interpreter(*argv, module="twistlog.cli"):
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
         env=env,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         preexec_fn=_limit_address_space,
     )
@@ -301,6 +302,26 @@ def test_deeply_nested_json_is_a_usage_error(argv, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("twistlog: error:") and "nested too deeply" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "transvection"],
+    # about 147 KB, more than a pipe buffer holds, so print itself fails
+    ["eval", "--expansion", "build", "--genus", "2", "--degree", "6",
+     "--word", "a1 b1 a2 b2 A1", "--output", "json"],
+], ids=["verify", "large-eval"])
+def test_a_reader_that_closed_early_gives_exit_141_and_no_traceback(argv, monkeypatch):
+    # block-buffered stdout, as by default, so output can still be pending
+    # when the command returns
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = _run_in_fresh_interpreter(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("conjugator, message", [

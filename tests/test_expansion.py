@@ -451,6 +451,26 @@ def test_evaluate_equals_the_plain_rational_product(name):
         assert evaluate(theta, w) == _plain_evaluate(theta, w)
 
 
+@pytest.mark.parametrize("name", ORACLE_EXPANSIONS)
+def test_generator_values_are_memoized_and_never_aliased(name):
+    # evaluate hands out one shared tensor per generator value; using it in
+    # arithmetic must leave it, and every later lookup, equal to exp(+-ell_i)
+    theta = ORACLE_EXPANSIONS[name]()
+    one = one_tensor(theta.ctx)
+    for i, t in enumerate(theta.logs):
+        for sign in (1, -1):
+            w = GroupWord(theta.genus, [(i, sign)])
+            oracle = exp(t if sign == 1 else -t)
+            value = evaluate(theta, w)
+            assert value == oracle
+            assert value * value == oracle * oracle
+            assert value + one == oracle + one
+            assert graded_scale(value, Rat(2, 3)) == graded_scale(oracle, Rat(2, 3))
+            again = evaluate(theta, w)
+            assert again is value
+            assert again == oracle
+
+
 @pytest.mark.parametrize("coeff, lam", [
     # 30 holds the primes <= 5 and is the least r with 4 | r**2, yet
     # (1/4 [A1, B1])**2 / 2 = 1/32 [A1, B1]**2 needs 32 | r**4

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import twistlog
-from twistlog import expansion, johnson, words
+from twistlog import expansion, johnson, suite, words
 
 SRC = Path(twistlog.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -166,6 +166,23 @@ def test_a_traced_loop_invariant_reaches_products_and_the_exp_cache():
     assert tracer.counters["tensor.mul.pairs"] > 0
     assert tracer.counters["expansion.exp_cache.hits"] > 0
     assert tracer.counters["expansion.exp_cache.misses"] > 0
+
+
+def test_a_traced_certify_check_reaches_evaluate_and_the_exp_cache():
+    # the certify workload's per-layer evaluate and exp-cache metrics come
+    # from the suite checks that evaluate generator values over and over
+    tracing = _tracing()
+    for module in {row[0] for row in tracing.TRACED}:
+        importlib.import_module(f"twistlog.{module}")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        certs = [suite.run_check(name) for name in ("connecting", "dehn-twist")]
+    finally:
+        tracer.uninstall()
+    assert [cert.status for cert in certs] == ["pass", "pass"]
+    assert tracer.name_id("expansion.evaluate") in tracer.span_name
+    assert tracer.counters["expansion.exp_cache.hits"] > 0
 
 
 def test_every_name_the_benchmark_calls_resolves():
