@@ -30,10 +30,12 @@ from .endomorphism import Endomorphism, solve_generator_images
 from .lie import _bracket_expansion, _bracket_first, _phi_tails, exp, is_lie, log
 from .rationals import Rat, rat_from_string
 from .tensor import (
+    MAX_MONOMIALS,
     AlgebraContext,
     Tensor,
     antipode,
     basis_tensor,
+    filtration_degree,
     graded_part,
     graded_scale,
     one_tensor,
@@ -67,7 +69,9 @@ class Expansion:
     makes every one of them an integer tensor with constant term 1.  The
     generator values theta(x_i^+-1) = exp(+-ell_i) themselves are memoized
     too, under the same (index, sign) keys, since the paper's formulas and
-    the certificate suite evaluate them again and again.
+    the certificate suite evaluate them again and again;
+    ``symplectic_failures`` fills those of sign +1 from the exponentials it
+    forms one degree up, and the exponential cache starts from them.
     """
 
     __slots__ = (
@@ -122,7 +126,10 @@ class Expansion:
                 # S(exp u) = exp(S u), and S commutes with sigma_lam
                 cached = antipode(self._exp_letter(index, 1))
             else:
-                cached = graded_scale(exp(t if sign == 1 else -t), self._letter_scale())
+                value = self._values.get(key)
+                if value is None:
+                    value = exp(t if sign == 1 else -t)
+                cached = graded_scale(value, self._letter_scale())
                 if scaled_terms(cached)[1] != 1:
                     raise ArithmeticError(
                         f"exp(+-log {gen_name(index)}) is not integral in the "
@@ -206,23 +213,39 @@ def is_group_like(theta: Expansion) -> bool:
 
 def symplectic_failures(theta: Expansion) -> list:
     """The witnesses against theta being symplectic: group-like, and
-    ell(zeta) = omega exactly at the truncation.  exp and log are inverse
-    bijections of the truncated algebra, so theta(zeta) = exp(omega) is
-    tested instead, with no logarithm.  Proved once per expansion; each
-    call gets a fresh list."""
+    ell(zeta) = omega exactly through degree N+1, one above the truncation.
+
+    The degree-(N+1) part of ell(zeta) depends only on logs of degree <= N,
+    since zeta is a product of commutators; and (1/2) N(ell ell) needs it,
+    as L's degree-N values come from its degree-(N+1) part.  So theta(zeta)
+    is formed from the logs lifted to degree N+1 and compared with
+    exp(omega) there, with no logarithm: exp and log are inverse filtered
+    bijections, so both sides first differ in the same degree, which the
+    witness names.  Proved once per expansion; each call gets a fresh list.
+    """
     if theta._failures is None:
         failures = []
-        if not is_group_like(theta):
+        ext = AlgebraContext(theta.genus, theta.truncation + 1)
+        logs = [truncate(t, ext) for t in theta.logs]
+        if is_group_like(theta):
+            values = [exp(t) for t in logs]
+            # truncated, these are the generator values at N: memoized, as
+            # evaluating a word would have done
+            for i, value in enumerate(values):
+                theta._values.setdefault((i, 1), truncate(value, theta.ctx))
+            zeta = _boundary_value(ext, values)
+        else:  # _boundary_value inverts by the antipode, which needs Lie logs
             failures.append("a generator log is not Lie")
-        zeta = evaluate(theta, boundary_word(theta.genus))
-        if zeta != exp(symplectic_form(theta.ctx)):
-            failures.append("ell(zeta) != omega")
+            zeta = evaluate(Expansion(ext, logs, kind=theta.kind), boundary_word(theta.genus))
+        degree = filtration_degree(zeta - exp(symplectic_form(ext)))
+        if degree <= ext.truncation:
+            failures.append(f"ell(zeta) != omega, first in degree {degree}")
         theta._failures = tuple(failures)
     return list(theta._failures)
 
 
 def is_symplectic(theta: Expansion) -> bool:
-    """Group-like and ell(zeta) = omega, both exact at the truncation."""
+    """Group-like, and ell(zeta) = omega through degree N+1."""
     return not symplectic_failures(theta)
 
 
@@ -328,16 +351,6 @@ def load_fixture(kind: str, truncation: int | None = None) -> Expansion:
 # -- the symplectic builder --------------------------------------------------
 
 
-# Largest monomial count that the builder, the built-in expansions, the
-# fixture loader and expansion files accept: the count
-# sum(dim**k for k <= N+1) of the algebra one degree above the truncation N,
-# where the builder and the loop invariant work.  It admits genus 2 through
-# degree 8 (349525 monomials; the build took 3.6 s) and genus 3 through
-# degree 6 (335923; 0.4 s).  Beyond it, genus 2 at degree 9 (1.4M) took 27 s
-# and 3.6 GiB to build, and the count grows by a factor 2g with each degree.
-MAX_MONOMIALS = 400_000
-
-
 def _check_size(genus: int, degree: int) -> None:
     """Refuse the genus and degree of a valid context whose monomial count
     exceeds MAX_MONOMIALS.
@@ -355,14 +368,14 @@ def _check_size(genus: int, degree: int) -> None:
         )
 
 
-def _boundary_value(ctx: AlgebraContext, logs) -> Tensor:
-    """theta(zeta) from raw Lie logs, grouped handle by handle.  For a Lie u
-    the antipode sends exp(u) to exp(-u), so each handle's inverse factors
-    cost no exponential series."""
+def _boundary_value(ctx: AlgebraContext, values) -> Tensor:
+    """theta(zeta) from the generator values exp(ell_i) of Lie logs in
+    ``ctx``, grouped handle by handle.  For a Lie u the antipode sends
+    exp(u) to exp(-u), so each handle's inverse factors cost no exponential
+    series."""
     out = one_tensor(ctx)
     for i in range(ctx.genus):
-        ea = exp(logs[2 * i])
-        eb = exp(logs[2 * i + 1])
+        ea, eb = values[2 * i], values[2 * i + 1]
         out = out * (ea * eb * antipode(ea) * antipode(eb))
     return out
 
@@ -405,7 +418,7 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
         # once ell(zeta) = omega + D with D of degree >= m, theta(zeta) =
         # exp(omega) + D below degree m + 1: every other term of
         # exp(omega + D) that holds D has degree >= m + 2
-        defect = _boundary_value(pass_ctx, [truncate(t, pass_ctx) for t in logs])
+        defect = _boundary_value(pass_ctx, [exp(truncate(t, pass_ctx)) for t in logs])
         defect = defect - truncate(exp_omega, pass_ctx)
         blocks, den = scaled_terms(defect)
         if any(p < m for p in blocks):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial
 
-from .cyclic import cyclic_n, necklace_block
+from .cyclic import cyclic_n, necklace_tensor, orbits
 from .derivation import (
     Derivation,
     apply as apply_derivation,
@@ -29,13 +29,10 @@ from .rationals import Rat
 from .tensor import (
     AlgebraContext,
     Tensor,
-    add_block_product,
-    add_block_square,
     filtration_degree,
     graded_part,
     one_tensor,
     scaled_terms,
-    tensor_from_scaled,
     truncate,
     zero_tensor,
 )
@@ -64,12 +61,14 @@ def l_invariant_tensor(theta: Expansion, w: GroupWord) -> Tensor:
     derivation view complete on the truncated algebra (a degree-(N+1)
     monomial still acts nontrivially, sending degree 1 to degree N).
 
-    The square is taken over unordered pairs of degrees.  Every monomial of
+    The square is fused with N and never built.  Every monomial of
     ell_q ell_p is a rotation of one of ell_p ell_q (by q letters), so
     N(ell_p ell_q) = N(ell_q ell_p) degree by degree, and
     (1/2) N(ell ell) = sum_{p<q} N(ell_p ell_q) + (1/2) sum_p N(ell_p ell_p):
-    each pair is multiplied once, with weight 2 off the diagonal over the
-    denominator 2 den^2, and each degree takes one necklace walk.  The word
+    each unordered pair of degrees, and within a diagonal degree each
+    unordered pair of codes, is multiplied once, with weight 2 off the
+    diagonal over the denominator 2 den^2, and each product goes straight
+    into the sum of its rotation orbit (``twistlog.cyclic``).  The word
     w is used as given, not cyclically reduced or otherwise normalized:
     the l-invariance check compares L(w), L(y w y^-1) and L(w^-1), each
     computed on its own, and a shared normal form would make it vacuous.
@@ -80,22 +79,29 @@ def l_invariant_tensor(theta: Expansion, w: GroupWord) -> Tensor:
 
 
 def _half_n_square(t: Tensor, ctx: AlgebraContext) -> Tensor:
-    """(1/2) N(t t) in ``ctx``, over unordered pairs of degrees and codes."""
+    """(1/2) N(t t) in ``ctx``, over unordered pairs of degrees and codes,
+    each product added into the sum of its rotation orbit."""
     cap, dim = ctx.truncation, ctx.dim
     blocks, den = scaled_terms(t)
     degrees = sorted(blocks)
-    square = {}
+    sums = {}  # degree -> {least code of an orbit: sum over that orbit}
     for i, p in enumerate(degrees):
-        left = blocks[p]
+        items = list(blocks[p].items())
         if 0 < 2 * p <= cap:  # N kills degree 0
-            add_block_square(square, 2 * p, left, dim**p)
-        doubled = {k: 2 * c for k, c in left.items()}
+            table, acc, shift = orbits(dim, 2 * p), sums.setdefault(2 * p, {}), dim**p
+            # codes ab and ba are rotations of each other: each unordered
+            # pair once, ab with weight 2, and aa with weight 1
+            for j, (a, ca) in enumerate(items):
+                table.add_product(acc, ((a, ca),), ((a, ca),), shift)
+                table.add_product(acc, ((a, 2 * ca),), items[j + 1:], shift)
+        doubled = [(a, 2 * c) for a, c in items]
         for q in degrees[i + 1:]:
             if p + q > cap:
                 break
-            add_block_product(square, p + q, doubled, blocks[q], dim**q)
-    out = {d: necklace_block(block, d, dim) for d, block in square.items()}
-    return tensor_from_scaled(ctx, out, 2 * den * den)
+            orbits(dim, p + q).add_product(
+                sums.setdefault(p + q, {}), doubled, blocks[q].items(), dim**q
+            )
+    return necklace_tensor(ctx, sums, 2 * den * den)
 
 
 def l_invariant(theta: Expansion, w: GroupWord) -> Derivation:

@@ -33,10 +33,11 @@ gives back the canonical value.
 
 ``Tensor.terms`` is the read-only monomial -> Rat view of the same data,
 decoded on first use; other modules that need the ints go through
-``scaled_terms``, ``common_scaled`` and ``tensor_from_scaled``, through
-``capped_product``, ``add_block_product`` and ``add_block_square`` (the
-square's diagonal under N) for products, and through ``encode_monomial``
-and ``decode_monomial`` for single codes.
+``scaled_terms``, ``common_scaled`` and ``tensor_from_scaled`` (or
+``tensor_from_canonical``, for blocks the caller has already reduced, as
+N's orbit sums are in ``twistlog.cyclic``), through ``capped_product`` and
+``add_block_product`` for products, and through ``encode_monomial`` and
+``decode_monomial`` for single codes.
 """
 
 from __future__ import annotations
@@ -50,6 +51,16 @@ from .rationals import ONE, ZERO, Rat, rat_from_string, rat_to_string
 from .words import gen_name, parse_name
 
 Monomial = tuple  # tuple of basis indices; length is the tensor degree
+
+# Largest monomial count that the builder, the built-in expansions, the
+# fixture loader and expansion files accept (and the largest code space of
+# one degree that N's orbit slots in ``twistlog.cyclic`` cover): the count
+# sum(dim**k for k <= N+1) of the algebra one degree above the truncation N,
+# where the builder and the loop invariant work.  It admits genus 2 through
+# degree 8 (349525 monomials; the build took 3.6 s) and genus 3 through
+# degree 6 (335923; 0.4 s).  Beyond it, genus 2 at degree 9 (1.4M) took 27 s
+# and 3.6 GiB to build, and the count grows by a factor 2g with each degree.
+MAX_MONOMIALS = 400_000
 
 
 def _exact_int(value, what: str) -> int:
@@ -410,23 +421,6 @@ def add_block_product(out: dict, degree: int, left: dict, right: dict, shift: in
     return True
 
 
-def add_block_square(out: dict, degree: int, block: dict, shift: int) -> None:
-    """Add into ``out[degree]`` a block with the same image as block * block
-    under N (``twistlog.cyclic``), and valid only under N: codes ab and ba
-    of one degree are rotations of each other, so each unordered pair is
-    added once, as ab with weight 2, and aa with weight 1.  ``shift`` is
-    dim to the power of the block's degree."""
-    acc = out.setdefault(degree, {})
-    get = acc.get
-    items = list(block.items())
-    for i, (a, ca) in enumerate(items):
-        base = a * shift
-        acc[base + a] = get(base + a, 0) + ca * ca
-        ca *= 2
-        for b, cb in items[i + 1:]:
-            acc[base + b] = get(base + b, 0) + ca * cb
-
-
 def capped_product(a: Tensor, b: Tensor, cap: int) -> Tensor:
     """a * b with every degree above ``cap`` dropped, reduced once.  Left
     blocks go in descending degree, so each output degree is built fresh
@@ -488,6 +482,14 @@ def tensor_from_scaled(ctx: AlgebraContext, blocks: dict, den: int = 1) -> Tenso
         if block:
             clean[d] = block
     return _reduced(ctx, clean, den)
+
+
+def tensor_from_canonical(ctx: AlgebraContext, blocks: dict, den: int) -> Tensor:
+    """Tensor with coefficient blocks[d][k] / den, trusted to be canonical
+    already: valid codes, no zero numerator, no empty block, den > 0 and
+    gcd(den, *numerators) == 1.  Nothing is checked, and the blocks become
+    the tensor's own."""
+    return _scaled(ctx, blocks, den)
 
 
 # -- constructors ----------------------------------------------------------

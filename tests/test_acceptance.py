@@ -16,8 +16,8 @@ from twistlog.expansion import (
     build_symplectic,
     connecting_automorphism,
     exponential_expansion,
-    is_symplectic,
     load_fixture,
+    symplectic_failures,
 )
 from twistlog.johnson import certificate_to_json
 from twistlog.lie import bracket, bracket_tree_tensor
@@ -118,13 +118,14 @@ def test_transvection_checks_every_kind_in_the_table(monkeypatch):
 
 
 def test_omega_ideal_witness_names_the_generator_and_degree(monkeypatch):
-    # [A1,[A1,[A1,B1]]] added to the log of a1 keeps the genus-2 fixture
-    # symplectic at N4, but its twists no longer match exp(-L) mod omega
+    # [A1,[A1,[A1,B1]]] added to the log of a1 keeps ell(zeta) = omega
+    # through N4 in the genus-2 fixture, but not in degree 5, and its twists
+    # no longer match exp(-L) mod omega
     shared = fixture_expansion(2)
     logs = list(shared.logs)
     logs[0] = logs[0] + bracket_tree_tensor(shared.ctx, (0, (0, (0, 1))))
     bent = Expansion(shared.ctx, logs, kind=shared.kind)
-    assert is_symplectic(bent)
+    assert symplectic_failures(bent) == ["ell(zeta) != omega, first in degree 5"]
     with monkeypatch.context() as patch:
         patch.setitem(suite._MEMO, ("fixture", 2), bent)
         cert = run_check("omega-ideal")

@@ -120,12 +120,22 @@ def test_check_flags_non_symplectic_expansion(tmp_path, capsys):
 
 
 def test_check_expansion_passes_massuyeaus_expansion(tmp_path, capsys):
+    # trusted to truncation 3; see the next test for truncation 4
     path = tmp_path / "massuyeau.json"
     path.write_text(json.dumps(expansion_to_json(load_fixture("fixture-massuyeau"))))
     assert main(["check-expansion", "--in", str(path), "--output", "json"]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert cert["status"] == "pass"
-    assert cert["params"] == {"genus": 1, "truncation": 4, "kind": "fixture-massuyeau"}
+    assert cert["params"] == {"genus": 1, "truncation": 3, "kind": "fixture-massuyeau"}
+
+
+def test_check_expansion_fails_massuyeaus_data_one_degree_up(tmp_path, capsys, old_massuyeau):
+    path = tmp_path / "massuyeau.json"
+    path.write_text(json.dumps(expansion_to_json(load_fixture("fixture-massuyeau"))))
+    assert main(["check-expansion", "--in", str(path), "--output", "json"]) == 1
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["status"] == "fail" and cert["params"]["truncation"] == 4
+    assert cert["witness"] == "ell(zeta) != omega, first in degree 5"
 
 
 def test_check_expansion_refuses_a_file_missing_generators(tmp_path, capsys):
@@ -196,18 +206,39 @@ def _limit_address_space():
 
 def _run_in_fresh_interpreter(*argv, module="twistlog.cli", stdout=subprocess.PIPE):
     # a fresh interpreter, so that an uncaught exception would show as a
-    # traceback on stderr and exit 1
+    # traceback on stderr and exit 1; module None passes argv to python itself
     pkg_root = str(Path(twistlog.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": pkg_root + (os.pathsep + inherited if inherited else "")}
     return subprocess.run(
-        [sys.executable, "-m", module, *argv],
+        [sys.executable, *(("-m", module) if module else ()), *argv],
         env=env,
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
         preexec_fn=_limit_address_space,
     )
+
+
+def test_n_refuses_a_code_space_above_the_limit_at_once():
+    # N of one degree-9 monomial at genus 4 would need 8^9, about 134M,
+    # orbit slots; the refusal comes before any of them is allocated
+    code = (
+        "import time\n"
+        "from twistlog.cyclic import cyclic_n\n"
+        "from twistlog.tensor import AlgebraContext, monomial_tensor\n"
+        "t = monomial_tensor(AlgebraContext(4, 9), (0,) * 9)\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    cyclic_n(t)\n"
+        "except ValueError as exc:\n"
+        "    print(time.perf_counter() - start, exc)\n"
+    )
+    proc = _run_in_fresh_interpreter("-c", code, module=None)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    seconds, message = proc.stdout.split(" ", 1)
+    assert float(seconds) < 1
+    assert message.strip() == "N in degree 9 over 8 letters spans 8^9 monomials, above the limit of 400000"
 
 
 def _assert_usage_error_in_fresh_interpreter(*argv, module="twistlog.cli"):

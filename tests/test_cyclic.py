@@ -1,21 +1,29 @@
 """Cyclic operators nu, N and the necklace bracket with its oracle."""
 
 import random
+import sys
+import threading
 
 import pytest
 
-from twistlog.cyclic import cyclic_n, is_nu_invariant, necklace_bracket, nu
+from twistlog import cyclic
+from twistlog.cyclic import cyclic_n, is_nu_invariant, necklace_bracket, nu, orbits
 from twistlog.derivation import commutator, from_tensor
+from twistlog.expansion import build_symplectic
+from twistlog.johnson import l_invariant_tensor
 from twistlog.rationals import Rat
 from twistlog.tensor import (
     AlgebraContext,
     Tensor,
     basis_tensor,
+    decode_monomial,
+    encode_monomial,
     monomial_tensor,
     one_tensor,
     symplectic_form,
     zero_tensor,
 )
+from twistlog.words import GroupWord
 
 
 def random_nu_invariant(rng, ctx, degree):
@@ -100,3 +108,76 @@ def test_necklace_bracket_antisymmetry():
         u = random_nu_invariant(rng, ctx, rng.randint(2, 3))
         v = random_nu_invariant(rng, ctx, rng.randint(1, 2))
         assert necklace_bracket(u, v) == -necklace_bracket(v, u)
+
+
+# -- orbit slots ----------------------------------------------------------------
+
+
+def _rotation_set(x, p, dim):
+    """The codes of every rotation of code x, from its letters."""
+    mono = decode_monomial(x, p, dim)
+    return {encode_monomial(mono[k:] + mono[:k], dim) for k in range(p)}
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_every_orbit_slot_holds_the_least_code_of_its_rotation_set(dim):
+    # each orbit is walked from whichever member comes first in a shuffled
+    # order, not always from its least code
+    rng = random.Random(dim)
+    cyclic._ORBITS.clear()
+    for p in range(1, 7):
+        table = orbits(dim, p)
+        assert orbits(dim, p) is table
+        codes = list(range(dim**p))
+        rng.shuffle(codes)
+        for x in codes:
+            if table.slots[x] is None:
+                table.fill(x)
+        for x in range(dim**p):
+            rotations = _rotation_set(x, p, dim)
+            least = table.slots[x]
+            assert least == min(rotations)
+            members = table.members[least]
+            assert members[0] == least
+            assert len(members) == len(rotations) and set(members) == rotations
+            assert p % len(members) == 0
+        assert len(table.members) == len({table.slots[x] for x in range(dim**p)})
+
+
+def test_concurrent_callers_fill_the_same_slots_to_the_same_results():
+    theta = build_symplectic(2, 4)
+    rng = random.Random(2718)
+    words = [
+        GroupWord(2, [(rng.randrange(4), rng.choice((1, -1))) for _ in range(rng.randint(1, 6))])
+        for _ in range(20)
+    ]
+    expected = [l_invariant_tensor(theta, w) for w in words]
+    cyclic._ORBITS.clear()
+    threads, results = 4, {}
+    start = threading.Barrier(threads)
+
+    def work(k):
+        order = list(range(len(words)))
+        random.Random(k).shuffle(order)
+        start.wait()
+        results[k] = {i: l_invariant_tensor(theta, words[i]) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert sorted(results) == list(range(threads))
+    for got in results.values():
+        assert [got[i] for i in range(len(words))] == expected
+    for (dim, p), table in cyclic._ORBITS.items():
+        for x, least in enumerate(table.slots):
+            if least is not None:
+                assert least == min(_rotation_set(x, p, dim))
+                assert x in table.members[least]

@@ -70,9 +70,15 @@ def test_exponential_expansion():
     theta = exponential_expansion(2, 4)
     assert is_group_like(theta)
     assert not is_symplectic(theta)
-    # at truncation 2 every group-like expansion satisfies the boundary
-    # condition, so the exponential one is symplectic there and only there
-    assert is_symplectic(exponential_expansion(2, 2))
+    # every group-like expansion satisfies the boundary condition in degree
+    # 2, but the test reaches one degree above the truncation, and the
+    # exponential expansion fails in degree 3 even at truncation 2
+    assert log_evaluate(exponential_expansion(2, 2), boundary_word(2)) == symplectic_form(
+        AlgebraContext(2, 2)
+    )
+    assert symplectic_failures(exponential_expansion(2, 2)) == [
+        "ell(zeta) != omega, first in degree 3"
+    ]
 
 
 def test_constructor_validation():
@@ -147,7 +153,7 @@ def test_fixture_trusted_degrees():
     # the default truncation is one below the trusted degree
     assert load_fixture("fixture-genus1").truncation + 1 == 6
     assert load_fixture("fixture-genus2").truncation + 1 == 5
-    assert load_fixture("fixture-massuyeau").truncation + 1 == 5
+    assert load_fixture("fixture-massuyeau").truncation + 1 == 4
     # asking beyond the trusted degree is an error, not an extrapolation
     with pytest.raises(ValueError):
         load_fixture("fixture-genus1", 6)
@@ -186,15 +192,29 @@ def test_fixture_refuses_a_data_file_missing_a_generator(monkeypatch):
 
 def test_massuyeau_fixture_is_a_genus1_symplectic_expansion():
     theta = load_fixture("fixture-massuyeau")
-    assert theta.genus == 1 and theta.truncation == 4
+    assert theta.genus == 1 and theta.truncation == 3
     assert symplectic_failures(theta) == [] and is_symplectic(theta)
     # another symplectic expansion than the genus-1 fixture, from degree 3 on
-    other = load_fixture("fixture-genus1", 4)
+    other = load_fixture("fixture-genus1", 3)
     differ = [
-        d for d in range(1, 5)
+        d for d in range(1, 4)
         if any(graded_part(s, d) != graded_part(t, d) for s, t in zip(theta.logs, other.logs))
     ]
     assert differ[0] == 3
+
+
+def test_the_old_massuyeau_truncation_fails_one_degree_up(old_massuyeau):
+    # ell(zeta) = omega through degree 4 but not in degree 5, where it is
+    # off by (1/12)[A1,[[[A1,B1],B1],B1]]
+    theta = load_fixture("fixture-massuyeau")
+    assert theta.truncation == 4
+    assert log_evaluate(theta, boundary_word(1)) == symplectic_form(theta.ctx)
+    assert symplectic_failures(theta) == ["ell(zeta) != omega, first in degree 5"]
+    ext = AlgebraContext(1, 5)
+    lifted = Expansion(ext, [truncate(t, ext) for t in theta.logs])
+    a, b = basis_tensor(ext, 0), basis_tensor(ext, 1)
+    defect = log_evaluate(lifted, boundary_word(1)) - symplectic_form(ext)
+    assert defect == bracket(a, bracket(bracket(bracket(a, b), b), b)).scale(Rat(1, 12))
 
 
 def test_builder_produces_symplectic_expansions():
@@ -247,11 +267,14 @@ def test_restrict_evaluates_as_the_truncated_expansion():
 def test_symplectic_failures_are_proved_once_and_returned_fresh():
     theta = exponential_expansion(2, 4)
     first = symplectic_failures(theta)
-    assert first == ["ell(zeta) != omega"]
+    assert first == ["ell(zeta) != omega, first in degree 3"]
     first.append("changed by the caller")
-    assert symplectic_failures(theta) == ["ell(zeta) != omega"]
+    assert symplectic_failures(theta) == ["ell(zeta) != omega, first in degree 3"]
     assert not is_symplectic(theta)
-    assert symplectic_failures(theta) == ["ell(zeta) != omega"]
+    assert symplectic_failures(theta) == ["ell(zeta) != omega, first in degree 3"]
+    assert symplectic_failures(standard_expansion(1, 3)) == [
+        "a generator log is not Lie", "ell(zeta) != omega, first in degree 3"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -296,10 +319,13 @@ def test_builder_refuses_a_non_lie_defect(monkeypatch):
         build_symplectic(1, 4)
 
 
-def test_symplectic_verdict_agrees_with_the_boundary_log():
+def test_symplectic_verdict_agrees_with_the_boundary_log(old_massuyeau):
+    # the verdict reaches degree N+1; the boundary log there, taken by
+    # evaluate and log on the logs lifted one degree up, is its oracle
     for make in (
         lambda: build_symplectic(2, 4),
         lambda: load_fixture("fixture-genus1"),
+        lambda: load_fixture("fixture-massuyeau"),
         lambda: exponential_expansion(2, 4),
         lambda: exponential_expansion(1, 2),
         lambda: standard_expansion(2, 4),
@@ -307,8 +333,14 @@ def test_symplectic_verdict_agrees_with_the_boundary_log():
     ):
         theta = make()
         fresh = Expansion(theta.ctx, theta.logs, kind=theta.kind)
-        symplectic = log_evaluate(theta, boundary_word(theta.genus)) == symplectic_form(theta.ctx)
-        assert ("ell(zeta) != omega" not in symplectic_failures(fresh)) == symplectic
+        ext = AlgebraContext(theta.genus, theta.truncation + 1)
+        lifted = Expansion(ext, [truncate(t, ext) for t in theta.logs])
+        defect = log_evaluate(lifted, boundary_word(theta.genus)) - symplectic_form(ext)
+        witness = [f for f in symplectic_failures(fresh) if f.startswith("ell(zeta)")]
+        if defect:
+            assert witness == [f"ell(zeta) != omega, first in degree {filtration_degree(defect)}"]
+        else:
+            assert witness == []
     assert is_symplectic(variant_expansion(1, 5))
     assert not is_symplectic(standard_expansion(2, 4))
 

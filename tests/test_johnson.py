@@ -18,9 +18,11 @@ from twistlog.expansion import (
     build_symplectic,
     evaluate,
     exponential_expansion,
+    is_symplectic,
     load_fixture,
     log_evaluate,
     restrict,
+    symplectic_failures,
 )
 from twistlog.johnson import (
     Curve,
@@ -37,6 +39,7 @@ from twistlog.johnson import (
     sigma_act_log_square,
     tau_formula_failures,
     total_johnson,
+    twist_formula_witness,
     verify_dehn_twist_formula,
     verify_nilpotent_dependence,
     verify_operator_identities,
@@ -56,6 +59,7 @@ from twistlog.tensor import (
 from twistlog.words import (
     GroupWord,
     apply_automorphism,
+    boundary_word,
     commutator,
     compose,
     concat,
@@ -147,7 +151,8 @@ def test_genus1_low_components():
 
 
 def test_massuyeau_fixture_matches_genus1_components():
-    # another symplectic expansion, with the same degree-4 values
+    # another symplectic expansion, with the same degree-4 values; at its
+    # trusted truncation 3, L_4 comes from logs of degree <= 3
     theta = load_fixture("fixture-massuyeau")
     ctx = theta.ctx
     a, b = basis_tensor(ctx, 0), basis_tensor(ctx, 1)
@@ -379,22 +384,42 @@ def test_dehn_twist_certificates(theta15):
 
 
 def test_dehn_twist_formula_needs_a_good_jet():
-    # perturbing a log in the top degree keeps the expansion symplectic at
-    # this truncation but destroys extendability: the twist formula then
-    # fails exactly in the top degree.  This is the phenomenon that forces
-    # the builder to run one corrective pass beyond its target degree.
+    # perturbing a log in the top degree keeps ell(zeta) = omega through
+    # the truncation but destroys extendability: the boundary log is then
+    # off in degree N+1, which the symplectic test reaches, and the twist
+    # formula fails exactly in the top degree.  This is the phenomenon that
+    # forces the builder to run one corrective pass beyond its target degree.
     fx = load_fixture("fixture-genus1")
     ctx = fx.ctx
     a, b = basis_tensor(ctx, 0), basis_tensor(ctx, 1)
     pert = bracket(a, bracket(a, bracket(a, bracket(a, b))))
     logs = [fx.logs[0] + pert, fx.logs[1]]
     bad = Expansion(ctx, logs, kind="user")
-    from twistlog.expansion import is_symplectic
+    assert log_evaluate(bad, boundary_word(1)) == symplectic_form(ctx)
+    assert symplectic_failures(bad) == ["ell(zeta) != omega, first in degree 6"]
+    with pytest.raises(ValueError, match="requires a symplectic expansion"):
+        verify_dehn_twist_formula(bad, Curve("nonsep"))
+    nonsep = Curve("nonsep")
+    witness = twist_formula_witness(bad, nonsep, l_invariant(bad, curve_word(1, nonsep)))
+    assert "degree 5" in witness
 
-    assert is_symplectic(bad)
-    cert = verify_dehn_twist_formula(bad, Curve("nonsep"))
-    assert not cert.passed
-    assert "degree 5" in cert.witness
+
+@pytest.mark.parametrize("kind", ["fixture-genus1", "fixture-genus2", "fixture-massuyeau"])
+def test_the_twist_formula_holds_on_every_fixture_at_its_top_truncation(kind):
+    theta = load_fixture(kind)
+    assert is_symplectic(theta)
+    for curve in (Curve("nonsep"), Curve("sep", 1)):
+        assert verify_dehn_twist_formula(theta, curve).passed
+
+
+def test_the_old_massuyeau_truncation_breaks_the_twist_formula(old_massuyeau):
+    # the symplectic test fails in degree 5 and the twist formula in degree 4
+    theta = load_fixture("fixture-massuyeau")
+    assert theta.truncation == 4
+    assert symplectic_failures(theta) == ["ell(zeta) != omega, first in degree 5"]
+    nonsep = Curve("nonsep")
+    witness = twist_formula_witness(theta, nonsep, l_invariant(theta, curve_word(1, nonsep)))
+    assert witness == "generator b1 first differs in degree 4"
 
 
 def test_operator_identities_certificate(theta25):

@@ -19,7 +19,8 @@ from math import factorial, gcd
 
 from hypothesis import given, settings, strategies as st
 
-from twistlog.cyclic import cyclic_n
+from twistlog import cyclic
+from twistlog.cyclic import cyclic_n, necklace_bracket
 from twistlog.derivation import Derivation, apply, from_tensor
 from twistlog.endomorphism import Endomorphism
 from twistlog.expansion import restrict
@@ -105,6 +106,31 @@ def o_cyclic_n(a):
 
 def o_half_n_square(a, cap):
     return {w: c / 2 for w, c in o_cyclic_n(o_mul(a, a, cap)).items()}
+
+
+def o_pairing(x, y):
+    """(x . y) on basis indices: (A_k . B_k) = 1 = -(B_k . A_k)."""
+    if x ^ 1 != y:
+        return 0
+    return 1 if x % 2 == 0 else -1
+
+
+def o_necklace_bracket(u, v, cap):
+    """The cyclic double sum over the monomials of nu-invariant u and v,
+    each degree-n monomial weighted 1/n, as u = N(u_n / n) degreewise."""
+    out = {}
+    for x, cx in u.items():
+        for y, cy in v.items():
+            n, m = len(x), len(y)
+            if not 0 < n + m - 2 <= cap:
+                continue
+            for i in range(n):
+                for j in range(m):
+                    sign = o_pairing(x[i], y[j])
+                    if sign:
+                        w = x[i + 1:] + x[:i] + y[j + 1:] + y[:j]
+                        out = o_add(out, o_cyclic_n({w: -sign * cx * cy / (n * m)}))
+    return out
 
 
 def o_phi(a):
@@ -347,6 +373,37 @@ def test_square_kernel_matches_the_oracle_on_dense_blocks(data):
     ctx = AlgebraContext(genus, 2 * degree)
     a = data.draw(dense_dicts(ctx, degree, degree))
     checked(_half_n_square(Tensor(ctx, a), ctx), o_half_n_square(a, ctx.truncation))
+
+
+def _orbit_kernels_match_the_oracles(ctx, a, b):
+    """_half_n_square one degree above ctx, cyclic_n, and necklace_bracket
+    of the cyclic images, each against its Fraction oracle."""
+    up = AlgebraContext(ctx.genus, ctx.truncation + 1)
+    checked(_half_n_square(Tensor(ctx, a), up), o_half_n_square(a, up.truncation))
+    positive = [{m: c for m, c in d.items() if m} for d in (a, b)]
+    u, v = (checked(cyclic_n(Tensor(ctx, d)), o_cyclic_n(d)) for d in positive)
+    checked(necklace_bracket(u, v), o_necklace_bracket(dict(u.terms), dict(v.terms), ctx.truncation))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_orbit_kernels_match_the_oracles_on_a_cold_and_a_warm_table(data):
+    # the first run fills the orbit slots from empty, the second reads them
+    ctx = data.draw(dense_contexts)
+    a, b = data.draw(dense_dicts(ctx)), data.draw(dense_dicts(ctx, min_degree=1))
+    cyclic._ORBITS.clear()
+    _orbit_kernels_match_the_oracles(ctx, a, b)
+    _orbit_kernels_match_the_oracles(ctx, a, b)
+
+
+def test_orbit_kernels_on_periodic_necklaces_cold_and_warm():
+    ctx = AlgebraContext(3, 6)
+    periodic = {m: Fraction(k + 1, 2) for k, m in enumerate(PERIODIC)}
+    halves = {m: c for m, c in periodic.items() if len(m) <= 3}
+    cases = [(halves, periodic), ({(2,): Fraction(1), (2, 2): Fraction(-1)}, {(0, 1): Fraction(3)})]
+    cyclic._ORBITS.clear()
+    for a, b in cases + cases:
+        _orbit_kernels_match_the_oracles(ctx, a, b)
 
 
 # -- algebraic laws -------------------------------------------------------------
