@@ -32,7 +32,7 @@ anything is allocated.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .tensor import (
     MAX_MONOMIALS,
@@ -158,15 +158,18 @@ def is_nu_invariant(t: Tensor) -> bool:
 
 
 def necklace_bracket(u: Tensor, v: Tensor) -> Tensor:
-    """Bracket of nu-invariant tensors, by the cyclic double-sum formula
+    """Bracket of nu-invariant tensors, over the inputs' own codes:
 
-        [N(x), N(y)] = - sum_{i,j} (x_i . y_j)
-                         N(x_{i+1}..x_n x_1..x_{i-1} y_{j+1}..y_m y_1..y_{j-1})
+        [u, v] = - sum_{x in u, y in v} c_x c_y (x_n . y_m)
+                     N(x_1..x_{n-1} y_1..y_{m-1}),
 
-    extended bilinearly over homogeneous parts (u = N(u_p / p) degreewise).
-    Inputs must be nu-invariant in every degree; degree-1 inputs are allowed
-    and give degree-lowering derivations.  Equals the commutator of the
-    corresponding derivations, which the tests use as an oracle.
+    c_x being the coefficient of the code x = x_1..x_n in u.  This is the
+    cyclic double sum over every pair of rotations, since the degree-n part
+    of u is sum_O c_O (|O|/n) N(x_O) over its orbits O, and the n rotations
+    of x_O run over O exactly n/|O| times; so it holds only for inputs that
+    are nu-invariant in every degree, which is checked.  Degree-1 inputs are
+    allowed and give degree-lowering derivations.  Equals the commutator of
+    the corresponding derivations, which the tests use as an oracle.
     """
     if u.ctx != v.ctx:
         raise ValueError("context mismatch")
@@ -179,37 +182,22 @@ def necklace_bracket(u: Tensor, v: Tensor) -> Tensor:
     cap, dim = ctx.truncation, ctx.dim
     bu, du = scaled_terms(u)
     bv, dv = scaled_terms(v)
-    # weights 1/(n m) over the degree pairs present, on one common denominator
-    common = lcm(*(n * m for n in bu for m in bv))
-    sums = {}  # degree -> weighted orbit sums, before N
+    # each code of u, less its last letter x_n, filed under (n, x_n) with the
+    # sign -(x_n . y_m) of its partner y_m (A_k <-> B_k): -(A_k . B_k) = -1,
+    # -(B_k . A_k) = +1; each code of v, less y_m, under (m, partner of y_m)
+    heads, tails = {}, {}
+    for n, xs in bu.items():
+        for x, c in xs.items():
+            heads.setdefault((n, x % dim), []).append((x // dim, c if x % 2 else -c))
     for m, ys in bv.items():
-        top_m = dim ** (m - 1)
-        # each rotation y_{j+1}..y_m y_1..y_j of each y, less its last
-        # letter y_j, filed under that letter
-        tails = {}
-        for y, dy in ys.items():
-            s = y
-            for _ in range(m):
-                s = (s % top_m) * dim + s // top_m
-                tails.setdefault(s % dim, []).append((s // dim, dy))
-        for n, xs in bu.items():
+        for y, d in ys.items():
+            tails.setdefault((m, y % dim ^ 1), []).append((y // dim, d))
+    sums = {}  # degree -> orbit sums, before N
+    for (n, a), left in heads.items():
+        for m in bv:
             deg = n + m - 2
-            if deg > cap or not deg:
-                continue  # above the truncation, or killed by N
-            top_n = dim ** (n - 1)
-            weight = common // (n * m)
-            table = orbits(dim, deg)
-            acc = sums.setdefault(deg, {})
-            for x, cx in xs.items():
-                r = x
-                for _ in range(n):
-                    # rotate x_i to the end: x_{i+1}..x_n x_1..x_i
-                    r = (r % top_n) * dim + r // top_n
-                    xi = r % dim
-                    # y_j must be the partner of x_i (A_k <-> B_k), and
-                    # -(x_i . y_j) is -(A_k . B_k) = -1 or -(B_k . A_k) = +1
-                    right = tails.get(xi ^ 1)
-                    if right:
-                        sign = weight * (cx if xi % 2 else -cx)
-                        table.add_product(acc, ((r // dim, sign),), right, top_m)
-    return necklace_tensor(ctx, sums, du * dv * common)
+            right = tails.get((m, a))
+            if right and 0 < deg <= cap:  # within the truncation, not killed by N
+                acc = sums.setdefault(deg, {})
+                orbits(dim, deg).add_product(acc, left, right, dim ** (m - 1))
+    return necklace_tensor(ctx, sums, du * dv)

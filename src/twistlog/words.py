@@ -6,9 +6,10 @@ reduced sequence of signed letters; the boundary word is the product of the
 handle commutators [a_i, b_i] = a_i b_i a_i^-1 b_i^-1.  Every automorphism
 is a word in Dehn twists along adapted curves, which come from one table of
 twist kinds, ``TWIST_KINDS``: it carries that twist word (its
-factorization) along with its generator images.  Inverses, on the group and
-on H, are read from the inverse twist word, so no general free-group
-inversion is ever needed.
+factorization) along with its generator images.  The inverse on the group
+is read from the inverse twist word, so no general free-group inversion is
+ever needed; the inverse on H is read from the intersection form, which
+every twist preserves.
 
 Text format: whitespace-separated tokens a1..ag, b1..bg, with uppercase
 A1..Bg denoting inverse letters; the empty string is the identity.
@@ -384,19 +385,14 @@ def homology_matrix(phi: FreeAutomorphism) -> list:
 
 
 def homology_inverse(phi: FreeAutomorphism) -> list:
-    """The inverse of ``homology_matrix(phi)`` as integer rows: the product
-    of the matrices of the inverse twist powers, in reverse order.  Each
-    distinct twist power is built once, since a factorization may repeat
-    one entry hundreds of times."""
-    n = 2 * phi.genus
-    inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    steps = {}
-    for kind, h, power in phi.factorization:
-        if (kind, h, power) not in steps:
-            steps[kind, h, power] = homology_matrix(twist(phi.genus, kind, h, -power))
-        step = steps[kind, h, power]
-        inv = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in step]
-    return inv
+    """The inverse of M = ``homology_matrix(phi)`` as integer rows, read
+    from the intersection form J (J(a_i, b_i) = 1 = -J(b_i, a_i)): phi is a
+    word in Dehn twists, each of which preserves J (the ``transvection``
+    check), so M^T J M = J and M^-1 = J^-1 M^T J, whose (i, j) entry is
+    (-1)^(i+j) M[j^1][i^1], ^ pairing a_k with b_k."""
+    mat = homology_matrix(phi)
+    n = len(mat)
+    return [[(-1) ** (i + j) * mat[j ^ 1][i ^ 1] for j in range(n)] for i in range(n)]
 
 
 # -- serialization -----------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from twistlog import words
 from twistlog.tensor import AlgebraContext, intersection
 from twistlog.words import (
     MAX_POWER_LETTERS,
@@ -270,20 +271,59 @@ def _leibniz_determinant(mat):
     return total
 
 
-def test_homology_inverse_against_leibniz_determinant():
-    # oracle: the matrix of the inverse automorphism, built from its own twist word
+def _inverse_by_twists(phi):
+    """Oracle: the product of the matrices of the inverse twist powers, in
+    reverse order, each distinct power built once."""
+    n = 2 * phi.genus
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = {}
+    for kind, h, power in phi.factorization:
+        if (kind, h, power) not in steps:
+            steps[kind, h, power] = homology_matrix(twist(phi.genus, kind, h, -power))
+        step = steps[kind, h, power]
+        inv = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in step]
+    return inv
+
+
+def test_homology_inverse_against_leibniz_determinant(monkeypatch):
+    # oracles: the matrix of the inverse automorphism, built from its own
+    # twist word, and the product of the inverse twist powers' matrices
     rng = random.Random(4242)
+    products = []
     for _ in range(60):
         genus = rng.randint(1, 3)
         phi = _random_twist_product(rng, genus, rng.randint(1, 5))
         mat, inv = homology_matrix(phi), homology_inverse(phi)
         n = 2 * genus
+        ctx = AlgebraContext(genus, 2)
+        J = [[intersection(ctx, i, j) for j in range(n)] for i in range(n)]
         assert all(type(x) is int for row in inv for x in row)
         for i in range(n):
             for j in range(n):
                 assert sum(mat[i][k] * inv[k][j] for k in range(n)) == (i == j)
+                # the premise: M^T J M = J
+                assert sum(
+                    mat[k][i] * J[k][m] * mat[m][j] for k in range(n) for m in range(n)
+                ) == J[i][j]
         assert _leibniz_determinant(mat) == 1
         assert inv == homology_matrix(invert_automorphism(phi))
+        assert inv == _inverse_by_twists(phi)
+        products.append((phi, inv))
+    # a conjugator at the letter bound: 62 entries of sep:2, 8 letters each
+    bound = automorphism_from_json(
+        {"genus": 2, "factorization": [{"kind": "sep", "h": 2, "power": 1}] * 62}
+    )
+    assert 62 * 8 <= MAX_POWER_LETTERS
+    products.append((bound, homology_inverse(bound)))
+    assert products[-1][1] == _inverse_by_twists(bound)
+
+    # the inverse on H builds no twist
+    def refuse(*args, **kwargs):
+        raise AssertionError("homology_inverse built a twist")
+
+    monkeypatch.setattr(words, "twist", refuse)
+    for phi, inv in products:
+        assert homology_inverse(phi) == inv
 
 
 def test_automorphism_json_round_trip():
