@@ -37,10 +37,10 @@ from .johnson import (
     l_invariant,
     sigma_act,
 )
-from .lie import format_bracket_tree, lyndon_bracket_forms
-from .rationals import rat_to_string
+from .lie import lyndon_bracket_forms
+from .rationals import rat_to_string, ratio_to_string
 from .suite import run_check, suite_names
-from .tensor import tensor_to_json
+from .tensor import decode_monomial, scaled_terms, tensor_to_json
 from .words import automorphism_from_json, parse_twist, word_from_string
 
 FIXTURES = {
@@ -114,20 +114,36 @@ def _parse_curve(genus: int, descriptor: str) -> Curve:
 
 def _pretty_tensors(tensors) -> list:
     """Each tensor as one line: its Lyndon form where it is Lie, else its
-    monomials.  Tensors passed together expand each bracket once."""
+    monomials by degree, then lexicographically.  Tensors passed together
+    expand each bracket once, and write each distinct bracket subtree once."""
+    names = []  # basis index -> name, up to the largest rank seen
+    texts = {}  # bracket tree -> text
+
+    def text(tree):
+        if isinstance(tree, int):
+            return names[tree]
+        hit = texts.get(tree)
+        if hit is None:
+            hit = texts[tree] = f"[{text(tree[0])},{text(tree[1])}]"
+        return hit
+
     lines = []
     for t, form in zip(tensors, lyndon_bracket_forms(tensors)):
         if not t:
             lines.append("0")
             continue
         ctx = t.ctx
+        names += [ctx.basis_name(i) for i in range(len(names), ctx.dim)]
         if form is None:
-            pieces = []
-            for mono in sorted(t.terms, key=lambda m: (len(m), m)):
-                name = "1" if not mono else "".join(ctx.basis_name(i) for i in mono)
-                pieces.append(f"{rat_to_string(t.terms[mono])} {name}")
+            blocks, den = scaled_terms(t)
+            pieces = [
+                f"{ratio_to_string(c, den)} "
+                + ("".join(names[i] for i in decode_monomial(code, d, ctx.dim)) if d else "1")
+                for d in sorted(blocks)
+                for code, c in sorted(blocks[d].items())
+            ]
         else:
-            pieces = [f"{rat_to_string(c)} {format_bracket_tree(ctx, tree)}" for c, tree in form]
+            pieces = [f"{rat_to_string(c)} {text(tree)}" for c, tree in form]
         lines.append("  +  ".join(pieces))
     return lines
 

@@ -27,7 +27,7 @@ from importlib import resources
 from math import gcd, lcm, log10, prod
 
 from .endomorphism import Endomorphism, solve_generator_images
-from .lie import _bracket_expansion, _bracket_first, _phi_tails, exp, is_lie, log
+from .lie import _bracket_expansion, _bracket_steps, exp, is_lie, log
 from .rationals import Rat, rat_from_string
 from .tensor import (
     MAX_MONOMIALS,
@@ -290,14 +290,17 @@ def _data_text(filename: str) -> str:
     return resources.files("twistlog.data").joinpath(filename).read_text("utf-8")
 
 
-def _tree_from_json(ctx: AlgebraContext, tree) -> tuple:
+def _tree_from_json(ctx: AlgebraContext, tree, indices: dict) -> tuple:
     """(tree with int leaves, degree) of a data-file bracket tree: a basis
-    name ("A1") or a two-element list [left, right]."""
+    name ("A1") or a two-element list [left, right].  ``indices`` maps each
+    basis name of ``ctx`` to its index; any other name is refused by
+    ``ctx.basis_index``."""
     if isinstance(tree, str):
-        return ctx.basis_index(tree), 1
+        index = indices.get(tree)
+        return (ctx.basis_index(tree) if index is None else index), 1
     if isinstance(tree, list) and len(tree) == 2:
-        left, p = _tree_from_json(ctx, tree[0])
-        right, q = _tree_from_json(ctx, tree[1])
+        left, p = _tree_from_json(ctx, tree[0], indices)
+        right, q = _tree_from_json(ctx, tree[1], indices)
         return (left, right), p + q
     raise ValueError(f"malformed bracket tree: {tree!r}")
 
@@ -326,12 +329,13 @@ def load_fixture(kind: str, truncation: int | None = None) -> Expansion:
     _check_size(genus, truncation)
     logs = {}
     expansions = {}
+    indices = {ctx.basis_name(i): i for i in range(ctx.dim)}
     for name, entries in payload["generators"].items():
         index = _gen_index(ctx, name)
         # the log's numerators over the lcm of its coefficient denominators
         terms = []
         for coeff, tree in entries:
-            tree, degree = _tree_from_json(ctx, tree)
+            tree, degree = _tree_from_json(ctx, tree, indices)
             if degree <= truncation:  # brackets above the truncation vanish
                 q = rat_from_string(coeff)
                 terms.append((q.numerator, q.denominator, tree))
@@ -429,13 +433,18 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
             continue
         # a Lie defect sum_x X_x t_x equals (1/m) sum_x [X_x, Phi(t_x)]
         # (Dynkin-Specht-Wever); each term is cancelled through the partner
-        # generator of its first letter, with sign (partner . X_x)
-        tails = _phi_tails(blocks[m], m, dim)
-        if _bracket_first(tails, m, dim) != {k: c * m for k, c in blocks[m].items()}:
+        # generator of its first letter, with sign (partner . X_x).  The
+        # first m - 2 bracketing steps give sum_x X_x Phi(t_x), and one more
+        # gives Phi of the defect
+        tails = _bracket_steps(blocks[m], dim, range(1, m - 1))
+        if _bracket_steps(tails, dim, range(m - 1, m)) != {k: c * m for k, c in blocks[m].items()}:
             raise ArithmeticError(f"degree-{m} defect failed the Lie certificate")
-        for x, bucket in tails.items():
-            if x % 2 == 0:
-                bucket = {k: -c for k, c in bucket.items()}
+        top = dim ** (m - 1)
+        buckets = {}
+        for code, c in tails.items():
+            x, tail = divmod(code, top)
+            buckets.setdefault(x, {})[tail] = -c if x % 2 == 0 else c
+        for x, bucket in buckets.items():
             logs[x ^ 1] = logs[x ^ 1] + tensor_from_scaled(work_ctx, {m - 1: bucket}, den * m)
     return Expansion(ctx, [truncate(t, ctx) for t in logs], kind="built")
 

@@ -4,7 +4,9 @@ The free Lie algebra sits inside the tensor algebra as the span of iterated
 brackets [u,v] = uv - vu.  Membership is decided by the Dynkin-Specht-Wever
 criterion: a homogeneous degree-n tensor u is Lie iff Phi(u) = n*u, where
 Phi sends a monomial X_1...X_n to the nested bracket [X_1,[...[X_{n-1},X_n]]].
-exp and log are the truncated mutually inverse series between T-hat_1 and
+Phi is computed on a block of monomial codes in n - 1 flat bracketing
+steps, the m-th of which brackets each word's last m + 1 letters.  exp and
+log are the truncated mutually inverse series between T-hat_1 and
 1 + T-hat_1.
 """
 
@@ -29,49 +31,33 @@ def bracket(t1: Tensor, t2: Tensor) -> Tensor:
     return t1 * t2 - t2 * t1
 
 
-def _by_first(block: dict, top: int) -> dict:
-    """Split a homogeneous block of codes as {x: t_x}, the block being
-    sum_x X_x t_x; ``top`` is dim**(degree - 1), the weight of the first
-    letter."""
-    out = {}
-    for code, c in block.items():
-        first, tail = divmod(code, top)
-        out.setdefault(first, {})[tail] = c
-    return out
+def _bracket_steps(block: dict, dim: int, steps: range) -> dict:
+    """Bracketing steps m in ``steps``, in order, on a homogeneous block
+    {code: int}: step m sends the code [p x b], where x is one letter and b
+    has m letters, to [p x b] - [p b x].  Each step's result holds no zeros;
+    with no step the result is ``block`` itself, so never mutate it.
+
+    Steps 1, ..., m on a word bracket its last m + 1 letters from the right,
+    so steps 1, ..., n - 1 on a degree-n block give Phi(X_1...X_n) =
+    [X_1,[...[X_{n-1},X_n]]], and steps 1, ..., n - 2 give
+    sum_x X_x Phi(t_x) for the block sum_x X_x t_x."""
+    for m in steps:
+        low = dim**m
+        high = low * dim
+        out = dict(block)
+        get = out.get
+        for code, c in block.items():
+            r = code % high  # x b, rotated to b x below
+            k = code - r + (r % low) * dim + r // low
+            out[k] = get(k, 0) - c
+        block = {k: c for k, c in out.items() if c}
+    return block
 
 
 def _phi_block(block: dict, n: int, dim: int) -> dict:
     """Phi of a degree-n block {code: int} that holds no zeros, again with
-    no zeros; the result may be ``block`` itself, so never mutate it.
-
-    By the first-letter recursion Phi(sum_x X_x t_x) = sum_x [X_x, Phi(t_x)]
-    (Reutenauer, Free Lie Algebras, ch. 1)."""
-    if n == 1:
-        return block
-    return _bracket_first(_phi_tails(block, n, dim), n, dim)
-
-
-def _phi_tails(block: dict, n: int, dim: int) -> dict:
-    """{x: Phi(t_x)} for a degree-n block sum_x X_x t_x, n >= 2; the tails'
-    blocks hold no zeros and may be empty."""
-    return {
-        x: _phi_block(tail, n - 1, dim)
-        for x, tail in _by_first(block, dim ** (n - 1)).items()
-    }
-
-
-def _bracket_first(parts: dict, n: int, dim: int) -> dict:
-    """sum_x [X_x, parts[x]] as a degree-n block with no zeros, each
-    parts[x] being a degree-(n-1) block."""
-    top = dim ** (n - 1)
-    out = {}
-    get = out.get
-    for x, part in parts.items():
-        lead = x * top
-        for sub, c in part.items():
-            out[lead + sub] = get(lead + sub, 0) + c
-            out[sub * dim + x] = get(sub * dim + x, 0) - c
-    return {k: c for k, c in out.items() if c}
+    no zeros; the result may be ``block`` itself, so never mutate it."""
+    return _bracket_steps(block, dim, range(1, n))
 
 
 def phi(t: Tensor) -> Tensor:
@@ -88,7 +74,8 @@ def phi(t: Tensor) -> Tensor:
 
 def is_lie(t: Tensor) -> bool:
     """Dynkin-Specht-Wever test, degreewise: Phi(u_n) = n*u_n for every
-    homogeneous component, and no constant term."""
+    homogeneous component, Phi in flat bracketing steps, and no constant
+    term."""
     blocks, _ = scaled_terms(t)
     if 0 in blocks:
         return False

@@ -5,14 +5,16 @@ lowest terms; there is no floating point anywhere.  The tensor kernel
 (``twistlog.tensor``) does its arithmetic on Python ints over one common
 denominator per tensor, so the scalar type ``Rat`` -- the stdlib
 ``fractions.Fraction`` -- appears only where coefficients are handed out
-one by one: the ``Tensor.terms`` view, single coefficients, and parsing
-and printing.  ``BACKEND`` names the type in benchmark records.
+one by one: the ``Tensor.terms`` view, single coefficients, and parsing.
+Output is written from the ints themselves, by ``ratio_to_string``.
+``BACKEND`` names the type in benchmark records.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 Rat = Fraction
 BACKEND = "fraction"
@@ -42,3 +44,9 @@ def rat_from_string(s: str):
 def rat_to_string(q) -> str:
     """Canonical 'p/q' form, denominator always written, lowest terms."""
     return f"{q.numerator}/{q.denominator}"
+
+
+def ratio_to_string(p: int, q: int) -> str:
+    """rat_to_string of p/q, for ints p and q > 0, with one gcd and no Rat."""
+    g = gcd(p, q)
+    return f"{p // g}/{q // g}"

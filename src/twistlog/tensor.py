@@ -47,7 +47,7 @@ from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Iterable
 
-from .rationals import ONE, ZERO, Rat, rat_from_string, rat_to_string
+from .rationals import ONE, ZERO, Rat, rat_from_string, rat_to_string, ratio_to_string
 from .words import gen_name, parse_name
 
 Monomial = tuple  # tuple of basis indices; length is the tensor degree
@@ -435,12 +435,12 @@ def capped_product(a: Tensor, b: Tensor, cap: int) -> Tensor:
                 break
             if add_block_product(out, p + q, x, y, dim**q):
                 merged.add(p + q)
-    for d in merged:
-        if 0 in out[d].values():
-            block = {k: c for k, c in out[d].items() if c}
-            if block:
-                out[d] = block
-            else:
+    for d in merged:  # each merged block is out's own, so cancels in place
+        block = out[d]
+        if 0 in block.values():
+            for k in [k for k, c in block.items() if not c]:
+                del block[k]
+            if not block:
                 del out[d]
     return _reduced(a.ctx, out, a._den * b._den)
 
@@ -649,15 +649,20 @@ def antisymmetrize(t: Tensor) -> Tensor:
 
 
 def tensor_to_json(t: Tensor) -> dict:
-    """Canonical JSON form: monomials sorted lexicographically, coefficients
-    as reduced 'p/q' strings, no zero terms."""
+    """Canonical JSON form: monomials sorted lexicographically as tuples, so
+    (0, 1) comes before (1,), coefficients as reduced 'p/q' strings, no
+    zero terms.  Each term is written from the scaled blocks, its
+    numerator over the common denominator reduced by one gcd."""
+    den, dim = t._den, t.ctx.dim
+    terms = sorted(
+        (list(decode_monomial(code, d, dim)), c)
+        for d, block in t._blocks.items()
+        for code, c in block.items()
+    )
     return {
         "genus": t.ctx.genus,
         "truncation": t.ctx.truncation,
-        "terms": [
-            {"mono": list(map(int, mono)), "coeff": rat_to_string(t.terms[mono])}
-            for mono in sorted(t.terms)
-        ],
+        "terms": [{"mono": mono, "coeff": ratio_to_string(c, den)} for mono, c in terms],
     }
 
 

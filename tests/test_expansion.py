@@ -177,6 +177,31 @@ def test_fixture_refuses_a_malformed_bracket_tree(monkeypatch):
     assert str(refused.value) == "malformed bracket tree: ['A1']"
 
 
+@pytest.mark.parametrize(
+    "leaf, message",
+    [
+        ("a1", "unknown basis vector 'a1'"),
+        ("A01", "unknown basis vector 'A01'"),
+        ("A3", "basis vector 'A3' out of range for genus 2"),
+        (5, "malformed bracket tree: 5"),
+        (["A1", "B1", "A2"], "malformed bracket tree: ['A1', 'B1', 'A2']"),
+    ],
+)
+def test_fixture_refuses_a_bad_leaf_word_for_word(monkeypatch, leaf, message):
+    # leaves are looked up in a table of the basis names; a name not in it
+    # still gets basis_index's own refusal
+    data_text = expansion_module._data_text
+    payload = json.loads(data_text("genus2.json"))
+    payload["generators"]["a1"][1][1] = [leaf, "B1"]
+    edited = json.dumps(payload)
+    monkeypatch.setattr(
+        expansion_module, "_data_text", lambda name: edited if name == "genus2.json" else data_text(name)
+    )
+    with pytest.raises(ValueError) as refused:
+        load_fixture("fixture-genus2")
+    assert str(refused.value) == message
+
+
 def test_fixture_refuses_a_data_file_missing_a_generator(monkeypatch):
     data_text = expansion_module._data_text
     payload = json.loads(data_text("genus1.json"))

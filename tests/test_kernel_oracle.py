@@ -7,12 +7,15 @@ at genus 1-3 and truncation <= 5 carry random rationals; genus 3 gives
 dim 6, so monomial codes are base 6, not a power of two.  Dense tensors of
 up to 40 monomials with small coefficients at genus 1-2 exercise both loop
 orders of the product, merged degrees whose sums cancel, and full blocks
-of one degree in the square kernel.  The last tests pin maps built on the
-kernels (the wedge embedding k! antisymmetrize(v_1 ... v_k), bracket trees,
-Johnson components) against the sums they stand for, written out term by
-term.
+of one degree in the square kernel.  Phi's flat bracketing steps are
+checked against the first-letter recursion they replaced, and the output
+writers against their old bodies on the ``Tensor.terms`` view.  The last
+tests pin maps built on the kernels (the wedge embedding
+k! antisymmetrize(v_1 ... v_k), bracket trees, Johnson components) against
+the sums they stand for, written out term by term.
 """
 
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, gcd
@@ -25,7 +28,20 @@ from twistlog.derivation import Derivation, apply, from_tensor
 from twistlog.endomorphism import Endomorphism
 from twistlog.expansion import restrict
 from twistlog.johnson import _half_n_square, johnson_components, total_johnson
-from twistlog.lie import bracket, bracket_tree_tensor, exp, log, phi
+from twistlog.cli import _pretty_tensors
+from twistlog.lie import (
+    _bracket_steps,
+    _phi_block,
+    bracket,
+    bracket_tree_tensor,
+    exp,
+    format_bracket_tree,
+    is_lie,
+    log,
+    lyndon_bracket_forms,
+    phi,
+)
+from twistlog.rationals import rat_to_string
 from twistlog.suite import built_expansion
 from twistlog.tensor import (
     AlgebraContext,
@@ -39,6 +55,8 @@ from twistlog.tensor import (
     graded_scale,
     monomial_tensor,
     scaled_terms,
+    tensor_from_scaled,
+    tensor_to_json,
     truncate,
     zero_tensor,
 )
@@ -147,6 +165,67 @@ def o_phi(a):
     return out
 
 
+def o_phi_tails(block, n, dim):
+    """sum_x X_x Phi(t_x) of a degree-n block {code: int} written as
+    sum_x X_x t_x, n >= 2, by the first-letter recursion."""
+    top = dim ** (n - 1)
+    tails = {}
+    for code, c in block.items():
+        x, tail = divmod(code, top)
+        tails.setdefault(x, {})[tail] = c
+    return {
+        x * top + sub: c
+        for x, tail in tails.items()
+        for sub, c in o_phi_codes(tail, n - 1, dim).items()
+    }
+
+
+def o_phi_codes(block, n, dim):
+    """Phi of a degree-n block {code: int}, with no zeros, by the first-letter
+    recursion Phi(sum_x X_x t_x) = sum_x [X_x, Phi(t_x)]."""
+    if n == 1:
+        return {k: c for k, c in block.items() if c}
+    top = dim ** (n - 1)
+    out = {}
+    for code, c in o_phi_tails(block, n, dim).items():
+        x, sub = divmod(code, top)
+        out[code] = out.get(code, 0) + c
+        out[sub * dim + x] = out.get(sub * dim + x, 0) - c
+    return {k: c for k, c in out.items() if c}
+
+
+def o_tensor_to_json(t):
+    """tensor_to_json's body on the Rat view."""
+    return {
+        "genus": t.ctx.genus,
+        "truncation": t.ctx.truncation,
+        "terms": [
+            {"mono": list(map(int, mono)), "coeff": rat_to_string(t.terms[mono])}
+            for mono in sorted(t.terms)
+        ],
+    }
+
+
+def o_pretty_tensors(tensors):
+    """The CLI's pretty lines on the Rat view, each tree written by
+    format_bracket_tree."""
+    lines = []
+    for t, form in zip(tensors, lyndon_bracket_forms(tensors)):
+        if not t:
+            lines.append("0")
+            continue
+        ctx = t.ctx
+        if form is None:
+            pieces = []
+            for mono in sorted(t.terms, key=lambda m: (len(m), m)):
+                name = "1" if not mono else "".join(ctx.basis_name(i) for i in mono)
+                pieces.append(f"{rat_to_string(t.terms[mono])} {name}")
+        else:
+            pieces = [f"{rat_to_string(c)} {format_bracket_tree(ctx, tree)}" for c, tree in form]
+        lines.append("  +  ".join(pieces))
+    return lines
+
+
 def o_derive(values, a, cap):
     """Leibniz, monomial by monomial: each letter in turn is replaced by its
     value, and words above the cap are dropped."""
@@ -244,6 +323,113 @@ def test_kernel_ops_match_the_oracle(case, q):
 def test_phi_matches_the_oracle(case):
     ctx, (a,) = case
     checked(phi(Tensor(ctx, a)), o_phi(a))
+
+
+@st.composite
+def phi_blocks(draw):
+    """(dim, n, block): a degree-n block {code: int} at dim 2, 4 or 6, n in
+    1..7, either dense (up to 80 codes) or sparse (1 to 6 codes)."""
+    dim = draw(st.sampled_from([2, 4, 6]))
+    n = draw(st.integers(1, 7))
+    rng = draw(st.randoms(use_true_random=False))
+    count = min(dim**n, 80) if draw(st.booleans()) else rng.randint(1, min(dim**n, 6))
+    codes = rng.sample(range(dim**n), count)
+    return dim, n, {k: rng.choice([-3, -2, -1, 1, 2, 3]) for k in codes}
+
+
+def _random_tree(rng, n, dim):
+    """A random bracket tree with n leaves in range(dim)."""
+    if n == 1:
+        return rng.randrange(dim)
+    k = rng.randint(1, n - 1)
+    return (_random_tree(rng, k, dim), _random_tree(rng, n - k, dim))
+
+
+def _phi_agrees_with_the_oracles(dim, n, block):
+    """Phi of the block by the flat steps, checked against both oracles, the
+    builder's tails and Phi, and phi and is_lie on its tensor; returns
+    whether the block is Lie."""
+    expected = o_phi_codes(block, n, dim)
+    assert _phi_block(block, n, dim) == expected
+    by_words = o_phi({decode_monomial(k, n, dim): Fraction(c) for k, c in block.items()})
+    assert {decode_monomial(k, n, dim): c for k, c in expected.items()} == by_words
+    if n >= 2:
+        tails = _bracket_steps(block, dim, range(1, n - 1))
+        assert tails == o_phi_tails(block, n, dim)
+        assert _bracket_steps(tails, dim, range(n - 1, n)) == expected
+    lie = expected == {k: c * n for k, c in block.items()}
+    t = tensor_from_scaled(AlgebraContext(dim // 2, max(n, 2)), {n: dict(block)})
+    checked(phi(t), by_words)
+    assert is_lie(t) == lie
+    return lie
+
+
+@settings(max_examples=100, deadline=None)
+@given(phi_blocks())
+def test_flat_phi_matches_the_first_letter_recursion(case):
+    dim, n, block = case
+    before = dict(block)
+    _phi_agrees_with_the_oracles(dim, n, block)
+    assert block == before  # the steps never write into their input
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 4, 6]), st.integers(1, 7), st.randoms(use_true_random=False))
+def test_flat_phi_on_lie_and_non_lie_blocks(dim, n, rng):
+    # a sum of random bracket trees of degree n is Lie; adding a power of one
+    # letter, which Phi sends to 0, makes it not Lie
+    ctx = AlgebraContext(dim // 2, max(n, 2))
+    lie = zero_tensor(ctx)
+    for _ in range(rng.randint(1, 4)):
+        tree = _random_tree(rng, n, dim)
+        lie = lie + bracket_tree_tensor(ctx, tree).scale(rng.choice([-2, -1, 1, 3]))
+    if not lie:
+        return
+    blocks, _ = scaled_terms(lie)
+    assert _phi_agrees_with_the_oracles(dim, n, blocks[n])
+    if n >= 2:
+        # a Lie element has no term x^n, so this adds one
+        spoiled = {**blocks[n], encode_monomial([rng.randrange(dim)] * n, dim): 1}
+        assert not _phi_agrees_with_the_oracles(dim, n, spoiled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_pairs(count=1))
+def test_tensor_writers_match_their_rat_view_bodies(case):
+    ctx, (a,) = case
+    t = Tensor(ctx, a)
+    assert tensor_to_json(t) == o_tensor_to_json(t)
+    assert _pretty_tensors([t]) == o_pretty_tensors([t])
+
+
+def test_tensor_writers_on_a_constant_term_and_crossed_orders():
+    # (0, 1) < (1,) as tuples, but (1,) comes first by degree; over den 1
+    ctx = AlgebraContext(1, 3)
+    t = Tensor(ctx, {(): 3, (1,): -2, (0, 1): 5, (1, 0, 0): -1})
+    assert [term["mono"] for term in tensor_to_json(t)["terms"]] == [[], [0, 1], [1], [1, 0, 0]]
+    assert tensor_to_json(t) == o_tensor_to_json(t)
+    assert _pretty_tensors([t]) == ["3/1 1  +  -2/1 B1  +  5/1 A1B1  +  -1/1 B1A1A1"]
+    assert _pretty_tensors([t]) == o_pretty_tensors([t])
+    halves = t.scale(Fraction(-1, 2))
+    assert tensor_to_json(halves) == o_tensor_to_json(halves)
+    assert _pretty_tensors([halves, zero_tensor(ctx)]) == o_pretty_tensors([halves, zero_tensor(ctx)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.randoms(use_true_random=False))
+def test_tree_texts_written_once_per_call_match_format_bracket_tree(genus, rng):
+    # Lie tensors of mixed degrees, passed together so they share subtrees,
+    # with a non-Lie one among them
+    ctx = AlgebraContext(genus, 5)
+    tensors = []
+    for _ in range(rng.randint(1, 4)):
+        t = zero_tensor(ctx)
+        for _ in range(rng.randint(1, 5)):
+            tree = _random_tree(rng, rng.randint(1, 5), ctx.dim)
+            t = t + bracket_tree_tensor(ctx, tree).scale(Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
+        tensors.append(t)
+    tensors.insert(rng.randint(0, len(tensors)), tensors[0] * tensors[0] + 1)
+    assert _pretty_tensors(tensors) == o_pretty_tensors(tensors)
 
 
 @settings(max_examples=60, deadline=None)

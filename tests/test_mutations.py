@@ -8,12 +8,17 @@ so no expansion built under a mutation outlives its row.
 
 import pytest
 
-from twistlog import johnson, suite
+from twistlog import expansion, johnson, suite
 from twistlog.words import homology_matrix
 
 
 def _negated(f):
     return lambda *args: -f(*args)
+
+
+def _refuted(f):
+    """A predicate that answers the opposite."""
+    return lambda *args: not f(*args)
 
 
 def _unsigned(f):
@@ -31,6 +36,7 @@ def _unsigned(f):
 #          the checks that must fail)
 MUTATIONS = {
     "negated necklace bracket": (suite, "necklace_bracket", _negated, ["necklace-oracle"]),
+    "is_lie negated": (expansion, "is_lie", _refuted, ["fixture-genus1", "fixture-genus2"]),
     "homology inverse without signs": (
         johnson,
         "homology_inverse",
