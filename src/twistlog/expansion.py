@@ -27,7 +27,7 @@ from importlib import resources
 from math import gcd, lcm, log10, prod
 
 from .endomorphism import Endomorphism, solve_generator_images
-from .lie import _bracket_expansion, _bracket_steps, exp, is_lie, log
+from .lie import _bracket_expansion, _bracket_steps, exp, integral_exp, is_lie, log
 from .rationals import Rat, rat_from_string
 from .tensor import (
     MAX_MONOMIALS,
@@ -63,15 +63,16 @@ class Expansion:
     the degree-0 part must vanish and the degree-1 part must be the
     generator's own homology class.
 
-    Words are multiplied in graded integer coordinates: the exponential
-    cache holds sigma_lam(exp(+-ell_i)), where sigma_lam multiplies the
-    degree-d part by lam**d and lam, worked out from the logs on first use,
-    makes every one of them an integer tensor with constant term 1.  The
-    generator values theta(x_i^+-1) = exp(+-ell_i) themselves are memoized
-    too, under the same (index, sign) keys, since the paper's formulas and
-    the certificate suite evaluate them again and again;
-    ``symplectic_failures`` fills those of sign +1 from the exponentials it
-    forms one degree up, and the exponential cache starts from them.
+    Words are multiplied in graded integer coordinates: the letter cache
+    holds sigma_lam(exp(+-ell_i)), where sigma_lam multiplies the degree-d
+    part by lam**d and lam, worked out from the logs on first use, makes
+    every one of them an integer tensor with constant term 1; each is
+    summed over the ints by ``integral_exp``.  ``symplectic_failures``
+    reads the letters of sign +1 from this cache too.  The generator values
+    theta(x_i^+-1) = exp(+-ell_i) themselves are memoized under the same
+    (index, sign) keys, since the paper's formulas and the certificate suite
+    evaluate them again and again; only ``evaluate`` fills that memo, each
+    value rescaled once from its letter.
     """
 
     __slots__ = (
@@ -126,15 +127,14 @@ class Expansion:
                 # S(exp u) = exp(S u), and S commutes with sigma_lam
                 cached = antipode(self._exp_letter(index, 1))
             else:
-                value = self._values.get(key)
-                if value is None:
-                    value = exp(t if sign == 1 else -t)
-                cached = graded_scale(value, self._letter_scale())
-                if scaled_terms(cached)[1] != 1:
+                lam = self._letter_scale()
+                try:
+                    cached = integral_exp(graded_scale(t if sign == 1 else -t, lam))
+                except ArithmeticError:
                     raise ArithmeticError(
                         f"exp(+-log {gen_name(index)}) is not integral in the "
-                        f"coordinates scaled by {self._letter_scale()}"
-                    )
+                        f"coordinates scaled by {lam}"
+                    ) from None
             self._exp_cache[key] = cached
         return cached
 
@@ -218,26 +218,33 @@ def symplectic_failures(theta: Expansion) -> list:
     The degree-(N+1) part of ell(zeta) depends only on logs of degree <= N,
     since zeta is a product of commutators; and (1/2) N(ell ell) needs it,
     as L's degree-N values come from its degree-(N+1) part.  So theta(zeta)
-    is formed from the logs lifted to degree N+1 and compared with
-    exp(omega) there, with no logarithm: exp and log are inverse filtered
-    bijections, so both sides first differ in the same degree, which the
-    witness names.  Proved once per expansion; each call gets a fresh list.
+    is formed through degree N+1 and compared with exp(omega) there, with
+    no logarithm: exp and log are inverse filtered bijections, so both sides
+    first differ in the same degree, which the witness names.
+
+    For Lie logs, theta(zeta) through N+1 reads the generator values only
+    through degree N (``_boundary_value``), so it is formed over the ints
+    from the integer letters sigma_lam(exp ell_i) of the letter cache, lifted
+    to N+1 with no degree-(N+1) part, and compared with sigma_lam(exp omega).
+    sigma_lam keeps each degree apart, so the first differing degree is the
+    same.  Proved once per expansion; each call gets a fresh list.
     """
     if theta._failures is None:
         failures = []
         ext = AlgebraContext(theta.genus, theta.truncation + 1)
-        logs = [truncate(t, ext) for t in theta.logs]
+        omega = symplectic_form(ext)
         if is_group_like(theta):
-            values = [exp(t) for t in logs]
-            # truncated, these are the generator values at N: memoized, as
-            # evaluating a word would have done
-            for i, value in enumerate(values):
-                theta._values.setdefault((i, 1), truncate(value, theta.ctx))
-            zeta = _boundary_value(ext, values)
+            letters = [truncate(theta._exp_letter(i, 1), ext) for i in range(ext.dim)]
+            zeta = _boundary_value(ext, letters)
+            # (lam^2 omega)^k / k! is integral: k <= (N+1)/2 and v_p(lam) >= 1
+            # for every p <= N
+            target = integral_exp(graded_scale(omega, theta._letter_scale()))
         else:  # _boundary_value inverts by the antipode, which needs Lie logs
             failures.append("a generator log is not Lie")
+            logs = [truncate(t, ext) for t in theta.logs]
             zeta = evaluate(Expansion(ext, logs, kind=theta.kind), boundary_word(theta.genus))
-        degree = filtration_degree(zeta - exp(symplectic_form(ext)))
+            target = exp(omega)
+        degree = filtration_degree(zeta - target)
         if degree <= ext.truncation:
             failures.append(f"ell(zeta) != omega, first in degree {degree}")
         theta._failures = tuple(failures)
@@ -373,14 +380,24 @@ def _check_size(genus: int, degree: int) -> None:
 
 
 def _boundary_value(ctx: AlgebraContext, values) -> Tensor:
-    """theta(zeta) from the generator values exp(ell_i) of Lie logs in
-    ``ctx``, grouped handle by handle.  For a Lie u the antipode sends
-    exp(u) to exp(-u), so each handle's inverse factors cost no exponential
-    series."""
-    out = one_tensor(ctx)
+    """theta(zeta) from the generator values e_i = exp(ell_i) of Lie logs in
+    ``ctx``, handle by handle: with u = e - 1, e_a e_b e_a^-1 e_b^-1 =
+    1 + [u_a, u_b] S(1 + u_a + u_b + u_b u_a), as e_a e_b - e_b e_a =
+    [u_a, u_b] and, for Lie logs, the antipode S inverts e_b e_a.  Each term
+    of a handle less 1 has two factors of degree >= 1, so the values are
+    read only through degree top - 1 (top the truncation of ``ctx``), and
+    the S factor only through top - 2, where it is formed.  The values
+    sigma_r(e_i) give sigma_r(theta(zeta)), as sigma_r commutes with
+    products and S."""
+    one = one_tensor(ctx)
+    low = AlgebraContext(ctx.genus, max(ctx.truncation - 2, 2))
+    out = one
     for i in range(ctx.genus):
-        ea, eb = values[2 * i], values[2 * i + 1]
-        out = out * (ea * eb * antipode(ea) * antipode(eb))
+        ea, ub = values[2 * i], values[2 * i + 1] - one
+        ua = ea - one
+        ba = ub * ua
+        s = antipode(truncate(ea, low) + truncate(ub, low) + truncate(ba, low))
+        out = out + out * ((ua * ub - ba) * truncate(s, ctx))
     return out
 
 
@@ -418,11 +435,13 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
     exp_omega = exp(symplectic_form(work_ctx))
     dim = ctx.dim
     for m in range(3, truncation + 2):
-        pass_ctx = AlgebraContext(genus, m)
+        pass_ctx, low = AlgebraContext(genus, m), AlgebraContext(genus, m - 1)
         # once ell(zeta) = omega + D with D of degree >= m, theta(zeta) =
         # exp(omega) + D below degree m + 1: every other term of
-        # exp(omega + D) that holds D has degree >= m + 2
-        defect = _boundary_value(pass_ctx, [exp(truncate(t, pass_ctx)) for t in logs])
+        # exp(omega + D) that holds D has degree >= m + 2.  Through degree m
+        # theta(zeta) reads the generator values only through degree m - 1
+        values = [truncate(exp(truncate(t, low)), pass_ctx) for t in logs]
+        defect = _boundary_value(pass_ctx, values)
         defect = defect - truncate(exp_omega, pass_ctx)
         blocks, den = scaled_terms(defect)
         if any(p < m for p in blocks):

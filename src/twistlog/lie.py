@@ -7,7 +7,8 @@ Phi sends a monomial X_1...X_n to the nested bracket [X_1,[...[X_{n-1},X_n]]].
 Phi is computed on a block of monomial codes in n - 1 flat bracketing
 steps, the m-th of which brackets each word's last m + 1 letters.  exp and
 log are the truncated mutually inverse series between T-hat_1 and
-1 + T-hat_1.
+1 + T-hat_1; ``integral_exp`` is exp summed over the ints, for the integer
+tensors whose every series term is integral.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .rationals import ONE, Rat
 from .tensor import (
     Tensor,
     add_block_product,
+    add_exact_quotient,
     capped_product,
     decode_monomial,
     one_tensor,
@@ -98,6 +100,21 @@ def exp(t: Tensor) -> Tensor:
     for n in range(top, 0, -1):
         e = capped_product(t, e, top + 1 - n).scale(Rat(1, n)) + 1
     return e
+
+
+def integral_exp(u: Tensor) -> Tensor:
+    """exp(u) for an integer tensor u with no constant term whose every
+    u^k / k! is an integer tensor, summed over the ints: 1 + P_1 + ... + P_N
+    with P_1 = u and P_k = u P_{k-1} / k, each division exact.  A remainder,
+    or a u that is not an integer tensor, raises ArithmeticError."""
+    if u.coefficient(()):
+        raise ValueError("exp: nonzero constant term")
+    top = u.ctx.truncation
+    total = {0: {0: 1}}
+    term = add_exact_quotient(total, u, 1)  # refuses a u that is not integral
+    for k in range(2, top + 1):
+        term = add_exact_quotient(total, capped_product(u, term, top), k)
+    return tensor_from_scaled(u.ctx, total)
 
 
 def log(t: Tensor) -> Tensor:

@@ -36,7 +36,8 @@ decoded on first use; other modules that need the ints go through
 ``scaled_terms``, ``common_scaled`` and ``tensor_from_scaled`` (or
 ``tensor_from_canonical``, for blocks the caller has already reduced, as
 N's orbit sums are in ``twistlog.cyclic``), through ``capped_product`` and
-``add_block_product`` for products, and through ``encode_monomial`` and
+``add_block_product`` for products, through ``add_exact_quotient`` for
+series summed over the ints, and through ``encode_monomial`` and
 ``decode_monomial`` for single codes.
 """
 
@@ -443,6 +444,27 @@ def capped_product(a: Tensor, b: Tensor, cap: int) -> Tensor:
             if not block:
                 del out[d]
     return _reduced(a.ctx, out, a._den * b._den)
+
+
+def add_exact_quotient(total: dict, t: Tensor, k: int) -> Tensor:
+    """t / k for an integer tensor t that k divides term by term, and the
+    same quotient added into ``total``, integer blocks the caller owns (its
+    sums may be left at 0).  A remainder raises ArithmeticError."""
+    if t._den != 1:
+        raise ArithmeticError("not an integer tensor")
+    out = {}
+    for d, block in t._blocks.items():
+        if any(c % k for c in block.values()):
+            raise ArithmeticError(f"a coefficient is not divisible by {k}")
+        q = out[d] = {code: c // k for code, c in block.items()}
+        acc = total.get(d)
+        if acc is None:
+            total[d] = dict(q)
+            continue
+        get = acc.get
+        for code, c in q.items():
+            acc[code] = get(code, 0) + c
+    return _scaled(t.ctx, out, 1)
 
 
 def scaled_terms(t: Tensor) -> tuple:

@@ -9,26 +9,45 @@ up to 40 monomials with small coefficients at genus 1-2 exercise both loop
 orders of the product, merged degrees whose sums cancel, and full blocks
 of one degree in the square kernel.  Phi's flat bracketing steps are
 checked against the first-letter recursion they replaced, and the output
-writers against their old bodies on the ``Tensor.terms`` view.  The last
+writers against their old bodies on the ``Tensor.terms`` view.  Later
 tests pin maps built on the kernels (the wedge embedding
 k! antisymmetrize(v_1 ... v_k), bracket trees, Johnson components) against
-the sums they stand for, written out term by term.
+the sums they stand for, written out term by term.  The last ones keep the
+rational re-proof of ell(zeta) = omega that the integer letters replaced:
+the four-factor boundary product over rational exponentials at N+1, whose
+verdicts the integer route must repeat word for word.
 """
 
+import json
 import random
+import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistlog import cyclic
+from twistlog import cyclic, expansion
 from twistlog.cyclic import cyclic_n, necklace_bracket
 from twistlog.derivation import Derivation, apply, from_tensor
 from twistlog.endomorphism import Endomorphism
-from twistlog.expansion import restrict
+from twistlog.expansion import (
+    Expansion,
+    _boundary_value,
+    _integral_scale,
+    build_symplectic,
+    evaluate,
+    expansion_from_json,
+    expansion_to_json,
+    exponential_expansion,
+    load_fixture,
+    restrict,
+    standard_expansion,
+    symplectic_failures,
+)
 from twistlog.johnson import _half_n_square, johnson_components, total_johnson
-from twistlog.cli import _pretty_tensors
+from twistlog.cli import _pretty_tensors, main
 from twistlog.lie import (
     _bracket_steps,
     _phi_block,
@@ -36,6 +55,7 @@ from twistlog.lie import (
     bracket_tree_tensor,
     exp,
     format_bracket_tree,
+    integral_exp,
     is_lie,
     log,
     lyndon_bracket_forms,
@@ -47,20 +67,24 @@ from twistlog.tensor import (
     AlgebraContext,
     Tensor,
     add_block_product,
+    antipode,
     antisymmetrize,
     basis_tensor,
     decode_monomial,
     encode_monomial,
+    filtration_degree,
     graded_part,
     graded_scale,
     monomial_tensor,
+    one_tensor,
     scaled_terms,
+    symplectic_form,
     tensor_from_scaled,
     tensor_to_json,
     truncate,
     zero_tensor,
 )
-from twistlog.words import compose, homology_inverse, twist
+from twistlog.words import GroupWord, boundary_word, compose, homology_inverse, twist
 
 # -- the oracle -----------------------------------------------------------------
 
@@ -741,3 +765,163 @@ def test_johnson_components_match_the_explicit_sum(factors, top):
     for k, tau in enumerate(taus, start=1):
         assert tau.ctx == ctx
         assert list(tau.values) == [truncate(graded_part(v, k + 1), ctx) for v in composed]
+
+
+# -- the integer letters and the boundary product -------------------------------
+
+
+def o_boundary_value(ctx, values):
+    """theta(zeta) as the product of e_a e_b S(e_a) S(e_b) over the handles."""
+    out = one_tensor(ctx)
+    for i in range(ctx.genus):
+        ea, eb = values[2 * i], values[2 * i + 1]
+        out = out * (ea * eb * antipode(ea) * antipode(eb))
+    return out
+
+
+def o_symplectic_failures(theta):
+    """The verdict from the logs lifted to N+1 and their rational exponentials."""
+    failures = []
+    ext = AlgebraContext(theta.genus, theta.truncation + 1)
+    logs = [truncate(t, ext) for t in theta.logs]
+    if all(is_lie(t) for t in logs):
+        zeta = o_boundary_value(ext, [exp(t) for t in logs])
+    else:
+        failures.append("a generator log is not Lie")
+        zeta = evaluate(Expansion(ext, logs), boundary_word(theta.genus))
+    degree = filtration_degree(zeta - exp(symplectic_form(ext)))
+    if degree <= ext.truncation:
+        failures.append(f"ell(zeta) != omega, first in degree {degree}")
+    return failures
+
+
+def _seeded_build():
+    """g2 N5 from the seed log a1 = A1 + (1/3)[A2, B2]."""
+    ctx = AlgebraContext(2, 5)
+    logs = [basis_tensor(ctx, i) for i in range(ctx.dim)]
+    logs[0] = logs[0] + bracket(basis_tensor(ctx, 2), basis_tensor(ctx, 3)).scale(Fraction(1, 3))
+    return build_symplectic(2, 5, seed=Expansion(ctx, logs))
+
+
+LIE_EXPANSIONS = {
+    "fixture-genus1": lambda: load_fixture("fixture-genus1"),
+    "fixture-genus2": lambda: load_fixture("fixture-genus2"),
+    "fixture-massuyeau": lambda: load_fixture("fixture-massuyeau"),
+    "built-g1-N8": lambda: built_expansion(1, 8),
+    "built-g2-N6": lambda: built_expansion(2, 6),
+    "built-g3-N4": lambda: built_expansion(3, 4),
+    "seeded": _seeded_build,
+}
+
+
+@pytest.mark.parametrize("name", [*LIE_EXPANSIONS, "standard"])
+def test_integral_exp_matches_the_rational_exp(name):
+    theta = LIE_EXPANSIONS.get(name, lambda: standard_expansion(2, 4))()
+    lam = _integral_scale(theta.logs, theta.truncation)
+    for t in theta.logs:
+        for u in (t, -t):
+            value = integral_exp(graded_scale(u, lam))
+            assert scaled_terms(value)[1] == 1
+            assert value == graded_scale(exp(u), lam)
+
+
+def test_integral_exp_refuses_a_scale_too_small():
+    # lam = 1 leaves a log's denominators; an integer u = A1 leaves A1^2 / 2
+    for theta in (load_fixture("fixture-genus1"), load_fixture("fixture-genus2")):
+        with pytest.raises(ArithmeticError):
+            integral_exp(graded_scale(theta.logs[0], 1))
+    with pytest.raises(ArithmeticError):
+        integral_exp(basis_tensor(AlgebraContext(1, 3), 0))
+    # whatever lam it is given, it raises or is right
+    theta = load_fixture("fixture-genus2")
+    for lam in range(1, 61):
+        for t in theta.logs:
+            try:
+                value = integral_exp(graded_scale(t, lam))
+            except ArithmeticError:
+                continue
+            assert value == graded_scale(exp(t), lam)
+
+
+@pytest.mark.parametrize("name", [*LIE_EXPANSIONS, "exp-g1", "exp-g2", "exp-g3"])
+def test_commutator_handles_match_the_four_factor_product(name):
+    if name.startswith("exp-g"):
+        theta = exponential_expansion(int(name[-1]), 4)
+    else:
+        theta = LIE_EXPANSIONS[name]()
+    ext = AlgebraContext(theta.genus, theta.truncation + 1)
+    values = [exp(truncate(t, ext)) for t in theta.logs]
+    expected = o_boundary_value(ext, values)
+    assert _boundary_value(ext, values) == expected
+    # the values through degree N only, lifted: what the re-proof and the
+    # builder pass in
+    low = [truncate(truncate(v, theta.ctx), ext) for v in values]
+    assert _boundary_value(ext, low) == expected
+    lam = theta._letter_scale()
+    letters = [truncate(theta._exp_letter(i, 1), ext) for i in range(ext.dim)]
+    assert _boundary_value(ext, letters) == graded_scale(expected, lam)
+
+
+def _admitted(kind):
+    payload = json.loads(expansion._data_text(expansion._FIXTURE_FILES[kind]))
+    return [load_fixture(kind, n) for n in range(2, payload["max_trusted_degree"])]
+
+
+def _verdict_cases():
+    yield from ((f"{kind} N={t.truncation}", t)
+                for kind in ("fixture-genus1", "fixture-genus2", "fixture-massuyeau")
+                for t in _admitted(kind))
+    yield from ((f"exp g{g} N{n}", exponential_expansion(g, n))
+                for g in (1, 2, 3) for n in (3, 4, 5))
+    yield from ((f"standard g{g} N{n}", standard_expansion(g, n))
+                for g, n in ((1, 3), (2, 4)))
+
+
+def test_verdicts_match_the_rational_route_word_for_word():
+    for label, theta in _verdict_cases():
+        fresh = Expansion(theta.ctx, theta.logs, kind=theta.kind)
+        assert symplectic_failures(theta) == o_symplectic_failures(fresh), label
+        if label.startswith("exp"):
+            assert symplectic_failures(theta) == ["ell(zeta) != omega, first in degree 3"]
+        if label.startswith("standard"):
+            assert symplectic_failures(theta) == [
+                "a generator log is not Lie", "ell(zeta) != omega, first in degree 3"
+            ]
+
+
+def test_massuyeau_verdict_one_degree_up_matches_the_rational_route(old_massuyeau):
+    theta = load_fixture("fixture-massuyeau")
+    assert theta.truncation == 4
+    expected = ["ell(zeta) != omega, first in degree 5"]
+    assert o_symplectic_failures(theta) == expected
+    assert symplectic_failures(theta) == expected
+
+
+def test_forty_digit_denominators_fail_check_expansion(tmp_path, capsys):
+    ctx = AlgebraContext(2, 4)
+    a1, b1, a2, b2 = (basis_tensor(ctx, i) for i in range(4))
+    logs = [a1, b1, a2, b2]
+    logs[0] = a1 + bracket(a2, b2).scale(Fraction(1, 10**40 + 1))
+    logs[1] = b1 + bracket(a1, bracket(a1, b2)).scale(Fraction(3, 7**47))
+    logs[3] = b2 + bracket(b1, bracket(a2, bracket(a1, b2))).scale(Fraction(-5, 10**39 + 3))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(expansion_to_json(Expansion(ctx, logs))))
+    theta = expansion_from_json(json.loads(path.read_text()))
+    assert len(str(theta._letter_scale())) > 80
+    start = time.perf_counter()
+    assert main(["check-expansion", "--in", str(path)]) == 1
+    assert time.perf_counter() - start < 2
+    assert "ell(zeta) != omega" in capsys.readouterr().out
+    assert symplectic_failures(theta) == o_symplectic_failures(theta)
+
+
+@pytest.mark.parametrize("name", LIE_EXPANSIONS)
+def test_letters_after_a_re_proof_match_a_fresh_expansion(name):
+    theta = LIE_EXPANSIONS[name]()
+    theta = Expansion(theta.ctx, theta.logs, kind=theta.kind)
+    symplectic_failures(theta)
+    fresh = Expansion(theta.ctx, theta.logs, kind=theta.kind)
+    letters = [(i, s) for i in range(theta.ctx.dim) for s in (1, -1)]
+    for w in [[x] for x in letters] + [list(p) for p in product(letters, repeat=2)]:
+        word = GroupWord(theta.genus, w)
+        assert evaluate(theta, word) == evaluate(fresh, word)

@@ -4,11 +4,20 @@ never fail shows up here as a row that does not bite.
 
 Only the checks a row names are run, each row on an empty expansion memo,
 so no expansion built under a mutation outlives its row.
+
+The builder and the symplectic re-proof share ``_boundary_value``, so a
+fault in it can let the builder converge to a wrong expansion that its own
+re-proof then accepts; only the shipped fixtures, whose data the builder
+did not make, catch it.  Dropping the degree-(N+1) part of the generator
+values changes no verdict, by design (the boundary reads them only through
+degree N), so it has no row.
 """
 
 import pytest
 
 from twistlog import expansion, johnson, suite
+from twistlog.rationals import Rat
+from twistlog.tensor import one_tensor
 from twistlog.words import homology_matrix
 
 
@@ -32,6 +41,26 @@ def _unsigned(f):
     return inverse
 
 
+def _without_half_square(f):
+    """integral_exp without its u^2 / 2 term."""
+    return lambda u: f(u) - (u * u).scale(Rat(1, 2))
+
+
+def _unflipped(f):
+    """_boundary_value with each handle 1 + [u_a, u_b], the factor
+    S(e_b e_a) dropped."""
+
+    def boundary(ctx, values):
+        one = one_tensor(ctx)
+        out = one
+        for i in range(ctx.genus):
+            ua, ub = values[2 * i] - one, values[2 * i + 1] - one
+            out = out * (one + ua * ub - ub * ua)
+        return out
+
+    return boundary
+
+
 # name -> (namespace, public function, its mutant given the original,
 #          the checks that must fail)
 MUTATIONS = {
@@ -42,6 +71,18 @@ MUTATIONS = {
         "homology_inverse",
         _unsigned,
         ["tau-formulas", "operator-identities"],
+    ),
+    "integer exponential without u^2/2": (
+        expansion,
+        "integral_exp",
+        _without_half_square,
+        ["fixture-genus1", "fixture-genus2", "builder"],
+    ),
+    "handles without S(e_b e_a)": (
+        expansion,
+        "_boundary_value",
+        _unflipped,
+        ["fixture-genus1", "fixture-genus2"],
     ),
 }
 
