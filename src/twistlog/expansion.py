@@ -9,15 +9,19 @@ at a lower degree, and work that needs only low degrees is done there.  An
 expansion is immutable, so it memoizes its exponentials, its generator
 values, its restrictions and its symplectic verdict.
 
-The builder turns any group-like seed into a symplectic expansion one degree
-at a time: at degree m it measures the defect of the boundary condition,
-rewrites the defect through the bracketing map, and pushes each term into a
-degree-(m-1) correction of one generator log.  Corrections are brackets, so
+The builder starts from the exponential expansion, ell_i = X_i, and makes
+it symplectic one degree at a time: at degree m it measures the defect of
+the boundary condition, rewrites the defect through the bracketing map, and
+cancels it by the derivation that the rewritten defect names, added to the
+degree-(m-1) parts of the generator logs.  Corrections are brackets, so
 group-likeness is preserved by construction, and every higher-order side
 effect of a correction lands strictly above m, which is what makes the sweep
 converge.  No pass takes a logarithm: while ell(zeta) - omega starts in
 degree m, it agrees in degree m with theta(zeta) - exp(omega), and the
 inverse factors of theta(zeta) are antipodes of the forward ones.
+
+Every other symplectic expansion is exp(d) o theta for a symplectic
+derivation d that raises degree; ``moved_expansion`` makes it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import json
 from importlib import resources
 from math import gcd, lcm, log10, prod
 
+from .derivation import Derivation, exp_derivation, from_tensor
 from .endomorphism import Endomorphism, solve_generator_images
 from .lie import _bracket_expansion, _bracket_steps, exp, integral_exp, is_lie, log
 from .rationals import Rat, rat_from_string
@@ -401,12 +406,12 @@ def _boundary_value(ctx: AlgebraContext, values) -> Tensor:
     return out
 
 
-def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None) -> Expansion:
+def build_symplectic(genus: int, truncation: int) -> Expansion:
     """Deterministic symplectic expansion of the given genus and truncation.
 
-    Starting from a group-like seed (default: the exponential expansion),
-    each degree pass m cancels the degree-m defect ell(zeta) - omega by
-    bracket corrections to the degree-(m-1) parts of the generator logs.
+    Starting from the exponential expansion, ell_i = X_i, each degree pass m
+    cancels the degree-m defect ell(zeta) - omega by bracket corrections to
+    the degree-(m-1) parts of the generator logs.
 
     Passes run through degree N+1, one beyond the requested truncation: the
     degree-(N+1) defect is already determined by the N-jet (a degree-(N+1)
@@ -414,9 +419,8 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
     it is what makes the result the N-jet of a genuine symplectic expansion
     of the full group.  Identities that are exact mod degree N+1, such as
     the Dehn twist formula, hold for jets but can fail at the top degree
-    for merely-truncated data.  A seed that is itself such a jet comes back
-    unchanged, and restricting a build to a lower truncation agrees with
-    building there directly.
+    for merely-truncated data.  Restricting a build to a lower truncation
+    agrees with building there directly.
 
     A genus and truncation whose working algebra holds more than
     MAX_MONOMIALS monomials are refused with ValueError before any work.
@@ -424,14 +428,7 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
     ctx = AlgebraContext(genus, truncation)
     _check_size(genus, truncation)
     work_ctx = AlgebraContext(genus, truncation + 1)
-    if seed is None:
-        seed = exponential_expansion(genus, truncation)
-    if seed.genus != genus:
-        raise ValueError(f"seed genus {seed.genus} != requested genus {genus}")
-    logs = [truncate(t, work_ctx) for t in seed.logs]
-    for i, t in enumerate(logs):
-        if not is_lie(t):
-            raise ValueError(f"seed is not group-like: log of {gen_name(i)} is not Lie")
+    logs = [basis_tensor(work_ctx, i) for i in range(work_ctx.dim)]
     exp_omega = exp(symplectic_form(work_ctx))
     dim = ctx.dim
     for m in range(3, truncation + 2):
@@ -451,21 +448,25 @@ def build_symplectic(genus: int, truncation: int, seed: Expansion | None = None)
         if not defect:
             continue
         # a Lie defect sum_x X_x t_x equals (1/m) sum_x [X_x, Phi(t_x)]
-        # (Dynkin-Specht-Wever); each term is cancelled through the partner
-        # generator of its first letter, with sign (partner . X_x).  The
-        # first m - 2 bracketing steps give sum_x X_x Phi(t_x), and one more
-        # gives Phi of the defect
+        # (Dynkin-Specht-Wever), so the derivation named by
+        # (1/m) sum_x X_x Phi(t_x), which sends the partner of X_x to
+        # (partner . X_x) Phi(t_x) / m, cancels it.  The first m - 2
+        # bracketing steps give sum_x X_x Phi(t_x), and one more gives Phi of
+        # the defect
         tails = _bracket_steps(blocks[m], dim, range(1, m - 1))
         if _bracket_steps(tails, dim, range(m - 1, m)) != {k: c * m for k, c in blocks[m].items()}:
             raise ArithmeticError(f"degree-{m} defect failed the Lie certificate")
-        top = dim ** (m - 1)
-        buckets = {}
-        for code, c in tails.items():
-            x, tail = divmod(code, top)
-            buckets.setdefault(x, {})[tail] = -c if x % 2 == 0 else c
-        for x, bucket in buckets.items():
-            logs[x ^ 1] = logs[x ^ 1] + tensor_from_scaled(work_ctx, {m - 1: bucket}, den * m)
+        correction = from_tensor(tensor_from_scaled(work_ctx, {m: tails}, den * m))
+        logs = [t + v for t, v in zip(logs, correction.values)]
     return Expansion(ctx, [truncate(t, ctx) for t in logs], kind="built")
+
+
+def moved_expansion(theta: Expansion, d: Derivation) -> Expansion:
+    """exp(d) o theta, by its logs exp(d)(ell_i).  For a symplectic
+    derivation d that raises degree this is again a symplectic expansion,
+    and every symplectic expansion is one such move of any other; nothing is
+    checked here, as ``symplectic_failures`` is the check."""
+    return Expansion(theta.ctx, [exp_derivation(d, t) for t in theta.logs], kind="user")
 
 
 # -- intertwiners --------------------------------------------------------------

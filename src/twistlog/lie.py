@@ -29,10 +29,6 @@ from .tensor import (
 )
 
 
-def bracket(t1: Tensor, t2: Tensor) -> Tensor:
-    return t1 * t2 - t2 * t1
-
-
 def _bracket_steps(block: dict, dim: int, steps: range) -> dict:
     """Bracketing steps m in ``steps``, in order, on a homogeneous block
     {code: int}: step m sends the code [p x b], where x is one letter and b
@@ -164,15 +160,6 @@ def _bracket_expansion(ctx, tree, cache: dict) -> tuple:
     return hit
 
 
-def bracket_tree_tensor(ctx, tree) -> Tensor:
-    """Expand a nested bracket tree (int leaves, (left, right) tuples) into
-    its tensor."""
-    degree, expansion = _bracket_expansion(ctx, tree, {})
-    if degree > ctx.truncation:
-        return zero_tensor(ctx)
-    return tensor_from_scaled(ctx, {degree: expansion})
-
-
 def _is_lyndon(x: int, p: int, dim: int) -> bool:
     """Whether the degree-p code x is strictly less than each of its proper
     rotations."""
@@ -263,10 +250,3 @@ def lyndon_bracket_forms(tensors) -> list:
         except ValueError:
             forms.append(None)
     return forms
-
-
-def format_bracket_tree(ctx, tree) -> str:
-    if isinstance(tree, int):
-        return ctx.basis_name(tree)
-    left, right = tree
-    return f"[{format_bracket_tree(ctx, left)},{format_bracket_tree(ctx, right)}]"

@@ -27,7 +27,6 @@ from .derivation import (
     OmegaIdealContext,
     apply as apply_derivation,
     commutator,
-    exp_derivation,
     from_tensor,
     graded_component,
     omega_ideal_reduce,
@@ -41,6 +40,7 @@ from .expansion import (
     is_symplectic,
     load_fixture,
     log_evaluate,
+    moved_expansion,
     symplectic_failures,
 )
 from .johnson import (
@@ -106,16 +106,15 @@ def fixture_expansion(genus: int) -> Expansion:
 
 
 def variant_expansion(genus: int, truncation: int) -> Expansion:
-    """A second symplectic expansion, distinct from the built one: push the
-    built expansion through the algebra automorphism exp(D) with
-    D = L(gamma_1).  D is Lie-valued, kills omega, and raises degree by at
-    least two, so group-likeness, the boundary condition, and the degree-1
-    normalization all survive while the logs genuinely change."""
+    """A second symplectic expansion, distinct from the built one: the built
+    expansion moved by exp(D) with D = L(gamma_1).  D is Lie-valued, kills
+    omega, and raises degree by at least two, so group-likeness, the
+    boundary condition, and the degree-1 normalization all survive while the
+    logs genuinely change."""
 
     def make():
         theta = built_expansion(genus, truncation)
-        d = l_invariant(theta, handle_word(genus, 1))
-        return Expansion(theta.ctx, [exp_derivation(d, t) for t in theta.logs], kind="user")
+        return moved_expansion(theta, l_invariant(theta, handle_word(genus, 1)))
 
     return _memoized(("variant", genus, truncation), make)
 

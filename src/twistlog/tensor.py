@@ -535,10 +535,6 @@ def basis_tensor(ctx: AlgebraContext, index: int) -> Tensor:
     return _scaled(ctx, {1: {index: 1}}, 1)
 
 
-def monomial_tensor(ctx: AlgebraContext, mono: Iterable[int], coeff=1) -> Tensor:
-    return Tensor(ctx, {tuple(mono): coeff})
-
-
 def symplectic_form(ctx: AlgebraContext) -> Tensor:
     """omega = sum_i A_i B_i - B_i A_i, the degree-2 dual of the intersection
     form; it is a Lie element ([A_i, B_i] summed over handles)."""

@@ -17,11 +17,10 @@ from twistlog.expansion import (
     connecting_automorphism,
     exponential_expansion,
     load_fixture,
+    moved_expansion,
     symplectic_failures,
 )
 from twistlog.johnson import certificate_to_json
-from twistlog.lie import bracket, bracket_tree_tensor
-from twistlog.rationals import Rat
 from twistlog.suite import (
     _connecting_failures,
     built_expansion,
@@ -30,8 +29,10 @@ from twistlog.suite import (
     suite_names,
     variant_expansion,
 )
-from twistlog.tensor import AlgebraContext, basis_tensor, graded_part
+from twistlog.tensor import graded_part
 from twistlog.words import TWIST_KINDS, TwistKind, generator_word
+
+from algebra_tools import bracket_tree_tensor, lambda3_derivation
 
 # SHA-256 of each certificate's canonical JSON without its timing params,
 # taken before the suite shared its expansions, restrictions and Johnson
@@ -161,16 +162,13 @@ def test_sigma_check_compares_two_computations(monkeypatch):
 
 
 def test_connecting_sees_a_nonzero_u1_in_lambda3():
-    # the suite's pairs are genus 1, where Lambda^3 H = 0; here a seed with
-    # (1/3)[A2, B2] in the log of a1 gives a genus-2 pair whose u_1 is not 0
-    ctx = AlgebraContext(2, 4)
-    logs = [basis_tensor(ctx, i) for i in range(ctx.dim)]
-    logs[0] = logs[0] + bracket(basis_tensor(ctx, 2), basis_tensor(ctx, 3)).scale(Rat(1, 3))
+    # the suite's pairs are genus 1, where Lambda^3 H = 0; here a move by
+    # 2 Alt(B1 A2 B2) gives a genus-2 pair whose u_1 is not 0
     built = build_symplectic(2, 4)
-    seeded = build_symplectic(2, 4, seed=Expansion(ctx, logs))
-    u1 = [graded_part(v, 2) for v in connecting_automorphism(built, seeded).h_values]
+    moved = moved_expansion(built, lambda3_derivation(built.ctx))
+    u1 = [graded_part(v, 2) for v in connecting_automorphism(built, moved).h_values]
     assert sum(map(bool, u1)) == 3
-    assert _connecting_failures("seeded", built, seeded) == []
+    assert _connecting_failures("moved", built, moved) == []
     # the exponential expansion is not symplectic: its u_1 leaves Lambda^3 H
     assert _connecting_failures("exp", built, exponential_expansion(2, 4)) == [
         "exp: (log U)|_H does not kill omega",

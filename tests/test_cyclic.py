@@ -18,12 +18,13 @@ from twistlog.tensor import (
     basis_tensor,
     decode_monomial,
     encode_monomial,
-    monomial_tensor,
     one_tensor,
     symplectic_form,
     zero_tensor,
 )
 from twistlog.words import GroupWord
+
+from algebra_tools import monomial_tensor
 
 
 def random_nu_invariant(rng, ctx, degree):

@@ -25,12 +25,13 @@ from twistlog.tensor import (
     AlgebraContext,
     Tensor,
     basis_tensor,
-    monomial_tensor,
     one_tensor,
     scalar_tensor,
     symplectic_form,
     zero_tensor,
 )
+
+from algebra_tools import monomial_tensor
 
 
 def random_naming_tensor(rng, ctx, min_degree=2, terms=3):

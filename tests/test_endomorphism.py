@@ -11,11 +11,12 @@ from twistlog.rationals import Rat
 from twistlog.tensor import (
     AlgebraContext,
     basis_tensor,
-    monomial_tensor,
     one_tensor,
     truncate,
     zero_tensor,
 )
+
+from algebra_tools import monomial_tensor
 
 
 def random_triangular_values(rng, ctx):

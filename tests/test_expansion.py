@@ -22,12 +22,15 @@ from twistlog.expansion import (
     is_symplectic,
     load_fixture,
     log_evaluate,
+    moved_expansion,
     restrict,
     standard_expansion,
     symplectic_failures,
 )
-from twistlog.lie import bracket, exp, is_lie
-from twistlog.suite import variant_expansion
+from twistlog.derivation import apply as apply_derivation, exp_derivation, from_tensor
+from twistlog.johnson import l_invariant
+from twistlog.lie import exp, is_lie
+from twistlog.suite import built_expansion, variant_expansion
 from twistlog.rationals import Rat
 from twistlog.tensor import (
     AlgebraContext,
@@ -35,7 +38,6 @@ from twistlog.tensor import (
     filtration_degree,
     graded_part,
     graded_scale,
-    monomial_tensor,
     one_tensor,
     scaled_terms,
     symplectic_form,
@@ -50,6 +52,8 @@ from twistlog.words import (
     generator_word,
     word_from_string,
 )
+
+from algebra_tools import bracket, lambda3_derivation, monomial_tensor
 
 
 def random_word(rng, genus, length):
@@ -255,12 +259,6 @@ def test_builder_reproduces_fixtures():
     assert build_symplectic(2, 4) == load_fixture("fixture-genus2")
 
 
-def test_builder_idempotent_on_fixture_seed():
-    fx = load_fixture("fixture-genus2")
-    again = build_symplectic(2, 4, seed=fx)
-    assert again.logs == fx.logs
-
-
 def test_builder_restriction_coherence():
     # restricting a higher build equals building lower directly
     assert restrict(build_symplectic(2, 5), 4) == build_symplectic(2, 4)
@@ -379,13 +377,6 @@ def test_builder_refuses_oversized_algebras_at_once():
     assert time.perf_counter() - start < 1
 
 
-def test_builder_seed_validation():
-    with pytest.raises(ValueError):
-        build_symplectic(2, 4, seed=load_fixture("fixture-genus1"))  # genus mismatch
-    with pytest.raises(ValueError):
-        build_symplectic(1, 4, seed=standard_expansion(1, 4))  # not group-like
-
-
 def test_connecting_automorphism_intertwines():
     rng = random.Random(135)
     theta1 = exponential_expansion(1, 4)
@@ -402,6 +393,52 @@ def test_connecting_automorphism_intertwines():
 def test_connecting_automorphism_validation():
     with pytest.raises(ValueError):
         connecting_automorphism(exponential_expansion(1, 3), exponential_expansion(1, 4))
+
+
+@pytest.mark.parametrize("genus, truncation", [(2, 5), (3, 4)])
+def test_connecting_automorphism_to_a_move_is_its_exponential(genus, truncation):
+    # exp(d) is an algebra automorphism that takes theta to exp(d) o theta on
+    # the generators, so the solve must give exp(d) on H; exp(-d), the
+    # control, differs from it in degree 2, where d first acts
+    theta = built_expansion(genus, truncation)
+    d = lambda3_derivation(theta.ctx)
+    U = connecting_automorphism(theta, moved_expansion(theta, d))
+    basis = [basis_tensor(theta.ctx, i) for i in range(theta.ctx.dim)]
+    assert list(U.h_values) == [exp_derivation(d, x) for x in basis]
+    wrong = [exp_derivation(-d, x) for x in basis]
+    assert min(filtration_degree(u - v) for u, v in zip(U.h_values, wrong)) == 2
+
+
+def test_a_move_conjugates_every_loop_invariant():
+    # L^{exp(d) theta}(w) = exp(d) L^theta(w) exp(-d) for a symplectic d, and
+    # the move changes L on each word
+    rng = random.Random(314)
+    theta = built_expansion(2, 5)
+    d = lambda3_derivation(theta.ctx)
+    moved = moved_expansion(theta, d)
+    basis = [basis_tensor(theta.ctx, i) for i in range(theta.ctx.dim)]
+    back = [exp_derivation(-d, x) for x in basis]
+    words = []
+    while len(words) < 6:  # nontrivial words, whose L is not 0
+        w = random_word(rng, 2, rng.randint(1, 5))
+        if w.letters:
+            words.append(w)
+    for w in words:
+        L = l_invariant(theta, w)
+        conjugated = [exp_derivation(d, apply_derivation(L, x)) for x in back]
+        assert list(l_invariant(moved, w).values) == conjugated
+        assert l_invariant(moved, w) != L
+
+
+def test_a_move_by_a_non_lie_derivation_is_refused_by_the_verdict():
+    # d sends B1 to -B1 A1 B1, which is not Lie: log b1 leaves the Lie
+    # algebra in degree 3 and the boundary condition breaks in degree 4
+    theta = built_expansion(2, 5)
+    d = from_tensor(monomial_tensor(theta.ctx, (0, 1, 0, 1)))
+    assert symplectic_failures(moved_expansion(theta, d)) == [
+        "a generator log is not Lie",
+        "ell(zeta) != omega, first in degree 4",
+    ]
 
 
 def test_expansion_json_round_trip():

@@ -204,9 +204,7 @@ def test_every_name_the_benchmark_calls_resolves():
 UNCALLED = {
     "johnson.verify_nilpotent_dependence":
         "the benchmark tracer wraps it by name; twist actions on nilpotent quotients need it",
-    "lie.bracket": "test tool: [u, v] by products",
-    "lie.bracket_tree_tensor": "test tool: a bracket tree by products",
-    "tensor.monomial_tensor": "test tool: one monomial with a coefficient",
+    "lie.phi": "the benchmark tracer wraps it by name",
     "words.automorphism_to_json": "writer of the conj:FILE automorphism format",
     "derivation.derivation_from_json": "reader of the l-invariant --output json format",
     "words.FreeAutomorphism.boundary_preserving":
@@ -231,21 +229,80 @@ def _public_definitions() -> dict:
     return found
 
 
-def _referenced_names(paths) -> set:
+def _local_names(scope) -> set:
+    """The names a function or lambda binds: its parameters and the names
+    its body assigns or defines.  Nested scopes are walked too, which can
+    only hide a reference, never make one up."""
     names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+    for node in ast.walk(scope):
+        if isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
     return names
 
 
+def _bound_attributes(tree) -> set:
+    """Attribute names the module binds by assignment: ``x.name = ...`` and
+    the fields a class body assigns, such as a dataclass's."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                targets = item.targets if isinstance(item, ast.Assign) else [getattr(item, "target", None)]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _reads(node, defs: tuple, local: frozenset, out: list) -> None:
+    """Append to ``out`` each (kind, name) read under ``node`` that may
+    reach a top-level definition: a read inside the body of a definition
+    of the same name, or of a name bound in an enclosing function, does
+    not."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        defs = (*defs, node.name)
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        local = local | _local_names(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in local and node.id not in defs:
+            out.append(("name", node.id))
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if node.attr not in defs:
+            out.append(("attr", node.attr))
+    for child in ast.iter_child_nodes(node):
+        _reads(child, defs, local, out)
+
+
+def _referenced_names(paths) -> tuple:
+    """(names, attributes) read in ``paths`` that may refer to a top-level
+    definition or a property.  The attributes are split by whether the
+    files also bind an attribute of that name by assignment: such a read,
+    like ``curve.phi`` of a dataclass field, may reach a property of that
+    name but not a top-level function."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths]
+    fields = set().union(*map(_bound_attributes, trees))
+    reads = []
+    for tree in trees:
+        _reads(tree, (), frozenset(), reads)
+    names = {name for kind, name in reads if kind == "name"}
+    attributes = {name for kind, name in reads if kind == "attr"}
+    return names | (attributes - fields), attributes
+
+
 def test_every_public_function_has_a_caller():
-    # a reference is a name or an attribute in the package or in the
-    # harness's tracer and workloads; tests do not count
+    # a reference is a name or an attribute read in the package or in the
+    # harness's tracer and workloads; tests do not count, nor does a
+    # definition's own body, a parameter or other local of the same name, or
+    # a read of a field of the same name
     callers = [*SRC.glob("*.py"), PERFBENCH / "tracing.py", PERFBENCH / "workloads.py"]
-    used = _referenced_names(callers)
-    uncalled = {key for key, name in _public_definitions().items() if name not in used}
+    used, attributes = _referenced_names(callers)
+    uncalled = {
+        key
+        for key, name in _public_definitions().items()
+        if name not in (attributes if key.count(".") == 2 else used)
+    }
     assert uncalled == set(UNCALLED)

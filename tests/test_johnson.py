@@ -21,6 +21,7 @@ from twistlog.expansion import (
     is_symplectic,
     load_fixture,
     log_evaluate,
+    moved_expansion,
     restrict,
     symplectic_failures,
 )
@@ -44,13 +45,12 @@ from twistlog.johnson import (
     verify_nilpotent_dependence,
     verify_operator_identities,
 )
-from twistlog.lie import bracket, is_lie
+from twistlog.lie import is_lie
 from twistlog.rationals import Rat
 from twistlog.tensor import (
     AlgebraContext,
     basis_tensor,
     graded_part,
-    monomial_tensor,
     symplectic_form,
     tensor_to_json,
     truncate,
@@ -72,6 +72,8 @@ from twistlog.words import (
     twist,
     word_from_string,
 )
+
+from algebra_tools import bracket, lambda3_derivation, monomial_tensor
 
 
 @pytest.fixture(scope="module")
@@ -463,11 +465,10 @@ def test_twist_formula_respects_conjugation(theta25):
 
 def test_the_tau_1_clause_bites_on_a_seeded_expansion():
     # on the built expansions L3(a1) = 0, so tau_1 = -L3 compares 0 with 0;
-    # seeding log a1 = A1 + (1/3)[A2, B2] makes L3 nonzero
-    ctx = AlgebraContext(2, 5)
-    logs = [basis_tensor(ctx, i) for i in range(ctx.dim)]
-    logs[0] = logs[0] + bracket(basis_tensor(ctx, 2), basis_tensor(ctx, 3)).scale(Rat(1, 3))
-    theta = build_symplectic(2, 5, seed=Expansion(ctx, logs))
+    # moving the build by 2 Alt(B1 A2 B2), which adds (1/3)[A2, B2] to log a1,
+    # makes L3 nonzero
+    built = build_symplectic(2, 5)
+    theta = moved_expansion(built, lambda3_derivation(built.ctx))
     L = l_invariant(theta, curve_word(2, Curve("nonsep")))
     L3 = graded_component(L, 3)
     assert L3

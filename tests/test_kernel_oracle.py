@@ -36,12 +36,12 @@ from twistlog.expansion import (
     Expansion,
     _boundary_value,
     _integral_scale,
-    build_symplectic,
     evaluate,
     expansion_from_json,
     expansion_to_json,
     exponential_expansion,
     load_fixture,
+    moved_expansion,
     restrict,
     standard_expansion,
     symplectic_failures,
@@ -51,10 +51,7 @@ from twistlog.cli import _pretty_tensors, main
 from twistlog.lie import (
     _bracket_steps,
     _phi_block,
-    bracket,
-    bracket_tree_tensor,
     exp,
-    format_bracket_tree,
     integral_exp,
     is_lie,
     log,
@@ -75,7 +72,6 @@ from twistlog.tensor import (
     filtration_degree,
     graded_part,
     graded_scale,
-    monomial_tensor,
     one_tensor,
     scaled_terms,
     symplectic_form,
@@ -85,6 +81,8 @@ from twistlog.tensor import (
     zero_tensor,
 )
 from twistlog.words import GroupWord, boundary_word, compose, homology_inverse, twist
+
+from algebra_tools import bracket, bracket_tree_tensor, lambda3_derivation, monomial_tensor
 
 # -- the oracle -----------------------------------------------------------------
 
@@ -230,9 +228,17 @@ def o_tensor_to_json(t):
     }
 
 
+def o_format_bracket_tree(ctx, tree):
+    """A bracket tree's text, written recursively: [left,right]."""
+    if isinstance(tree, int):
+        return ctx.basis_name(tree)
+    left, right = tree
+    return f"[{o_format_bracket_tree(ctx, left)},{o_format_bracket_tree(ctx, right)}]"
+
+
 def o_pretty_tensors(tensors):
     """The CLI's pretty lines on the Rat view, each tree written by
-    format_bracket_tree."""
+    o_format_bracket_tree."""
     lines = []
     for t, form in zip(tensors, lyndon_bracket_forms(tensors)):
         if not t:
@@ -245,7 +251,7 @@ def o_pretty_tensors(tensors):
                 name = "1" if not mono else "".join(ctx.basis_name(i) for i in mono)
                 pieces.append(f"{rat_to_string(t.terms[mono])} {name}")
         else:
-            pieces = [f"{rat_to_string(c)} {format_bracket_tree(ctx, tree)}" for c, tree in form]
+            pieces = [f"{rat_to_string(c)} {o_format_bracket_tree(ctx, tree)}" for c, tree in form]
         lines.append("  +  ".join(pieces))
     return lines
 
@@ -795,14 +801,6 @@ def o_symplectic_failures(theta):
     return failures
 
 
-def _seeded_build():
-    """g2 N5 from the seed log a1 = A1 + (1/3)[A2, B2]."""
-    ctx = AlgebraContext(2, 5)
-    logs = [basis_tensor(ctx, i) for i in range(ctx.dim)]
-    logs[0] = logs[0] + bracket(basis_tensor(ctx, 2), basis_tensor(ctx, 3)).scale(Fraction(1, 3))
-    return build_symplectic(2, 5, seed=Expansion(ctx, logs))
-
-
 LIE_EXPANSIONS = {
     "fixture-genus1": lambda: load_fixture("fixture-genus1"),
     "fixture-genus2": lambda: load_fixture("fixture-genus2"),
@@ -810,7 +808,7 @@ LIE_EXPANSIONS = {
     "built-g1-N8": lambda: built_expansion(1, 8),
     "built-g2-N6": lambda: built_expansion(2, 6),
     "built-g3-N4": lambda: built_expansion(3, 4),
-    "seeded": _seeded_build,
+    "moved": lambda: moved_expansion(built_expansion(2, 5), lambda3_derivation(AlgebraContext(2, 5))),
 }
 
 

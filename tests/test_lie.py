@@ -6,10 +6,7 @@ import random
 import pytest
 
 from twistlog.lie import (
-    bracket,
-    bracket_tree_tensor,
     exp,
-    format_bracket_tree,
     is_lie,
     log,
     lyndon_bracket_form,
@@ -27,12 +24,13 @@ from twistlog.tensor import (
     antipode,
     basis_tensor,
     graded_part,
-    monomial_tensor,
     one_tensor,
     scalar_tensor,
     symplectic_form,
     zero_tensor,
 )
+
+from algebra_tools import bracket, bracket_tree_tensor, monomial_tensor
 
 
 def random_lie(rng, ctx, brackets=3):
@@ -146,14 +144,6 @@ def test_lyndon_bracket_form_rejects_non_lie():
     a, b = basis_tensor(ctx, 0), basis_tensor(ctx, 1)
     with pytest.raises(ValueError):
         lyndon_bracket_form(a * b)
-
-
-def test_format_bracket_tree():
-    ctx = AlgebraContext(2, 3)
-    t = bracket(basis_tensor(ctx, 0), bracket(basis_tensor(ctx, 1), basis_tensor(ctx, 2)))
-    ((coeff, tree),) = lyndon_bracket_form(t)
-    assert coeff == 1
-    assert format_bracket_tree(ctx, tree) == "[A1,[B1,A2]]"
 
 
 def test_lyndon_bracket_form_names_the_first_non_lyndon_word():

@@ -14,7 +14,6 @@ from twistlog.tensor import (
     filtration_degree,
     graded_part,
     intersection,
-    monomial_tensor,
     one_tensor,
     scalar_tensor,
     symplectic_form,
@@ -24,6 +23,8 @@ from twistlog.tensor import (
     truncate,
     zero_tensor,
 )
+
+from algebra_tools import monomial_tensor
 
 
 def random_tensor(rng, ctx, max_degree=None, terms=4):
