@@ -1,5 +1,5 @@
 """The loop invariant, total Johnson maps and their components, the
-algebraic Goldman-side action, and certificate-producing verifiers.
+algebraic Goldman-side action, and verifiers that return their failures.
 
 Curves are symbolic: the adapted curve of a twist kind in
 ``words.TWIST_KINDS``, or its image under an automorphism.  The
@@ -48,7 +48,6 @@ from .words import (
     invert_automorphism,
     twist,
     twist_word,
-    word_to_string,
 )
 
 
@@ -159,11 +158,6 @@ def total_johnson(theta: Expansion, phi: FreeAutomorphism) -> Endomorphism:
     return intertwiner(theta, [evaluate(theta, im) for im in phi.images])
 
 
-def _columns(mat: list, ctx: AlgebraContext) -> list:
-    """sum_i mat[i][j] X_i for each column j, as degree-1 tensors."""
-    return [Tensor(ctx, {(i,): row[j] for i, row in enumerate(mat)}) for j in range(ctx.dim)]
-
-
 def johnson_components(theta: Expansion, phi: FreeAutomorphism, top: int) -> list:
     """[tau_1(phi), ..., tau_top(phi)]: tau_k is the degree-(k+1) part of
     T(phi) o |phi|^{-1} on H, a derivation whose values are homogeneous of
@@ -177,8 +171,12 @@ def johnson_components(theta: Expansion, phi: FreeAutomorphism, top: int) -> lis
     if not 1 <= top <= ctx.truncation - 1:
         raise ValueError(f"component {top} out of range at truncation {ctx.truncation}")
     low = restrict(theta, top + 1)
-    tphi = total_johnson(low, phi)
-    composed = [tphi.apply(x) for x in _columns(homology_inverse(phi), low.ctx)]
+    images, inverse = total_johnson(low, phi).h_values, homology_inverse(phi)
+    # column j of T(phi) o |phi|^{-1}: sum_i M^{-1}[i][j] T(phi)(X_i)
+    composed = [
+        sum((v.scale(row[j]) for v, row in zip(images, inverse) if row[j]), zero_tensor(low.ctx))
+        for j in range(low.ctx.dim)
+    ]
     return [
         Derivation(ctx, [truncate(graded_part(v, k + 1), ctx) for v in composed])
         for k in range(1, top + 1)
@@ -287,13 +285,14 @@ def certificate(check: str, params: dict, failures: list) -> Certificate:
     return Certificate(check, params, "pass")
 
 
-def twist_formula_witness(
-    theta: Expansion, curve: Curve, L: Derivation, reduce=None
-) -> str | None:
+# -- verifiers: each returns its failures, [] when the claim holds ------------
+
+
+def twist_formula_failures(theta: Expansion, curve: Curve, L: Derivation, reduce=None) -> list:
     """The first generator x_i on which exp(-L) theta(x_i) and
-    theta(t_C(x_i)) differ, as a witness, or None when none does.  With
-    ``reduce`` both theta(x_i) and the difference are reduced by it first,
-    so the formula is checked modulo what ``reduce`` kills."""
+    theta(t_C(x_i)) differ, as a one-entry list, or [] when none does.
+    With ``reduce`` both theta(x_i) and the difference are reduced by it
+    first, so the formula is checked modulo what ``reduce`` kills."""
     ctx = theta.ctx
     tc = curve_twist(ctx.genus, curve)
     minus_l = -L
@@ -305,46 +304,27 @@ def twist_formula_witness(
             continue
         diff = lhs - rhs if reduce is None else reduce(lhs - rhs)
         if diff:
-            return f"generator {gen_name(i)} first differs in degree {filtration_degree(diff)}"
-    return None
+            return [f"generator {gen_name(i)} first differs in degree {filtration_degree(diff)}"]
+    return []
 
 
-def verify_dehn_twist_formula(theta: Expansion, curve: Curve) -> Certificate:
+def verify_dehn_twist_formula(theta: Expansion, curve: Curve) -> list:
     """exp(-L(C)) versus the twist action theta(t_C(x_i)), per generator."""
     _require_symplectic(theta)
-    ctx = theta.ctx
-    params = {
-        "curve": describe_curve(curve),
-        "genus": ctx.genus,
-        "truncation": ctx.truncation,
-    }
-    witness = twist_formula_witness(theta, curve, l_invariant(theta, curve_word(ctx.genus, curve)))
-    return certificate("dehn_twist_formula", params, [witness] if witness else [])
+    L = l_invariant(theta, curve_word(theta.genus, curve))
+    return twist_formula_failures(theta, curve, L)
 
 
-def verify_nilpotent_dependence(
-    theta: Expansion, w1: GroupWord, w2: GroupWord, k: int
-) -> Certificate:
-    """L_i(w1) = L_i(w2) for 2 <= i <= k+1, with 1 <= k <= N; meaningful
-    when the caller knows w1 and w2 agree modulo the (k+1)-st lower central
-    subgroup up to conjugacy and inversion."""
+def verify_nilpotent_dependence(theta: Expansion, w1: GroupWord, w2: GroupWord, k: int) -> list:
+    """The degrees 2 <= i <= k+1 where L_i(w1) != L_i(w2), with
+    1 <= k <= N; meaningful when the caller knows w1 and w2 agree modulo
+    the (k+1)-st lower central subgroup up to conjugacy and inversion."""
     ctx = theta.ctx
     if not 1 <= k <= ctx.truncation:
         raise ValueError(f"k={k} out of range 1..{ctx.truncation} at truncation {ctx.truncation}")
-    params = {
-        "w1": word_to_string(w1),
-        "w2": word_to_string(w2),
-        "k": k,
-        "genus": ctx.genus,
-        "truncation": ctx.truncation,
-    }
     t1 = l_invariant_tensor(theta, w1)
     t2 = l_invariant_tensor(theta, w2)
-    failures = []
-    for i in range(2, k + 2):
-        if graded_part(t1, i) != graded_part(t2, i):
-            failures.append(f"L_{i} differs")
-    return certificate("nilpotent_dependence", params, failures)
+    return [f"L_{i} differs" for i in range(2, k + 2) if graded_part(t1, i) != graded_part(t2, i)]
 
 
 def tau_formula_failures(theta: Expansion, tc: FreeAutomorphism, L: Derivation) -> list:
@@ -385,7 +365,7 @@ def _word_name(word: tuple, name: str) -> str:
     return " ".join(f"L{m}" for m in word) + f" {name}"
 
 
-def verify_operator_identities(theta: Expansion, curve: Curve) -> Certificate:
+def verify_operator_identities(theta: Expansion, curve: Curve) -> list:
     """The nilpotency and composition identities of the low components of
     L(C) for non-separating C (``_OPERATOR_IDENTITIES``), plus the closed
     formulas for tau_1, tau_2 (``tau_formula_failures``)."""
@@ -393,11 +373,6 @@ def verify_operator_identities(theta: Expansion, curve: Curve) -> Certificate:
     if curve.kind != "nonsep":
         raise ValueError("operator identities hold along non-separating curves")
     ctx = theta.ctx
-    params = {
-        "curve": describe_curve(curve),
-        "genus": ctx.genus,
-        "truncation": ctx.truncation,
-    }
     L = l_invariant(theta, curve_word(ctx.genus, curve))
     parts = {m: graded_component(L, m) for m in (2, 3, 4)}
     failures = []
@@ -409,5 +384,4 @@ def verify_operator_identities(theta: Expansion, curve: Curve) -> Certificate:
                 failures.append(f"{_word_name(u, name)} != 0")
             elif v is not None and lhs.scale(c) != _apply_word(parts, v, j):
                 failures.append(f"{c} {_word_name(u, name)} != {_word_name(v, name)}")
-    failures += tau_formula_failures(theta, curve_twist(ctx.genus, curve), L)
-    return certificate("operator_identities", params, failures)
+    return failures + tau_formula_failures(theta, curve_twist(ctx.genus, curve), L)

@@ -55,7 +55,7 @@ from .johnson import (
     separating_tau_formula,
     sigma_act_log_square,
     tau_formula_failures,
-    twist_formula_witness,
+    twist_formula_failures,
     verify_dehn_twist_formula,
     verify_operator_identities,
 )
@@ -166,11 +166,8 @@ def check_dehn_twist() -> Certificate:
     failures = []
     for label, theta in expansions:
         for curve in curves:
-            cert = verify_dehn_twist_formula(theta, curve)
-            if not cert.passed:
-                failures.append(
-                    f"{label} N={theta.truncation} {describe_curve(curve)}: {cert.witness}"
-                )
+            for failure in verify_dehn_twist_formula(theta, curve):
+                failures.append(f"{label} N={theta.truncation} {describe_curve(curve)}: {failure}")
     params = {
         "genus": 2,
         "curves": [describe_curve(c) for c in curves],
@@ -333,9 +330,9 @@ def check_disjointness() -> Certificate:
 def check_operator_identities() -> Certificate:
     expansions, failures = _built_and_variant(6)
     for label, theta in expansions:
-        cert = verify_operator_identities(theta, Curve("nonsep"))
-        if not cert.passed:
-            failures.append(f"{label}: {cert.witness}")
+        found = verify_operator_identities(theta, Curve("nonsep"))
+        if found:
+            failures.append(f"{label}: {'; '.join(found)}")
     params = {"genus": 2, "truncation": 6, "expansions": ["built", "variant"]}
     return certificate("operator-identities", params, failures)
 
@@ -351,9 +348,8 @@ def check_omega_ideal() -> Certificate:
         L = l_invariant(theta, curve_word(ctx.genus, curve))
         if apply_derivation(L, omega):
             failures.append(f"{label}: L does not kill omega")
-        witness = twist_formula_witness(theta, curve, L, lambda t: omega_ideal_reduce(t, ideal))
-        if witness:
-            failures.append(f"{label}: twist formula fails mod the ideal: {witness}")
+        found = twist_formula_failures(theta, curve, L, lambda t: omega_ideal_reduce(t, ideal))
+        failures += [f"{label}: twist formula fails mod the ideal: {f}" for f in found]
     params = {"genus": 2, "truncation": 4, "curves": ["nonsep", "sep:1"]}
     return certificate("omega-ideal", params, failures)
 

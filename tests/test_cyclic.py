@@ -14,7 +14,6 @@ from twistlog.johnson import l_invariant_tensor
 from twistlog.rationals import Rat
 from twistlog.tensor import (
     AlgebraContext,
-    Tensor,
     basis_tensor,
     decode_monomial,
     encode_monomial,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from twistlog.derivation import Derivation, exp_derivation, from_tensor
+from twistlog.derivation import exp_derivation, from_tensor
 from twistlog.endomorphism import Endomorphism, solve_generator_images
 from twistlog.cyclic import cyclic_n
 from twistlog.rationals import Rat

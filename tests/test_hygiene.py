@@ -1,6 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, the
-library imports no part of the command line, and every name the benchmark
-harness reaches for still exists."""
+"""Source hygiene: every name a module or test file imports is used in that
+file, the library imports no part of the command line, and every name the
+benchmark harness reaches for still exists."""
 
 import ast
 import importlib
@@ -16,6 +16,7 @@ import twistlog
 from twistlog import expansion, johnson, suite, words
 
 SRC = Path(twistlog.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -35,7 +36,7 @@ def _unused_imports(path: Path) -> list:
 
 def test_modules_use_every_name_they_import():
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
         unused += _unused_imports(path)
     assert not unused, unused
 

@@ -19,7 +19,6 @@ verdicts the integer route must repeat word for word.
 """
 
 import json
-import random
 import time
 from fractions import Fraction
 from itertools import permutations, product

@@ -1,6 +1,8 @@
 """The mutation matrix: each row replaces one public function with a broken
 version and names the suite checks that must then fail.  A clause that can
-never fail shows up here as a row that does not bite.
+never fail shows up here as a row that does not bite; such a row is a
+strict xfail that names the open work which makes it bite, and every suite
+check is named by at least one row that does bite.
 
 Only the checks a row names are run, each row on an empty expansion memo,
 so no expansion built under a mutation outlives its row.
@@ -16,9 +18,10 @@ degree N), so it has no row.
 import pytest
 
 from twistlog import expansion, johnson, suite
+from twistlog.endomorphism import Endomorphism
 from twistlog.rationals import Rat
-from twistlog.tensor import one_tensor
-from twistlog.words import homology_matrix
+from twistlog.tensor import basis_tensor, graded_part, one_tensor
+from twistlog.words import concat, homology_matrix
 
 
 def _negated(f):
@@ -61,8 +64,39 @@ def _unflipped(f):
     return boundary
 
 
+def _without_degree(m):
+    """l_invariant_tensor without its degree-m part, so L without L_m; m None
+    drops the top degree N+1, whose values on H have degree N."""
+
+    def mutate(f):
+        def tensor(theta, w):
+            t = f(theta, w)
+            return t - graded_part(t, theta.truncation + 1 if m is None else m)
+
+        return tensor
+
+    return mutate
+
+
+def _transposed(f):
+    return lambda phi: [list(column) for column in zip(*f(phi))]
+
+
+def _identity(f):
+    """connecting_automorphism answering the identity on H."""
+
+    def connecting(theta1, theta2):
+        ctx = theta1.ctx
+        return Endomorphism(ctx, [basis_tensor(ctx, j) for j in range(ctx.dim)])
+
+    return connecting
+
+
+# the checks that fail when L loses L_2 or its top degree
+_L_READERS = ["dehn-twist", "sigma-key-formula", "disjointness", "omega-ideal"]
+
 # name -> (namespace, public function, its mutant given the original,
-#          the checks that must fail)
+#          the checks that must fail); a tuple of namespaces patches each
 MUTATIONS = {
     "negated necklace bracket": (suite, "necklace_bracket", _negated, ["necklace-oracle"]),
     "is_lie negated": (expansion, "is_lie", _refuted, ["fixture-genus1", "fixture-genus2"]),
@@ -84,13 +118,68 @@ MUTATIONS = {
         _unflipped,
         ["fixture-genus1", "fixture-genus2"],
     ),
+    "L without L2": (johnson, "l_invariant_tensor", _without_degree(2), _L_READERS),
+    "L without its top degree": (johnson, "l_invariant_tensor", _without_degree(None), _L_READERS),
+    "L without L4": (
+        johnson,
+        "l_invariant_tensor",
+        _without_degree(4),
+        _L_READERS + ["tau-formulas", "separating-series", "operator-identities", "connecting"],
+    ),
+    "homology matrix transposed": (suite, "homology_matrix", _transposed, ["transvection"]),
+    "conjugate(w, y) as y w": (
+        suite,
+        "conjugate",
+        lambda f: lambda w, y: concat(y, w),
+        ["l-invariance"],
+    ),
+    "identity connecting automorphism": (suite, "connecting_automorphism", _identity, ["connecting"]),
+    "L without L3": (
+        johnson,
+        "l_invariant_tensor",
+        _without_degree(3),
+        ["tau-formulas", "operator-identities"],
+    ),
+    "symplectic_failures stubbed": (
+        (expansion, suite),
+        "symplectic_failures",
+        lambda f: lambda theta: [],
+        ["fixture-genus2"],
+    ),
+}
+
+# Rows that bite no check today: each documents an open defect of the suite
+# and flips to a pass when the work it names lands.
+OPEN = {
+    "L without L3": (
+        "Direction 16: L3(a1) = 0 on every expansion the suite uses, so"
+        " tau_1 = -L3 compares 0 with 0"
+    ),
+    "symplectic_failures stubbed": (
+        "Direction 16: no check gives the symplectic test an expansion it"
+        " must refuse, such as the non-Lie move"
+    ),
 }
 
 
-@pytest.mark.parametrize("name", MUTATIONS)
+def _row(name):
+    if name in OPEN:
+        return pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=OPEN[name]))
+    return name
+
+
+@pytest.mark.parametrize("name", map(_row, MUTATIONS))
 def test_mutation_fails_its_checks(monkeypatch, name):
-    namespace, function, mutate, checks = MUTATIONS[name]
+    namespaces, function, mutate, checks = MUTATIONS[name]
     monkeypatch.setattr(suite, "_MEMO", {})
-    monkeypatch.setattr(namespace, function, mutate(getattr(namespace, function)))
+    for namespace in namespaces if isinstance(namespaces, tuple) else (namespaces,):
+        monkeypatch.setattr(namespace, function, mutate(getattr(namespace, function)))
     passed = [check for check in checks if suite.run_check(check).passed]
     assert not passed, f"{name} passes {passed}"
+
+
+def test_every_check_is_bitten_by_a_row():
+    # a check no biting row names has clauses that may never fail
+    bitten = {check for name, row in MUTATIONS.items() if name not in OPEN for check in row[3]}
+    assert set(OPEN) <= set(MUTATIONS)
+    assert sorted(set(suite.SUITE) - bitten) == []
