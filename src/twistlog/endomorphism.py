@@ -9,12 +9,12 @@ are both such a U, and both are solved by ``expansion.intertwiner`` from
 generator-image equations U(s_i) = v_i with s_i = theta(x_i) - 1, one
 degree at a time (``solve_generator_images``).  The solve runs through the
 truncation of its context; a caller that needs only low degrees solves in
-an expansion restricted there (``expansion.restrict``).
+an expansion restricted there (``expansion.restrict``).  No log of U is
+taken: U - 1 raises filtration, so the ``connecting`` check tests U itself.
 """
 
 from __future__ import annotations
 
-from .rationals import Rat
 from .tensor import (
     AlgebraContext,
     Tensor,
@@ -75,25 +75,6 @@ class Endomorphism:
                         add_block_product(acc, q + r, value, block, dim**r)
             tails = images
         return tensor_from_scaled(self.ctx, tails.get(0, {}), den * vden**cap)
-
-    def log_h_values(self) -> list:
-        """(log U)(X_j) for each basis vector, via the finite series
-        log U = sum (-1)^{k-1} (U-1)^k / k; (U-1) raises filtration, so the
-        series stops by the truncation."""
-        out = []
-        for j in range(self.ctx.dim):
-            term = self.h_values[j] - basis_tensor(self.ctx, j)
-            acc = term
-            k = 1
-            while term:
-                k += 1
-                term = self.apply(term) - term
-                if term:
-                    acc = acc + term.scale(Rat(1 if k % 2 else -1, k))
-                if k > self.ctx.truncation + 1:
-                    raise ArithmeticError("log series failed to terminate")
-            out.append(acc)
-        return out
 
 
 def solve_generator_images(ctx: AlgebraContext, sources, targets):

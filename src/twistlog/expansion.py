@@ -71,8 +71,8 @@ class Expansion:
     Words are multiplied in graded integer coordinates: the letter cache
     holds sigma_lam(exp(+-ell_i)), where sigma_lam multiplies the degree-d
     part by lam**d and lam, worked out from the logs on first use, makes
-    every one of them an integer tensor with constant term 1; each is
-    summed over the ints by ``integral_exp``.  ``symplectic_failures``
+    every one of them an integer tensor with constant term 1; each sign
+    is summed by ``integral_exp`` from +-ell_i.  ``symplectic_failures``
     reads the letters of sign +1 from this cache too.  The generator values
     theta(x_i^+-1) = exp(+-ell_i) themselves are memoized under the same
     (index, sign) keys, since the paper's formulas and the certificate suite
@@ -128,18 +128,14 @@ class Expansion:
         cached = self._exp_cache.get(key)
         if cached is None:
             t = self.logs[index]
-            if sign == -1 and antipode(t) == -t:
-                # S(exp u) = exp(S u), and S commutes with sigma_lam
-                cached = antipode(self._exp_letter(index, 1))
-            else:
-                lam = self._letter_scale()
-                try:
-                    cached = integral_exp(graded_scale(t if sign == 1 else -t, lam))
-                except ArithmeticError:
-                    raise ArithmeticError(
-                        f"exp(+-log {gen_name(index)}) is not integral in the "
-                        f"coordinates scaled by {lam}"
-                    ) from None
+            lam = self._letter_scale()
+            try:
+                cached = integral_exp(graded_scale(t if sign == 1 else -t, lam))
+            except ArithmeticError:
+                raise ArithmeticError(
+                    f"exp(+-log {gen_name(index)}) is not integral in the "
+                    f"coordinates scaled by {lam}"
+                ) from None
             self._exp_cache[key] = cached
         return cached
 

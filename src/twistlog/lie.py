@@ -52,12 +52,6 @@ def _bracket_steps(block: dict, dim: int, steps: range) -> dict:
     return block
 
 
-def _phi_block(block: dict, n: int, dim: int) -> dict:
-    """Phi of a degree-n block {code: int} that holds no zeros, again with
-    no zeros; the result may be ``block`` itself, so never mutate it."""
-    return _bracket_steps(block, dim, range(1, n))
-
-
 def phi(t: Tensor) -> Tensor:
     """Bracketing map Phi(X_1...X_n) = [X_1,[...[X_{n-1},X_n]...]], linear
     extension; the identity on degree 1.  Errors on a nonzero constant term
@@ -66,7 +60,7 @@ def phi(t: Tensor) -> Tensor:
     if 0 in blocks:
         raise ValueError("phi: nonzero constant term")
     dim = t.ctx.dim
-    out = {n: _phi_block(block, n, dim) for n, block in blocks.items()}
+    out = {n: _bracket_steps(block, dim, range(1, n)) for n, block in blocks.items()}
     return tensor_from_scaled(t.ctx, out, den)
 
 
@@ -79,7 +73,7 @@ def is_lie(t: Tensor) -> bool:
         return False
     dim = t.ctx.dim
     return all(
-        _phi_block(block, n, dim) == {x: c * n for x, c in block.items()}
+        _bracket_steps(block, dim, range(1, n)) == {x: c * n for x, c in block.items()}
         for n, block in blocks.items()
     )
 

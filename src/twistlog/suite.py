@@ -65,6 +65,7 @@ from .tensor import (
     AlgebraContext,
     Tensor,
     antisymmetrize,
+    basis_tensor,
     filtration_degree,
     graded_part,
     intersection,
@@ -364,15 +365,18 @@ def _connecting_failures(
         gen = generator_word(ctx.genus, i)
         if U.apply(evaluate(theta1, gen)) != evaluate(theta2, gen):
             failures.append(f"{label}: U theta1 != theta2 on generator {i}")
-    logs = U.log_h_values()
-    if require_nontrivial and not any(logs):
+    # log U raises filtration, keeps Lie elements and kills omega exactly
+    # when U - 1 raises filtration, U keeps Lie elements and U fixes omega
+    moves = [v - basis_tensor(ctx, j) for j, v in enumerate(U.h_values)]
+    if require_nontrivial and not any(moves):
         failures.append(f"{label}: U is the identity; vacuous pair")
-    for j, w in enumerate(logs):
+    for j, w in enumerate(moves):
         if w and filtration_degree(w) < 2:
             failures.append(f"{label}: (log U)(X_{j}) does not raise filtration")
         if not is_lie(w):
             failures.append(f"{label}: (log U)(X_{j}) is not a Lie element")
-    if apply_derivation(Derivation(ctx, logs), symplectic_form(ctx)):
+    omega = symplectic_form(ctx)
+    if U.apply(omega) != omega:
         failures.append(f"{label}: (log U)|_H does not kill omega")
     u1 = [graded_part(v, 2) for v in U.h_values]
     t = to_tensor(Derivation(ctx, u1))

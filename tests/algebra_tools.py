@@ -1,10 +1,11 @@
 """Test inputs made the slow, obvious way: a monomial with a coefficient, a
-bracket by two products, a bracket tree expanded, and a symplectic derivation
-named by an element of Lambda^3 H."""
+bracket by two products, a bracket tree expanded, a symplectic derivation
+named by an element of Lambda^3 H, and a random group word."""
 
 from twistlog.derivation import Derivation, from_tensor
 from twistlog.lie import _bracket_expansion
 from twistlog.tensor import AlgebraContext, Tensor, antisymmetrize, tensor_from_scaled, zero_tensor
+from twistlog.words import GroupWord
 
 
 def monomial_tensor(ctx: AlgebraContext, mono, coeff=1) -> Tensor:
@@ -29,3 +30,10 @@ def lambda3_derivation(ctx: AlgebraContext) -> Derivation:
     symplectic, of degree 1, with value (1/3)[A2, B2] on A1.  Needs genus
     >= 2."""
     return from_tensor(antisymmetrize(monomial_tensor(ctx, (1, 2, 3))).scale(2))
+
+
+def random_word(rng, genus: int, length: int) -> GroupWord:
+    """A word of ``length`` random letters x_i^(+-1)."""
+    return GroupWord(
+        genus, [(rng.randrange(2 * genus), rng.choice((1, -1))) for _ in range(length)]
+    )

@@ -4,9 +4,7 @@ import random
 
 import pytest
 
-from twistlog.derivation import exp_derivation, from_tensor
 from twistlog.endomorphism import Endomorphism, solve_generator_images
-from twistlog.cyclic import cyclic_n
 from twistlog.rationals import Rat
 from twistlog.tensor import (
     AlgebraContext,
@@ -65,25 +63,6 @@ def test_apply_is_multiplicative():
         endo.apply(random_tensor_1(rng, AlgebraContext(2, 3)))
 
 
-def test_log_h_values_inverts_exp():
-    # U = exp(D) for a filtration-raising derivation D: log U recovers D on H
-    rng = random.Random(616)
-    ctx = AlgebraContext(2, 5)
-    for _ in range(5):
-        # naming tensors of degree >= 3, so D raises filtration
-        naming = zero_tensor(ctx)
-        for _ in range(2):
-            mono = tuple(
-                rng.randrange(ctx.dim) for _ in range(rng.randint(3, ctx.truncation))
-            )
-            naming = naming + monomial_tensor(ctx, mono, Rat(rng.randint(-2, 2), 2))
-        d = from_tensor(cyclic_n(naming))
-        endo = Endomorphism(
-            ctx, [exp_derivation(d, basis_tensor(ctx, j)) for j in range(ctx.dim)]
-        )
-        assert endo.log_h_values() == list(d.values)
-
-
 def test_value_table_is_built_once_per_endomorphism():
     rng = random.Random(919)
     ctx = AlgebraContext(2, 4)
@@ -95,7 +74,6 @@ def test_value_table_is_built_once_per_endomorphism():
     assert table is not None
     assert endo.apply(t) == first
     endo.apply(random_tensor_1(rng, ctx))
-    endo.log_h_values()
     assert endo._table is table
 
 

@@ -56,7 +56,6 @@ from twistlog.tensor import (
     zero_tensor,
 )
 from twistlog.words import (
-    GroupWord,
     apply_automorphism,
     boundary_word,
     commutator,
@@ -72,7 +71,7 @@ from twistlog.words import (
     word_from_string,
 )
 
-from algebra_tools import bracket, lambda3_derivation, monomial_tensor
+from algebra_tools import bracket, lambda3_derivation, monomial_tensor, random_word
 
 
 @pytest.fixture(scope="module")
@@ -83,12 +82,6 @@ def theta25():
 @pytest.fixture(scope="module")
 def theta15():
     return build_symplectic(1, 5)
-
-
-def random_word(rng, genus, length):
-    return GroupWord(
-        genus, [(rng.randrange(2 * genus), rng.choice((1, -1))) for _ in range(length)]
-    )
 
 
 def test_l_invariant_tensor_shape(theta25):

@@ -15,10 +15,13 @@ k! antisymmetrize(v_1 ... v_k), bracket trees, Johnson components) against
 the sums they stand for, written out term by term.  The last ones keep the
 rational re-proof of ell(zeta) = omega that the integer letters replaced:
 the four-factor boundary product over rational exponentials at N+1, whose
-verdicts the integer route must repeat word for word.
+verdicts the integer route must repeat word for word.  The log series of an
+endomorphism, which the ``connecting`` check once took, judges connecting
+automorphisms through log U, and the check on U itself must agree.
 """
 
 import json
+import random
 import time
 from fractions import Fraction
 from itertools import permutations, product
@@ -29,12 +32,14 @@ from hypothesis import given, settings, strategies as st
 
 from twistlog import cyclic, expansion
 from twistlog.cyclic import cyclic_n, necklace_bracket
-from twistlog.derivation import Derivation, apply, from_tensor
+from twistlog.derivation import Derivation, apply, exp_derivation, from_tensor, to_tensor
 from twistlog.endomorphism import Endomorphism
 from twistlog.expansion import (
     Expansion,
     _boundary_value,
     _integral_scale,
+    build_symplectic,
+    connecting_automorphism,
     evaluate,
     expansion_from_json,
     expansion_to_json,
@@ -49,7 +54,6 @@ from twistlog.johnson import _half_n_square, johnson_components, total_johnson
 from twistlog.cli import _pretty_tensors, main
 from twistlog.lie import (
     _bracket_steps,
-    _phi_block,
     exp,
     integral_exp,
     is_lie,
@@ -58,7 +62,7 @@ from twistlog.lie import (
     phi,
 )
 from twistlog.rationals import rat_to_string
-from twistlog.suite import built_expansion
+from twistlog.suite import _connecting_failures, built_expansion
 from twistlog.tensor import (
     AlgebraContext,
     Tensor,
@@ -79,7 +83,14 @@ from twistlog.tensor import (
     truncate,
     zero_tensor,
 )
-from twistlog.words import GroupWord, boundary_word, compose, homology_inverse, twist
+from twistlog.words import (
+    GroupWord,
+    boundary_word,
+    compose,
+    generator_word,
+    homology_inverse,
+    twist,
+)
 
 from algebra_tools import bracket, bracket_tree_tensor, lambda3_derivation, monomial_tensor
 
@@ -379,7 +390,7 @@ def _phi_agrees_with_the_oracles(dim, n, block):
     builder's tails and Phi, and phi and is_lie on its tensor; returns
     whether the block is Lie."""
     expected = o_phi_codes(block, n, dim)
-    assert _phi_block(block, n, dim) == expected
+    assert _bracket_steps(block, dim, range(1, n)) == expected
     by_words = o_phi({decode_monomial(k, n, dim): Fraction(c) for k, c in block.items()})
     assert {decode_monomial(k, n, dim): c for k, c in expected.items()} == by_words
     if n >= 2:
@@ -922,3 +933,99 @@ def test_letters_after_a_re_proof_match_a_fresh_expansion(name):
     for w in [[x] for x in letters] + [list(p) for p in product(letters, repeat=2)]:
         word = GroupWord(theta.genus, w)
         assert evaluate(theta, word) == evaluate(fresh, word)
+
+
+# -- connecting automorphisms through log U -------------------------------------
+
+
+def o_log_h_values(endo):
+    """(log U)(X_j) for each basis vector, by the series
+    log U = sum (-1)^(k-1) (U - 1)^k / k, which stops by the truncation as
+    U - 1 raises filtration."""
+    ctx = endo.ctx
+    out = []
+    for j in range(ctx.dim):
+        term = endo.h_values[j] - basis_tensor(ctx, j)
+        acc = term
+        for k in range(2, ctx.truncation + 1):
+            term = endo.apply(term) - term
+            acc = acc + term.scale(Fraction((-1) ** (k - 1), k))
+        assert not endo.apply(term) - term  # the series has stopped
+        out.append(acc)
+    return out
+
+
+def o_connecting_failures(label, theta1, theta2, require_nontrivial=False):
+    """The ``connecting`` verdict with its filtration, Lie and omega tests
+    made on log U, as the check once made them."""
+    ctx = theta1.ctx
+    U = connecting_automorphism(theta1, theta2)
+    failures = []
+    for i in range(ctx.dim):
+        gen = generator_word(ctx.genus, i)
+        if U.apply(evaluate(theta1, gen)) != evaluate(theta2, gen):
+            failures.append(f"{label}: U theta1 != theta2 on generator {i}")
+    logs = o_log_h_values(U)
+    if require_nontrivial and not any(logs):
+        failures.append(f"{label}: U is the identity; vacuous pair")
+    for j, w in enumerate(logs):
+        if w and filtration_degree(w) < 2:
+            failures.append(f"{label}: (log U)(X_{j}) does not raise filtration")
+        if not is_lie(w):
+            failures.append(f"{label}: (log U)(X_{j}) is not a Lie element")
+    if apply(Derivation(ctx, logs), symplectic_form(ctx)):
+        failures.append(f"{label}: (log U)|_H does not kill omega")
+    u1 = [graded_part(v, 2) for v in U.h_values]
+    t = to_tensor(Derivation(ctx, u1))
+    if antisymmetrize(t) != t:
+        failures.append(f"{label}: u_1 is not in Lambda^3 H")
+    return failures
+
+
+def test_log_h_values_inverts_exp():
+    # U = exp(D) for a filtration-raising derivation D: log U recovers D on H
+    rng = random.Random(616)
+    ctx = AlgebraContext(2, 5)
+    for _ in range(5):
+        # naming tensors of degree >= 3, so D raises filtration
+        naming = zero_tensor(ctx)
+        for _ in range(2):
+            mono = tuple(
+                rng.randrange(ctx.dim) for _ in range(rng.randint(3, ctx.truncation))
+            )
+            naming = naming + monomial_tensor(ctx, mono, Fraction(rng.randint(-2, 2), 2))
+        d = from_tensor(cyclic_n(naming))
+        endo = Endomorphism(
+            ctx, [exp_derivation(d, basis_tensor(ctx, j)) for j in range(ctx.dim)]
+        )
+        assert o_log_h_values(endo) == list(d.values)
+
+
+OMEGA = "(log U)|_H does not kill omega"
+NOT_LAMBDA3 = "u_1 is not in Lambda^3 H"
+VACUOUS = "U is the identity; vacuous pair"
+# each partner of build_symplectic(2, 4), with the failures it must give
+CONNECTING_PARTNERS = {
+    "exponential": (lambda built: exponential_expansion(2, 4), [OMEGA, NOT_LAMBDA3]),
+    "standard": (
+        lambda built: standard_expansion(2, 4),
+        [*(f"(log U)(X_{j}) is not a Lie element" for j in range(4)), OMEGA, NOT_LAMBDA3],
+    ),
+    "non-Lie move": (
+        lambda built: moved_expansion(built, from_tensor(monomial_tensor(built.ctx, (0, 1, 0, 1)))),
+        ["(log U)(X_1) is not a Lie element", OMEGA],
+    ),
+    "Lambda^3 move": (lambda built: moved_expansion(built, lambda3_derivation(built.ctx)), []),
+    "fixture-genus2": (lambda built: load_fixture("fixture-genus2"), [VACUOUS]),
+    "itself": (lambda built: built, [VACUOUS]),
+}
+
+
+@pytest.mark.parametrize("label", CONNECTING_PARTNERS)
+def test_connecting_verdicts_on_u_match_the_log_route(label):
+    make, pinned = CONNECTING_PARTNERS[label]
+    built = build_symplectic(2, 4)
+    theta2 = make(built)
+    expected = o_connecting_failures(label, built, theta2, require_nontrivial=True)
+    assert expected == [f"{label}: {f}" for f in pinned]
+    assert _connecting_failures(label, built, theta2, require_nontrivial=True) == expected

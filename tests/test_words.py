@@ -36,11 +36,7 @@ from twistlog.words import (
     word_to_string,
 )
 
-
-def random_word(rng, genus, length):
-    return GroupWord(
-        genus, [(rng.randrange(2 * genus), rng.choice((1, -1))) for _ in range(length)]
-    )
+from algebra_tools import random_word
 
 
 def test_gen_names():
