@@ -13,7 +13,8 @@ member hit each element of O p/|O| times, so N gives every member of O the
 sum of the coefficients found on O, times p/|O|.  So N, the necklace
 bracket and (1/2) N(ell ell) in ``twistlog.johnson`` add each product of
 codes straight into the sum of its orbit, keyed by the orbit's least code
-(``add_product``), and never build the tensor that N is applied to.
+(``add_product``, whose loop the square's diagonal runs inline), and never
+build the tensor that N is applied to.
 ``necklace_tensor`` writes the sums out: it weights each by p/|O|, takes
 one gcd over the weighted sums and the denominator, and gives each divided
 sum to the orbit's members.

@@ -294,8 +294,11 @@ def exponential_expansion(genus: int, truncation: int) -> Expansion:
     return Expansion(ctx, logs, kind="exponential")
 
 
+_DATA = resources.files("twistlog.data")  # resolved once, not on every fixture load
+
+
 def _data_text(filename: str) -> str:
-    return resources.files("twistlog.data").joinpath(filename).read_text("utf-8")
+    return _DATA.joinpath(filename).read_text("utf-8")
 
 
 def _tree_from_json(ctx: AlgebraContext, tree, indices: dict) -> tuple:

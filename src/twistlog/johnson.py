@@ -79,7 +79,10 @@ def l_invariant_tensor(theta: Expansion, w: GroupWord) -> Tensor:
 
 def _half_n_square(t: Tensor, ctx: AlgebraContext) -> Tensor:
     """(1/2) N(t t) in ``ctx``, over unordered pairs of degrees and codes,
-    each product added into the sum of its rotation orbit."""
+    each product added into the sum of its rotation orbit.  A diagonal
+    degree is one loop over its codes and the orbit slots, each code times
+    itself and every code before it; each pair of distinct degrees is one
+    ``add_product``."""
     cap, dim = ctx.truncation, ctx.dim
     blocks, den = scaled_terms(t)
     degrees = sorted(blocks)
@@ -88,11 +91,22 @@ def _half_n_square(t: Tensor, ctx: AlgebraContext) -> Tensor:
         items = list(blocks[p].items())
         if 0 < 2 * p <= cap:  # N kills degree 0
             table, acc, shift = orbits(dim, 2 * p), sums.setdefault(2 * p, {}), dim**p
+            slots, fill, get = table.slots, table.fill, acc.get
             # codes ab and ba are rotations of each other: each unordered
-            # pair once, ab with weight 2, and aa with weight 1
-            for j, (a, ca) in enumerate(items):
-                table.add_product(acc, ((a, ca),), ((a, ca),), shift)
-                table.add_product(acc, ((a, 2 * ca),), items[j + 1:], shift)
+            # pair once, ab with weight 2, and aa with weight 1.  ``before``
+            # holds the codes ahead of a with doubled numerators, and a itself
+            # at weight 1 while a is the left code
+            before = []
+            for a, ca in items:
+                before.append((a, ca))
+                base = a * shift
+                for b, cb in before:
+                    k = base + b
+                    o = slots[k]
+                    if o is None:
+                        o = fill(k)
+                    acc[o] = get(o, 0) + ca * cb
+                before[-1] = (a, 2 * ca)
         doubled = [(a, 2 * c) for a, c in items]
         for q in degrees[i + 1:]:
             if p + q > cap:

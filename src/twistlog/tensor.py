@@ -22,9 +22,12 @@ result instead of once per term.
 
 Products.  ``capped_product`` (``*`` at the truncation) takes the left
 blocks in descending degree, so each output degree is built as a fresh dict
-from its highest left block, mostly its largest, with the larger block
-innermost: a block times a unit is one pass, not one 1-term loop per code,
-and a block times the unit block {0: 1} is a plain dict copy.  Over den 1
+from its highest left block, mostly its largest, and the lower left blocks
+are added into it.  Both the fresh and the accumulating pass put the larger
+block innermost: a block times a unit is one pass, not one 1-term loop per
+code, on whichever side the unit stands (a running word product times a
+letter's small block, say), and a block times the unit block {0: 1} is a
+plain dict copy.  Over den 1
 a product needs no gcd pass either, which is why a word is evaluated in
 graded integer coordinates: ``graded_scale`` (sigma_r, the degree-d part
 times r**d) by a suitable integer makes every letter exponential an integer
@@ -398,8 +401,9 @@ def add_block_product(out: dict, degree: int, left: dict, right: dict, shift: in
     """Add the product of two blocks into ``out[degree]``: every code of
     ``left`` followed by every code of ``right``, ``shift`` being dim to the
     power of right's degree, with the product of their numerators.  A fresh
-    block is built with the larger block innermost; a fresh block times the
-    unit block is a copy of ``left``, never ``left`` itself.  Returns True when
+    block is built, and held terms are added to, with the larger block
+    innermost; a fresh block times the unit block is a copy of ``left``,
+    never ``left`` itself.  Returns True when
     ``out[degree]`` already held terms, whose sums may now be 0; a fresh
     block has no zeros, since one pair of degrees concatenates into distinct
     codes."""
@@ -413,12 +417,20 @@ def add_block_product(out: dict, degree: int, left: dict, right: dict, shift: in
         else:
             out[degree] = {a * shift + b: ca * cb for b, cb in right.items() for a, ca in left.items()}
         return False
-    get, items = acc.get, right.items()
-    for a, ca in left.items():
-        base = a * shift
-        for b, cb in items:
-            k = base + b
-            acc[k] = get(k, 0) + ca * cb
+    get = acc.get
+    if len(left) <= len(right):
+        items = right.items()
+        for a, ca in left.items():
+            base = a * shift
+            for b, cb in items:
+                k = base + b
+                acc[k] = get(k, 0) + ca * cb
+    else:
+        items = left.items()
+        for b, cb in right.items():
+            for a, ca in items:
+                k = a * shift + b
+                acc[k] = get(k, 0) + ca * cb
     return True
 
 

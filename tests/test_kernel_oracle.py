@@ -7,7 +7,14 @@ at genus 1-3 and truncation <= 5 carry random rationals; genus 3 gives
 dim 6, so monomial codes are base 6, not a power of two.  Dense tensors of
 up to 40 monomials with small coefficients at genus 1-2 exercise both loop
 orders of the product, merged degrees whose sums cancel, and full blocks
-of one degree in the square kernel.  Phi's flat bracketing steps are
+of one degree in the square kernel.  Two loops are also checked against
+the slower forms they replaced, kept here: ``add_block_product`` adding
+into terms already held, against the left block outermost whatever its
+size, on blocks larger on the left, larger on the right and of equal size,
+with sums that cancel to 0 (and products whose accumulated degree cancels
+stay canonical); and ``_half_n_square``'s one-loop diagonal against two
+``add_product`` calls per code, on dense tensors at genus 1-3 and
+truncation <= 5 with a diagonal degree.  Phi's flat bracketing steps are
 checked against the first-letter recursion they replaced, and the output
 writers against their old bodies on the ``Tensor.terms`` view.  Later
 tests pin maps built on the kernels (the wedge embedding
@@ -28,7 +35,7 @@ from itertools import permutations, product
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twistlog import cyclic, expansion
 from twistlog.cyclic import cyclic_n, necklace_bracket
@@ -156,6 +163,43 @@ def o_cyclic_n(a):
 
 def o_half_n_square(a, cap):
     return {w: c / 2 for w, c in o_cyclic_n(o_mul(a, a, cap)).items()}
+
+
+def o_accumulate_block_product(out, degree, left, right, shift):
+    """add_block_product into an ``out[degree]`` that already holds terms,
+    by the loop it once had: the left block outermost, whatever its size."""
+    acc = out[degree]
+    get, items = acc.get, right.items()
+    for a, ca in left.items():
+        base = a * shift
+        for b, cb in items:
+            k = base + b
+            acc[k] = get(k, 0) + ca * cb
+
+
+def o_half_n_square_by_calls(t, ctx):
+    """_half_n_square as it once was: each diagonal code by two
+    ``add_product`` calls, aa alone and a against a fresh slice of the codes
+    after it."""
+    cap, dim = ctx.truncation, ctx.dim
+    blocks, den = scaled_terms(t)
+    degrees = sorted(blocks)
+    sums = {}
+    for i, p in enumerate(degrees):
+        items = list(blocks[p].items())
+        if 0 < 2 * p <= cap:
+            table, acc, shift = cyclic.orbits(dim, 2 * p), sums.setdefault(2 * p, {}), dim**p
+            for j, (a, ca) in enumerate(items):
+                table.add_product(acc, ((a, ca),), ((a, ca),), shift)
+                table.add_product(acc, ((a, 2 * ca),), items[j + 1:], shift)
+        doubled = [(a, 2 * c) for a, c in items]
+        for q in degrees[i + 1:]:
+            if p + q > cap:
+                break
+            cyclic.orbits(dim, p + q).add_product(
+                sums.setdefault(p + q, {}), doubled, blocks[q].items(), dim**q
+            )
+    return cyclic.necklace_tensor(ctx, sums, 2 * den * den)
 
 
 def o_pairing(x, y):
@@ -581,6 +625,64 @@ def test_a_block_times_the_unit_block_is_a_fresh_copy():
     assert out[3] == {12: 5, 28: -2}
 
 
+def _random_block(rng, space, size):
+    """``size`` distinct codes below ``space`` with small nonzero numerators."""
+    return {k: rng.choice([-3, -2, -1, 1, 2, 3]) for k in rng.sample(range(space), size)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 4, 6]), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from(["left", "right", "equal"]), st.randoms(use_true_random=False))
+def test_accumulated_block_products_match_the_left_outermost_loop(dim, p, q, larger, rng):
+    # out[p + q] already holds terms, some of them the negated products of
+    # chosen pairs, so that those sums cancel to 0 on both loop orders
+    lspace, rspace = dim**p, dim**q
+    if larger == "equal":
+        lsize = rsize = rng.randint(1, min(lspace, rspace, 30))
+    else:
+        big, small = (lspace, rspace) if larger == "left" else (rspace, lspace)
+        assume(big > 1)
+        low = rng.randint(1, min(small, big - 1, 4))
+        high = rng.randint(low + 1, min(big, 60))
+        lsize, rsize = (high, low) if larger == "left" else (low, high)
+    left, right = _random_block(rng, lspace, lsize), _random_block(rng, rspace, rsize)
+    shift = dim**q
+    held = _random_block(rng, dim ** (p + q), rng.randint(1, min(dim ** (p + q), 20)))
+    cancelled = rng.sample(sorted(product(left, right)), rng.randint(1, lsize * rsize))
+    for a, b in cancelled:
+        held[a * shift + b] = -left[a] * right[b]
+    out, expected = {p + q: dict(held)}, {p + q: dict(held)}
+    before = (dict(left), dict(right))
+    assert add_block_product(out, p + q, left, right, shift) is True
+    o_accumulate_block_product(expected, p + q, left, right, shift)
+    assert out == expected
+    assert (left, right) == before
+    assert all(not out[p + q][a * shift + b] for a, b in cancelled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.randoms(use_true_random=False))
+def test_products_whose_accumulated_degree_cancels_stay_canonical(genus, rng):
+    # (U + UX)(Y - XY) = UY - UXXY and (Y - YX)(U + XU) = YU - YXXU: degree 4
+    # is built fresh from one pair of blocks and cancelled to 0 by the
+    # accumulated other pair, whose larger block is U on the left in the
+    # first product and XU on the right in the second
+    ctx = AlgebraContext(genus, 5)
+    dim = ctx.dim
+
+    def random_tensor(degree, size):
+        codes = rng.sample(range(dim**degree), min(size, dim**degree))
+        return Tensor(ctx, {decode_monomial(k, degree, dim): Fraction(rng.choice([-3, -1, 1, 2]),
+                                                                       rng.randint(1, 4))
+                            for k in codes})
+
+    u = random_tensor(2, rng.randint(dim, dim * dim))
+    x, y = random_tensor(1, rng.randint(1, 2)), random_tensor(1, rng.randint(1, 2))
+    for a, b in ((u + u * x, y - x * y), (y - y * x, u + x * u)):
+        ab = checked(a * b, o_mul(dict(a.terms), dict(b.terms), ctx.truncation))
+        assert ab.degrees() == [3, 5]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_log_and_exp_match_the_power_series(data):
@@ -599,6 +701,38 @@ def test_square_kernel_matches_the_oracle_on_dense_blocks(data):
     ctx = AlgebraContext(genus, 2 * degree)
     a = data.draw(dense_dicts(ctx, degree, degree))
     checked(_half_n_square(Tensor(ctx, a), ctx), o_half_n_square(a, ctx.truncation))
+
+
+@st.composite
+def dense_scaled_tensors(draw):
+    """A tensor at genus 1-3 and truncation 2-5 with dense random blocks in
+    some degrees, always one degree p >= 1 with 2p <= truncation, over a
+    denominator of 1 to 6."""
+    genus, cap = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    rng = draw(st.randoms(use_true_random=False))
+    ctx, dim = AlgebraContext(genus, cap), 2 * genus
+    diagonal = rng.randint(1, cap // 2)
+    blocks = {}
+    for d in range(cap + 1):
+        if d == diagonal or rng.random() < 0.6:
+            size = min(dim**d, rng.randint(1, 40))
+            blocks[d] = _random_block(rng, dim**d, size)
+    return ctx, tensor_from_scaled(ctx, blocks, rng.randint(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_scaled_tensors(), st.booleans())
+def test_half_n_square_matches_the_two_call_diagonal(case, cold):
+    # at the tensor's truncation and one degree above, as the loop invariant
+    # uses it, with the orbit slots filled by the one-loop diagonal or not
+    ctx, t = case
+    for cap in (ctx.truncation, ctx.truncation + 1):
+        up = AlgebraContext(ctx.genus, cap)
+        if cold:
+            cyclic._ORBITS.clear()
+        fast = _half_n_square(t, up)
+        assert_canonical(fast)
+        assert scaled_terms(fast) == scaled_terms(o_half_n_square_by_calls(t, up))
 
 
 def _orbit_kernels_match_the_oracles(ctx, a, b):
