@@ -23,6 +23,7 @@ from .expansion import (
     expansion_to_json,
     exponential_expansion,
     load_fixture,
+    restrict,
     standard_expansion,
     symplectic_failures,
 )
@@ -75,25 +76,23 @@ def _read_json(path: str, what: str):
 
 
 def _resolve_expansion(source: str, genus, degree) -> Expansion:
-    """Map a source descriptor to an Expansion.  genus/degree of None mean
-    'use the source's natural default' (fixtures and files know their own)."""
+    """Map a source descriptor to an Expansion.  A genus/degree of None takes
+    the source's default; a lower --degree restricts a fixture or file."""
     if source in BUILDERS:
         return BUILDERS[source](2 if genus is None else genus, 5 if degree is None else degree)
     if source.startswith("file:"):
         theta = expansion_from_json(_read_json(source[5:], "expansion file"))
     elif source in FIXTURES:
-        theta = load_fixture(FIXTURES[source], degree)
+        theta = load_fixture(FIXTURES[source])
     else:
         raise UsageError(
             f"unknown expansion source {source!r}; expected one of: " + ", ".join(SOURCES)
         )
     if genus is not None and theta.genus != genus:
         raise UsageError(f"--genus {genus} conflicts with {source}, of genus {theta.genus}")
-    if degree is not None and theta.truncation != degree:
-        raise UsageError(
-            f"--degree {degree} conflicts with {source}, of truncation {theta.truncation}"
-        )
-    return theta
+    if degree is not None and degree > theta.truncation:
+        raise UsageError(f"--degree {degree} is above {source}, of truncation {theta.truncation}")
+    return theta if degree is None else restrict(theta, degree)
 
 
 def _parse_curve(genus: int, descriptor: str) -> Curve:

@@ -20,6 +20,7 @@ from .rationals import Rat
 from .tensor import (
     AlgebraContext,
     Tensor,
+    add_block_product,
     common_scaled,
     graded_part,
     scaled_terms,
@@ -111,10 +112,7 @@ def to_tensor(d: Derivation) -> Tensor:
         head, sign = j ^ 1, 1 if j % 2 == 0 else -1
         for q, block in blocks.items():
             if q + 1 <= ctx.truncation:
-                lead = head * ctx.dim**q
-                target = out.setdefault(q + 1, {})
-                for x, coeff in block.items():
-                    target[lead + x] = coeff * sign
+                add_block_product(out, q + 1, {head: sign}, block, ctx.dim**q)
     return tensor_from_scaled(ctx, out, den)
 
 

@@ -5,7 +5,8 @@ An expansion is stored through the logarithms of its generator values, one
 Lie-or-general tensor per free-group generator.  Storing logs makes the
 homomorphism condition structural: evaluation is a product of exponentials.
 Truncation belongs to the expansion: ``restrict`` gives the same expansion
-at a lower degree, and work that needs only low degrees is done there.  An
+at a lower degree, and work that needs only low degrees is done there.  It
+is the one way down: a fixture loads at its trusted truncation only.  An
 expansion is immutable, so it memoizes its exponentials, its generator
 values, its restrictions and its symplectic verdict.
 
@@ -316,25 +317,15 @@ def _tree_from_json(ctx: AlgebraContext, tree, indices: dict) -> tuple:
     raise ValueError(f"malformed bracket tree: {tree!r}")
 
 
-def load_fixture(kind: str, truncation: int | None = None) -> Expansion:
-    """Load a shipped expansion from its bracket-form data file.
-
-    The data determines the expansion modulo degree ``max_trusted_degree``,
-    so the largest honest truncation is one less; asking beyond that is an
-    error, never a silent extrapolation.  Sizes above MAX_MONOMIALS are
-    refused with ValueError before anything is built.
-    """
+def load_fixture(kind: str) -> Expansion:
+    """Load a shipped expansion from its bracket-form data file, at the
+    largest truncation its data determines, one below ``max_trusted_degree``
+    (``restrict`` lowers it).  Sizes above MAX_MONOMIALS are refused with
+    ValueError before anything is built."""
     if kind not in _FIXTURE_FILES:
         raise ValueError(f"unknown fixture {kind!r}")
     payload = json.loads(_data_text(_FIXTURE_FILES[kind]))
-    trusted_cap = payload["max_trusted_degree"] - 1
-    if truncation is None:
-        truncation = trusted_cap
-    if truncation > trusted_cap:
-        raise ValueError(
-            f"{kind} is only trusted up to truncation {trusted_cap}, "
-            f"requested {truncation}"
-        )
+    truncation = payload["max_trusted_degree"] - 1
     genus = payload["genus"]
     ctx = AlgebraContext(genus, truncation)
     _check_size(genus, truncation)

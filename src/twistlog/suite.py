@@ -2,7 +2,8 @@
 
 Every check returns a Certificate; the CLI ``verify`` subcommand and the
 acceptance tests both run these, so there is exactly one implementation of
-each verdict.
+each verdict.  A fixture check has a control: its symplectic re-proof must
+also refuse the exponential expansion of the fixture's size, in degree 3.
 
 What the checks share is computed once.  The built, variant and shipped
 fixture expansions are memoized per process, and each expansion memoizes
@@ -37,6 +38,7 @@ from .expansion import (
     build_symplectic,
     connecting_automorphism,
     evaluate,
+    exponential_expansion,
     is_symplectic,
     load_fixture,
     log_evaluate,
@@ -129,6 +131,9 @@ def _check_fixture(genus: int) -> Certificate:
     failures = symplectic_failures(theta)
     seconds = time.perf_counter() - t0
     _MEMO.setdefault(("fixture", genus), theta)
+    control = symplectic_failures(exponential_expansion(genus, theta.truncation))
+    if control != ["ell(zeta) != omega, first in degree 3"]:
+        failures.append(f"control: the exponential expansion gives {control}")
     if seconds >= 1.0:
         failures.append(f"runtime {seconds:.3f}s exceeded 1s")
     params = {"genus": genus, "truncation": theta.truncation}

@@ -292,9 +292,6 @@ class Tensor:
         c = None if block is None else block.get(encode_monomial(mono, self.ctx.dim))
         return ZERO if c is None else Rat(c, self._den)
 
-    def degrees(self):
-        return sorted(self._blocks)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_same(self, other: "Tensor") -> None:

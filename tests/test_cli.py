@@ -19,6 +19,7 @@ from twistlog.cli import _pretty_tensors, build_parser, main
 from twistlog.derivation import derivation_from_json
 from twistlog.expansion import (
     _check_size,
+    build_symplectic,
     evaluate,
     expansion_from_json,
     expansion_to_json,
@@ -587,10 +588,7 @@ def test_verify_with_no_checks_selected_is_a_usage_error(suite, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["--expansion", "fixture:g1", "--genus", "2"], "--genus 2 conflicts with fixture:g1, of genus 1"),
-    (
-        ["--expansion", "fixture:g2", "--degree", "9"],
-        "fixture-genus2 is only trusted up to truncation 4, requested 9",
-    ),
+    (["--expansion", "fixture:g2", "--degree", "9"], "--degree 9 is above fixture:g2, of truncation 4"),
     (
         ["--expansion", "fixture:massuyeau", "--genus", "2"],
         "--genus 2 conflicts with fixture:massuyeau, of genus 1",
@@ -605,7 +603,7 @@ def test_fixture_refusals_name_the_fixture_once(argv, message, capsys):
 
 @pytest.mark.parametrize("option, message", [
     (["--genus", "2"], "--genus 2 conflicts with {source}, of genus 1"),
-    (["--degree", "3"], "--degree 3 conflicts with {source}, of truncation 4"),
+    (["--degree", "5"], "--degree 5 is above {source}, of truncation 4"),
 ])
 def test_file_source_refuses_a_conflicting_genus_or_degree(option, message, tmp_path, capsys):
     path = tmp_path / "theta.json"
@@ -615,6 +613,26 @@ def test_file_source_refuses_a_conflicting_genus_or_degree(option, message, tmp_
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"twistlog: error: {message.format(source=source)}\n"
+
+
+@pytest.mark.parametrize("source, genus, degree", [
+    ("fixture:g1", 1, 4),
+    ("fixture:g2", 2, 4),
+    ("file", 2, 3),
+])
+def test_a_degree_up_to_a_stored_source_restricts_it(source, genus, degree, tmp_path, capsys):
+    # both fixtures and the g2 N5 build file are restrictions of builds, so
+    # --degree on them gives what building at that degree gives
+    if source == "file":
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(expansion_to_json(build_symplectic(2, 5))))
+        source = f"file:{path}"
+    outputs = []
+    for expansion_args in (["--expansion", source], ["--expansion", "build", "--genus", str(genus)]):
+        argv = ["l-invariant", "--word", "a1 B1", "--degree", str(degree), "--output", "json"]
+        assert main([*argv, *expansion_args]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_fixture_generator_names_are_checked(monkeypatch, capsys):

@@ -152,12 +152,13 @@ def test_fixture_trusted_degrees():
     assert load_fixture("fixture-genus1").truncation + 1 == 6
     assert load_fixture("fixture-genus2").truncation + 1 == 5
     assert load_fixture("fixture-massuyeau").truncation + 1 == 4
-    # asking beyond the trusted degree is an error, not an extrapolation
+    # only restrict lowers a fixture, and nothing raises it: asking beyond
+    # the trusted degree is an error, not an extrapolation
     with pytest.raises(ValueError):
-        load_fixture("fixture-genus1", 6)
+        restrict(load_fixture("fixture-genus1"), 6)
     with pytest.raises(ValueError):
-        load_fixture("fixture-genus2", 5)
-    assert load_fixture("fixture-genus1", 3).truncation == 3
+        restrict(load_fixture("fixture-genus2"), 5)
+    assert restrict(load_fixture("fixture-genus1"), 3).truncation == 3
     with pytest.raises(ValueError):
         load_fixture("no-such-fixture")
 
@@ -218,7 +219,7 @@ def test_massuyeau_fixture_is_a_genus1_symplectic_expansion():
     assert theta.genus == 1 and theta.truncation == 3
     assert symplectic_failures(theta) == [] and is_symplectic(theta)
     # another symplectic expansion than the genus-1 fixture, from degree 3 on
-    other = load_fixture("fixture-genus1", 3)
+    other = restrict(load_fixture("fixture-genus1"), 3)
     differ = [
         d for d in range(1, 4)
         if any(graded_part(s, d) != graded_part(t, d) for s, t in zip(theta.logs, other.logs))
@@ -478,10 +479,11 @@ def _tree_by_products(ctx, tree):
 ])
 def test_fixture_logs_equal_their_bracket_products(kind, filename):
     # the loader expands each tree into integer numerators once; here every
-    # bracket is a tensor product instead, at each honest truncation
+    # bracket is a tensor product instead, at the trusted truncation and
+    # each restriction below it
     payload = json.loads(resources.files("twistlog.data").joinpath(filename).read_text())
     for truncation in range(2, payload["max_trusted_degree"]):
-        theta = load_fixture(kind, truncation)
+        theta = restrict(load_fixture(kind), truncation)
         ctx = theta.ctx
         for name, entries in payload["generators"].items():
             acc = zero_tensor(ctx)

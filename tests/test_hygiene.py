@@ -210,7 +210,6 @@ UNCALLED = {
     "derivation.derivation_from_json": "reader of the l-invariant --output json format",
     "words.FreeAutomorphism.boundary_preserving":
         "twists along a Humphries set on the word side need it",
-    "tensor.Tensor.degrees": "the tests read which degrees a tensor holds through it",
 }
 
 

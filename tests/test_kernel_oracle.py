@@ -609,7 +609,7 @@ def test_product_drops_a_merged_degree_that_cancels():
     for sign in (1, -1):
         b = {(0,): Fraction(sign), (): Fraction(-sign)}
         product = checked(Tensor(ctx, a) * Tensor(ctx, b), o_mul(a, b, ctx.truncation))
-        assert product.degrees() == [0, 2]
+        assert sorted(scaled_terms(product)[0]) == [0, 2]
 
 
 def test_a_block_times_the_unit_block_is_a_fresh_copy():
@@ -680,7 +680,7 @@ def test_products_whose_accumulated_degree_cancels_stay_canonical(genus, rng):
     x, y = random_tensor(1, rng.randint(1, 2)), random_tensor(1, rng.randint(1, 2))
     for a, b in ((u + u * x, y - x * y), (y - y * x, u + x * u)):
         ab = checked(a * b, o_mul(dict(a.terms), dict(b.terms), ctx.truncation))
-        assert ab.degrees() == [3, 5]
+        assert sorted(scaled_terms(ab)[0]) == [3, 5]
 
 
 @settings(max_examples=40, deadline=None)
@@ -1006,7 +1006,8 @@ def test_commutator_handles_match_the_four_factor_product(name):
 
 def _admitted(kind):
     payload = json.loads(expansion._data_text(expansion._FIXTURE_FILES[kind]))
-    return [load_fixture(kind, n) for n in range(2, payload["max_trusted_degree"])]
+    theta = load_fixture(kind)
+    return [restrict(theta, n) for n in range(2, payload["max_trusted_degree"])]
 
 
 def _verdict_cases():

@@ -2,7 +2,9 @@
 version and names the suite checks that must then fail.  A clause that can
 never fail shows up here as a row that does not bite; such a row is a
 strict xfail that names the open work which makes it bite, and every suite
-check is named by at least one row that does bite.
+check is named by at least one row that does bite.  A row may map its
+checks to the text of one clause each, which the witness must then hold:
+a check can fail while one of its clauses never runs.
 
 Only the checks a row names are run, each row on an empty expansion memo,
 so no expansion built under a mutation outlives its row.
@@ -21,7 +23,7 @@ from twistlog import expansion, johnson, suite
 from twistlog.endomorphism import Endomorphism
 from twistlog.rationals import Rat
 from twistlog.tensor import basis_tensor, graded_part, one_tensor
-from twistlog.words import concat, homology_matrix
+from twistlog.words import GroupWord, concat, homology_matrix
 
 
 def _negated(f):
@@ -92,11 +94,23 @@ def _identity(f):
     return connecting
 
 
+def _moving_a1_by_b1(f):
+    """connecting_automorphism whose U moves A1 by B1, a move of degree 1."""
+
+    def connecting(theta1, theta2):
+        U = f(theta1, theta2)
+        b1 = basis_tensor(U.ctx, 1)
+        return Endomorphism(U.ctx, [U.h_values[0] + b1, *U.h_values[1:]])
+
+    return connecting
+
+
 # the checks that fail when L loses L_2 or its top degree
 _L_READERS = ["dehn-twist", "sigma-key-formula", "disjointness", "omega-ideal"]
 
 # name -> (namespace, public function, its mutant given the original,
-#          the checks that must fail); a tuple of namespaces patches each
+#          the checks that must fail, or a dict of them to the clause text
+#          each witness must hold); a tuple of namespaces patches each
 MUTATIONS = {
     "negated necklace bracket": (suite, "necklace_bracket", _negated, ["necklace-oracle"]),
     "is_lie negated": (expansion, "is_lie", _refuted, ["fixture-genus1", "fixture-genus2"]),
@@ -144,7 +158,31 @@ MUTATIONS = {
         (expansion, suite),
         "symplectic_failures",
         lambda f: lambda theta: [],
-        ["fixture-genus2"],
+        ["fixture-genus1", "fixture-genus2"],
+    ),
+    "invert reversing letters but keeping signs": (
+        suite,
+        "invert",
+        lambda f: lambda w: GroupWord(w.genus, w.letters[::-1]),
+        {"l-invariance": "inversion broke invariance"},
+    ),
+    "sigma_act_log_square doubled": (
+        suite,
+        "sigma_act_log_square",
+        lambda f: lambda *args: f(*args).scale(2),
+        {"sigma-key-formula": "key formula fails"},
+    ),
+    "symplectic_form plus B1B1": (
+        suite,
+        "symplectic_form",
+        lambda f: lambda ctx: f(ctx) + basis_tensor(ctx, 1) * basis_tensor(ctx, 1),
+        {"omega-ideal": "L does not kill omega"},
+    ),
+    "connecting automorphism moving A1 by B1": (
+        suite,
+        "connecting_automorphism",
+        _moving_a1_by_b1,
+        {"connecting": "does not raise filtration"},
     ),
 }
 
@@ -154,10 +192,6 @@ OPEN = {
     "L without L3": (
         "Direction 16: L3(a1) = 0 on every expansion the suite uses, so"
         " tau_1 = -L3 compares 0 with 0"
-    ),
-    "symplectic_failures stubbed": (
-        "Direction 16: no check gives the symplectic test an expansion it"
-        " must refuse, such as the non-Lie move"
     ),
 }
 
@@ -174,8 +208,11 @@ def test_mutation_fails_its_checks(monkeypatch, name):
     monkeypatch.setattr(suite, "_MEMO", {})
     for namespace in namespaces if isinstance(namespaces, tuple) else (namespaces,):
         monkeypatch.setattr(namespace, function, mutate(getattr(namespace, function)))
-    passed = [check for check in checks if suite.run_check(check).passed]
+    certs = {check: suite.run_check(check) for check in checks}
+    passed = [check for check, cert in certs.items() if cert.passed]
     assert not passed, f"{name} passes {passed}"
+    for check, clause in checks.items() if isinstance(checks, dict) else ():
+        assert clause in certs[check].witness, f"{name}: {check} fails elsewhere"
 
 
 def test_every_check_is_bitten_by_a_row():
