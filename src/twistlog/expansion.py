@@ -76,9 +76,9 @@ class Expansion:
     is summed by ``integral_exp`` from +-ell_i.  ``symplectic_failures``
     reads the letters of sign +1 from this cache too.  The generator values
     theta(x_i^+-1) = exp(+-ell_i) themselves are memoized under the same
-    (index, sign) keys, since the paper's formulas and the certificate suite
-    evaluate them again and again; only ``evaluate`` fills that memo, each
-    value rescaled once from its letter.
+    keys, the letter codes 2i and 2i + 1 of ``GroupWord``, since the paper's
+    formulas and the certificate suite evaluate them again and again; only
+    ``evaluate`` fills that memo, each value rescaled once from its letter.
     """
 
     __slots__ = (
@@ -103,8 +103,8 @@ class Expansion:
         self.ctx = ctx
         self.kind = kind
         self.logs = logs
-        self._exp_cache = {}  # (index, sign) -> sigma_lam(exp(sign * ell_i))
-        self._values = {}  # (index, sign) -> exp(sign * ell_i), unscaled
+        self._exp_cache = {}  # letter code -> sigma_lam(exp(+-ell_i))
+        self._values = {}  # letter code -> exp(+-ell_i), unscaled
         self._lam = None
         self._restrictions = {}  # degree -> restrict(self, degree)
         self._failures = None  # symplectic_failures, once computed
@@ -123,21 +123,20 @@ class Expansion:
             self._lam = _integral_scale(self.logs, self.truncation)
         return self._lam
 
-    def _exp_letter(self, index: int, sign: int) -> Tensor:
-        """sigma_lam(exp(sign * ell_i)), an integer tensor."""
-        key = (index, sign)
-        cached = self._exp_cache.get(key)
+    def _exp_letter(self, code: int) -> Tensor:
+        """sigma_lam(exp(+-ell_i)) of the letter code 2i or 2i + 1, an integer tensor."""
+        cached = self._exp_cache.get(code)
         if cached is None:
-            t = self.logs[index]
+            t = self.logs[code >> 1]
             lam = self._letter_scale()
             try:
-                cached = integral_exp(graded_scale(t if sign == 1 else -t, lam))
+                cached = integral_exp(graded_scale(-t if code & 1 else t, lam))
             except ArithmeticError:
                 raise ArithmeticError(
-                    f"exp(+-log {gen_name(index)}) is not integral in the "
+                    f"exp(+-log {gen_name(code >> 1)}) is not integral in the "
                     f"coordinates scaled by {lam}"
                 ) from None
-            self._exp_cache[key] = cached
+            self._exp_cache[code] = cached
         return cached
 
     def __eq__(self, other):
@@ -161,16 +160,16 @@ def evaluate(theta: Expansion, w: GroupWord) -> Tensor:
     if w.genus != theta.genus:
         raise ValueError(f"word genus {w.genus} != expansion genus {theta.genus}")
     if len(w.letters) == 1:
-        key = w.letters[0]
-        value = theta._values.get(key)
+        code = w.letters[0]
+        value = theta._values.get(code)
         if value is None:
-            value = theta._values[key] = graded_scale(
-                theta._exp_letter(*key), Rat(1, theta._letter_scale())
+            value = theta._values[code] = graded_scale(
+                theta._exp_letter(code), Rat(1, theta._letter_scale())
             )
         return value
     out = one_tensor(theta.ctx)
-    for index, sign in w.letters:
-        out = out * theta._exp_letter(index, sign)
+    for code in w.letters:
+        out = out * theta._exp_letter(code)
     return graded_scale(out, Rat(1, theta._letter_scale()))
 
 
@@ -236,7 +235,7 @@ def symplectic_failures(theta: Expansion) -> list:
         ext = AlgebraContext(theta.genus, theta.truncation + 1)
         omega = symplectic_form(ext)
         if is_group_like(theta):
-            letters = [truncate(theta._exp_letter(i, 1), ext) for i in range(ext.dim)]
+            letters = [truncate(theta._exp_letter(2 * i), ext) for i in range(ext.dim)]
             zeta = _boundary_value(ext, letters)
             # (lam^2 omega)^k / k! is integral: k <= (N+1)/2 and v_p(lam) >= 1
             # for every p <= N

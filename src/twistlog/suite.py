@@ -272,10 +272,8 @@ def check_necklace_oracle() -> Certificate:
 
 
 def _random_word(rng: random.Random, genus: int, length: int) -> GroupWord:
-    letters = [
-        (rng.randrange(2 * genus), rng.choice((1, -1))) for _ in range(length)
-    ]
-    return GroupWord(genus, letters)
+    codes = [2 * rng.randrange(2 * genus) + (rng.choice((1, -1)) < 0) for _ in range(length)]
+    return GroupWord(genus, codes)
 
 
 def check_l_invariance() -> Certificate:

@@ -2,8 +2,9 @@
 
 Generators come in the fixed order a1, b1, ..., ag, bg, flat-indexed exactly
 like the homology basis (2i-2 <-> a_i, 2i-1 <-> b_i).  A word is a freely
-reduced sequence of signed letters; the boundary word is the product of the
-handle commutators [a_i, b_i] = a_i b_i a_i^-1 b_i^-1.  Every automorphism
+reduced sequence of letters, each the int code 2*gen + (sign < 0), whose
+inverse is code ^ 1; the boundary word is the product of the handle
+commutators [a_i, b_i] = a_i b_i a_i^-1 b_i^-1.  Every automorphism
 is a word in Dehn twists along adapted curves, which come from one table of
 twist kinds, ``TWIST_KINDS``: it carries that twist word (its
 factorization) along with its generator images.  The inverse on the group
@@ -49,7 +50,7 @@ def parse_name(name, genus: int, letters: str, unknown: str, too_big: str) -> tu
 
 
 class GroupWord:
-    """Freely reduced word; letters are (generator index, sign) pairs."""
+    """Freely reduced word; letters are int codes 2*gen + (sign < 0)."""
 
     __slots__ = ("genus", "letters")
 
@@ -57,7 +58,7 @@ class GroupWord:
         if genus < 1:
             raise ValueError(f"genus must be >= 1, got {genus}")
         self.genus = genus
-        self.letters = _reduce(letters, 2 * genus)
+        self.letters = _reduce(letters, 4 * genus)
 
     @classmethod
     def _make(cls, genus, letters):
@@ -90,17 +91,15 @@ class GroupWord:
         return f"GroupWord({word_to_string(self) or '1'!r})"
 
 
-def _reduce(letters, dim) -> tuple:
+def _reduce(letters, codes: int) -> tuple:
     stack = []
-    for gen, sign in letters:
-        if not 0 <= gen < dim:
-            raise ValueError(f"generator index {gen} out of range")
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        if stack and stack[-1][0] == gen and stack[-1][1] == -sign:
+    for c in letters:
+        if type(c) is not int or not 0 <= c < codes:
+            raise ValueError(f"letter code {c!r} out of range 0..{codes - 1}")
+        if stack and stack[-1] == c ^ 1:
             stack.pop()
         else:
-            stack.append((gen, sign))
+            stack.append(c)
     return tuple(stack)
 
 
@@ -115,32 +114,30 @@ def word_from_string(genus: int, text: str) -> GroupWord:
             f"token {pos}: " + "{name} is not a generator letter",
             f"token {pos}: " + "{name} exceeds genus {genus}",
         )
-        letters.append((gen, 1 if letter.islower() else -1))
+        letters.append(2 * gen + letter.isupper())
     return GroupWord(genus, letters)
 
 
 def word_to_string(w: GroupWord) -> str:
     bits = []
-    for gen, sign in w.letters:
-        name = gen_name(gen)
-        bits.append(name if sign == 1 else name.upper())
+    for c in w.letters:
+        name = gen_name(c >> 1)
+        bits.append(name.upper() if c & 1 else name)
     return " ".join(bits)
 
 
 def generator_word(genus: int, index: int) -> GroupWord:
-    return GroupWord(genus, [(index, 1)])
+    return GroupWord(genus, [2 * index])
 
 
 def concat(w1: GroupWord, w2: GroupWord) -> GroupWord:
     if w1.genus != w2.genus:
         raise ValueError("genus mismatch")
-    return GroupWord._make(w1.genus, _reduce(w1.letters + w2.letters, 2 * w1.genus))
+    return GroupWord._make(w1.genus, _reduce(w1.letters + w2.letters, 4 * w1.genus))
 
 
 def invert(w: GroupWord) -> GroupWord:
-    return GroupWord._make(
-        w.genus, tuple((g, -s) for g, s in reversed(w.letters))
-    )
+    return GroupWord._make(w.genus, tuple(c ^ 1 for c in reversed(w.letters)))
 
 
 def conjugate(w: GroupWord, by: GroupWord) -> GroupWord:
@@ -190,11 +187,12 @@ class FreeAutomorphism:
     def __init__(self, genus: int, images, factorization):
         self.genus = genus
         self.images = tuple(images)
-        # per generator: the coded letters of its image and of the image's inverse
+        # per letter code: the letters of its image and of the image's inverse
         self._coded = []
         for im in self.images:
-            forward = [2 * g + (s < 0) for g, s in im.letters]
-            self._coded.append((forward, [c ^ 1 for c in reversed(forward)]))
+            forward = list(im.letters)
+            backward = [c ^ 1 for c in reversed(forward)]
+            self._coded += [(forward, backward), (backward, forward)]
         self.factorization = tuple(factorization)
 
     @property
@@ -221,15 +219,15 @@ def apply_automorphism(phi: FreeAutomorphism, w: GroupWord) -> GroupWord:
     against the reduced word built so far: the longest k for which the last
     k letters built are the inverse of the image's first k.  That test holds
     for every smaller k too, so k is found by bisection on list slices, and
-    the k letters go in one step.  Letters are coded as ints 2*gen + (sign <
-    0), whose inverse is code ^ 1; phi codes each image and its inverse once
-    (``FreeAutomorphism._coded``)."""
+    the k letters go in one step.  phi holds the image of each letter code
+    and its inverse as lists (``FreeAutomorphism._coded``), so a letter is
+    read by its code alone."""
     if phi.genus != w.genus:
         raise ValueError("genus mismatch")
     coded = phi._coded
     out = []
-    for gen, sign in w.letters:
-        image, undo = coded[gen] if sign == 1 else coded[gen][::-1]
+    for c in w.letters:
+        image, undo = coded[c]
         k = 0
         if out and image and out[-1] == undo[-1]:
             k, hi = 1, min(len(out), len(image))
@@ -241,7 +239,7 @@ def apply_automorphism(phi: FreeAutomorphism, w: GroupWord) -> GroupWord:
                     hi = mid - 1
             del out[-k:]
         out.extend(image[k:] if k else image)
-    return GroupWord._make(w.genus, tuple([(c >> 1, 1 - 2 * (c & 1)) for c in out]))
+    return GroupWord._make(w.genus, tuple(out))
 
 
 def identity_automorphism(genus: int) -> FreeAutomorphism:
@@ -256,18 +254,18 @@ def identity_automorphism(genus: int) -> FreeAutomorphism:
 # substitutes image words and cancels each one against the word built so
 # far (``apply_automorphism``), so the cost still grows with the image
 # lengths: at this bound, johnson --curve conj:FILE --k 1 on fixture:g2
-# took at most 0.58 s, for 62 entries {"kind": "sep", "h": 2, "power": 1};
-# one entry of h = 2, power 62 took 0.35 s.  At 1000 letters the same
-# shapes took 2.0 s and 0.90 s, and 8 entries of 248 letters each (1984 in
-# all) took 5.4 s (Python 3.11, one core of a 2-vCPU host, the slowest of
-# three fresh processes).
+# took at most 0.35 s, for 62 entries {"kind": "sep", "h": 2, "power": 1};
+# one entry of h = 2, power 62 took 0.23 s.  At 1000 letters the same
+# shapes took 1.3 s and 0.57 s, and 8 entries of 248 letters each (1984 in
+# all) took 4.1 s (Python 3.11, one core of a 2-vCPU Xeon host, the slowest
+# of six fresh processes).
 MAX_POWER_LETTERS = 500
 
 
 def _word_power(w: GroupWord, power: int) -> GroupWord:
     """w**power, its letters written out in one pass and reduced once."""
     step = w if power >= 0 else invert(w)
-    return GroupWord._make(w.genus, _reduce(step.letters * abs(power), 2 * w.genus))
+    return GroupWord._make(w.genus, _reduce(step.letters * abs(power), 4 * w.genus))
 
 
 class TwistKind(NamedTuple):
@@ -374,8 +372,8 @@ def invert_automorphism(phi: FreeAutomorphism) -> FreeAutomorphism:
 def homology_class(w: GroupWord) -> list:
     """The class of w in H as ints: the exponent sum of each generator."""
     counts = [0] * (2 * w.genus)
-    for gen, sign in w.letters:
-        counts[gen] += sign
+    for c in w.letters:
+        counts[c >> 1] += -1 if c & 1 else 1
     return counts
 
 

@@ -33,7 +33,7 @@ def lambda3_derivation(ctx: AlgebraContext) -> Derivation:
 
 
 def random_word(rng, genus: int, length: int) -> GroupWord:
-    """A word of ``length`` random letters x_i^(+-1)."""
+    """A word of ``length`` random letters x_i^(+-1), coded 2i + (sign < 0)."""
     return GroupWord(
-        genus, [(rng.randrange(2 * genus), rng.choice((1, -1))) for _ in range(length)]
+        genus, [2 * rng.randrange(2 * genus) + (rng.choice((1, -1)) < 0) for _ in range(length)]
     )

@@ -30,7 +30,7 @@ from twistlog.suite import (
     variant_expansion,
 )
 from twistlog.tensor import graded_part
-from twistlog.words import TWIST_KINDS, TwistKind, generator_word
+from twistlog.words import TWIST_KINDS, TwistKind, generator_word, word_to_string
 
 from algebra_tools import bracket_tree_tensor, lambda3_derivation
 
@@ -99,6 +99,26 @@ def test_shared_expansions_are_made_once():
         assert shared == load_fixture(f"fixture-genus{genus}")
         assert run_check(f"fixture-genus{genus}").passed
         assert fixture_expansion(genus) is shared
+
+
+# SHA-256 of the 300 words, one per line, whose L the l-invariance check
+# compares: each drawn w, then y w y^-1, then w^-1.  The certificate's digest
+# holds only its params, so it would not move if the draw changed.
+L_INVARIANCE_WORDS = "2cfd67cc5b424b6a7d302ce1295249e84a15ecc382b28d0521c0ed03f0c70286"
+
+
+def test_l_invariance_certifies_the_same_words(monkeypatch):
+    constant = built_expansion(2, 5).logs[0]
+    seen = []
+
+    def record(theta, w):
+        seen.append(word_to_string(w))
+        return constant
+
+    monkeypatch.setattr(suite, "l_invariant_tensor", record)
+    assert run_check("l-invariance").passed
+    assert len(seen) == 300
+    assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == L_INVARIANCE_WORDS
 
 
 def test_transvection_checks_every_kind_in_the_table(monkeypatch):

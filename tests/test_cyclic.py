@@ -148,7 +148,9 @@ def test_concurrent_callers_fill_the_same_slots_to_the_same_results():
     theta = build_symplectic(2, 4)
     rng = random.Random(2718)
     words = [
-        GroupWord(2, [(rng.randrange(4), rng.choice((1, -1))) for _ in range(rng.randint(1, 6))])
+        GroupWord(
+            2, [2 * rng.randrange(4) + (rng.choice((1, -1)) < 0) for _ in range(rng.randint(1, 6))]
+        )
         for _ in range(20)
     ]
     expected = [l_invariant_tensor(theta, w) for w in words]

@@ -190,8 +190,9 @@ MUTATIONS = {
 # and flips to a pass when the work it names lands.
 OPEN = {
     "L without L3": (
-        "Direction 16: L3(a1) = 0 on every expansion the suite uses, so"
-        " tau_1 = -L3 compares 0 with 0"
+        "Direction 19: L3 = 0 on a1, b1 and a1 B1 on every expansion the suite"
+        " uses, so tau_1 = -L3 compares 0 with 0; L3(c1) != 0 on the"
+        " handle-linking curve c1 = A1 B1 a2 b2, which no check sees yet"
     ),
 }
 

@@ -45,7 +45,7 @@ def test_gen_names():
 
 def test_parse_print_round_trip():
     w = word_from_string(2, "a1 b1 A2 B1")
-    assert w.letters == ((0, 1), (1, 1), (2, -1), (1, -1))
+    assert w.letters == (0, 2, 5, 3)
     assert word_to_string(w) == "a1 b1 A2 B1"
     assert word_from_string(2, "") == GroupWord(2)
 
@@ -65,10 +65,14 @@ def test_free_reduction():
     # cancellation cascades through the middle
     w = word_from_string(1, "a1 b1 B1 A1 b1")
     assert word_to_string(w) == "b1"
-    with pytest.raises(ValueError):
-        GroupWord(1, [(5, 1)])
-    with pytest.raises(ValueError):
-        GroupWord(1, [(0, 2)])
+    # a letter is an int code 2*gen + (sign < 0), from 0 to 4*genus - 1
+    for genus in (1, 2):
+        assert word_to_string(GroupWord(genus, [4 * genus - 1])) == f"B{genus}"
+        for bad in [(0, 1), (5, 1), (0, 2), True, -1, 4 * genus]:
+            with pytest.raises(ValueError, match="letter code"):
+                GroupWord(genus, [bad])
+            with pytest.raises(ValueError, match="letter code"):
+                GroupWord(genus, [0, 1, bad])
     with pytest.raises(ValueError, match="genus must be >= 1, got 0"):
         GroupWord(0)
 
@@ -130,7 +134,7 @@ def test_every_twist_kind_against_its_oracles(kind):
             assert parse_twist(genus, format_twist(kind, h)) == (kind, h)
             word = twist_word(genus, kind, h)
             # the class c of the curve, and x -> omega(x, c) on the basis
-            c = [sum(s for g, s in word.letters if g == i) for i in range(n)]
+            c = [sum(1 - 2 * (x & 1) for x in word.letters if x >> 1 == i) for i in range(n)]
             pairing = [sum(c[k] * intersection(ctx, j, k) for k in range(n)) for j in range(n)]
             for power in (-2, -1, 1, 2):
                 assert entry.letters(h) * abs(power) == len(_word_power(word, power))
@@ -217,8 +221,8 @@ def test_apply_automorphism_respects_words():
 def _substitute_then_reduce(images, w):
     # the oracle: write out every image letter, then reduce once
     letters = []
-    for gen, sign in w.letters:
-        image = images[gen] if sign == 1 else invert(images[gen])
+    for c in w.letters:
+        image = invert(images[c >> 1]) if c & 1 else images[c >> 1]
         letters.extend(image.letters)
     return GroupWord(w.genus, letters)
 
