@@ -79,10 +79,16 @@ class Expansion:
     keys, the letter codes 2i and 2i + 1 of ``GroupWord``, since the paper's
     formulas and the certificate suite evaluate them again and again; only
     ``evaluate`` fills that memo, each value rescaled once from its letter.
+
+    The pair cache holds sigma_lam(theta(x_c x_d)), the product of two
+    integer letters, keyed by the codes (c, d) of a reduced pair
+    (d != c ^ 1): at most 4g(4g - 1) entries.  Nothing longer is kept, so
+    every word is still multiplied out from its own letters.
     """
 
     __slots__ = (
-        "ctx", "kind", "logs", "_exp_cache", "_values", "_lam", "_restrictions", "_failures",
+        "ctx", "kind", "logs", "_exp_cache", "_pair_cache", "_values", "_lam",
+        "_restrictions", "_failures",
     )
 
     def __init__(self, ctx: AlgebraContext, logs, kind: str = "user"):
@@ -104,6 +110,7 @@ class Expansion:
         self.kind = kind
         self.logs = logs
         self._exp_cache = {}  # letter code -> sigma_lam(exp(+-ell_i))
+        self._pair_cache = {}  # (c, d), d != c ^ 1 -> sigma_lam(theta(x_c x_d))
         self._values = {}  # letter code -> exp(+-ell_i), unscaled
         self._lam = None
         self._restrictions = {}  # degree -> restrict(self, degree)
@@ -139,6 +146,14 @@ class Expansion:
             self._exp_cache[code] = cached
         return cached
 
+    def _exp_pair(self, c: int, d: int) -> Tensor:
+        """sigma_lam(theta(x_c x_d)) of a reduced pair of letter codes, the
+        product of their integer letters, formed once."""
+        cached = self._pair_cache.get((c, d))
+        if cached is None:
+            cached = self._pair_cache[c, d] = self._exp_letter(c) * self._exp_letter(d)
+        return cached
+
     def __eq__(self, other):
         return (
             isinstance(other, Expansion)
@@ -154,7 +169,10 @@ def evaluate(theta: Expansion, w: GroupWord) -> Tensor:
     """theta(w): product over the letters of exp(+-log), an element of
     1 + T-hat_1.  The letters' cached sigma_lam-scaled exponentials are
     integer tensors, so their product takes no gcd pass, and the word is
-    rescaled once, by sigma_{1/lam}, at the end.  A one-letter word is a
+    rescaled once, by sigma_{1/lam}, at the end.  The word is multiplied
+    two letters at a time from the left, (x_c0 x_c1)(x_c2 x_c3)..., each
+    pair's product from the expansion's pair cache, and a last single
+    letter when the length is odd.  A one-letter word is a
     generator value, rescaled once per expansion and then looked up; the
     same tensor is returned each time, and tensors are never mutated."""
     if w.genus != theta.genus:
@@ -167,9 +185,12 @@ def evaluate(theta: Expansion, w: GroupWord) -> Tensor:
                 theta._exp_letter(code), Rat(1, theta._letter_scale())
             )
         return value
-    out = one_tensor(theta.ctx)
-    for code in w.letters:
-        out = out * theta._exp_letter(code)
+    letters = w.letters
+    out = theta._exp_pair(letters[0], letters[1]) if letters else one_tensor(theta.ctx)
+    for i in range(3, len(letters), 2):
+        out = out * theta._exp_pair(letters[i - 1], letters[i])
+    if len(letters) & 1:
+        out = out * theta._exp_letter(letters[-1])
     return graded_scale(out, Rat(1, theta._letter_scale()))
 
 

@@ -131,9 +131,14 @@ def generator_word(genus: int, index: int) -> GroupWord:
 
 
 def concat(w1: GroupWord, w2: GroupWord) -> GroupWord:
+    """w1 w2, freely reduced: both are reduced, so only the seam cancels."""
     if w1.genus != w2.genus:
         raise ValueError("genus mismatch")
-    return GroupWord._make(w1.genus, _reduce(w1.letters + w2.letters, 4 * w1.genus))
+    a, b = w1.letters, w2.letters
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k] == b[k] ^ 1:
+        k += 1
+    return GroupWord._make(w1.genus, a[:len(a) - k] + b[k:])
 
 
 def invert(w: GroupWord) -> GroupWord:

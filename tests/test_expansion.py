@@ -4,6 +4,8 @@ connecting automorphisms."""
 import hashlib
 import json
 import random
+import sys
+import threading
 import time
 from importlib import resources
 
@@ -50,6 +52,7 @@ from twistlog.words import (
     commutator,
     concat,
     generator_word,
+    invert,
     word_from_string,
 )
 
@@ -539,6 +542,57 @@ def test_evaluate_equals_the_plain_rational_product(name):
     for length in (0, 1, 2, 3, 6, 10):
         w = random_word(rng, theta.genus, length)
         assert evaluate(theta, w) == _plain_evaluate(theta, w)
+
+
+@pytest.mark.parametrize("name", ORACLE_EXPANSIONS)
+def test_a_warm_expansion_evaluates_every_word_as_a_fresh_one(name):
+    # the second round reads every pair from the pair cache the first filled
+    theta = ORACLE_EXPANSIONS[name]()
+    g = theta.genus
+    rng = random.Random(f"warm {name}")
+    words = [random_word(rng, g, length) for length in (2, 3, 7, 10)]
+    periodic = word_from_string(g, " ".join([f"a1 b{g}"] * 6))
+    words += [periodic, invert(periodic)]
+    oracles = [_plain_evaluate(theta, w) for w in words]
+    for _ in range(2):
+        assert [evaluate(theta, w) for w in words] == oracles
+    pairs = {w.letters[i:i + 2] for w in words for i in range(0, len(w) - 1, 2)}
+    assert set(theta._pair_cache) == pairs
+    assert len(theta._pair_cache) <= 4 * g * (4 * g - 1)
+
+
+def test_concurrent_callers_fill_the_pair_cache_to_the_same_products():
+    # a pair is written only with the one product any caller would form, so
+    # threads racing on a fresh expansion need no lock
+    rng = random.Random(3737)
+    words = [random_word(rng, 2, rng.randint(2, 10)) for _ in range(24)]
+    expected = [evaluate(build_symplectic(2, 4), w) for w in words]
+    theta = build_symplectic(2, 4)
+    threads, results = 4, {}
+    start = threading.Barrier(threads)
+
+    def work(k):
+        order = list(range(len(words)))
+        random.Random(k).shuffle(order)
+        start.wait()
+        results[k] = {i: evaluate(theta, words[i]) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert sorted(results) == list(range(threads))
+    for got in results.values():
+        assert [got[i] for i in range(len(words))] == expected
+    for (c, d), product in theta._pair_cache.items():
+        assert product == theta._exp_letter(c) * theta._exp_letter(d)
 
 
 @pytest.mark.parametrize("name", ORACLE_EXPANSIONS)

@@ -80,6 +80,11 @@ def _without_degree(m):
     return mutate
 
 
+def _swapped_pair(f):
+    """Expansion._exp_pair answering the letter pair (c, d) as e_d e_c."""
+    return lambda theta, c, d: f(theta, d, c)
+
+
 def _transposed(f):
     return lambda phi: [list(column) for column in zip(*f(phi))]
 
@@ -139,6 +144,19 @@ MUTATIONS = {
         "l_invariant_tensor",
         _without_degree(4),
         _L_READERS + ["tau-formulas", "separating-series", "operator-identities", "connecting"],
+    ),
+    "letter pairs multiplied in swapped order": (
+        expansion.Expansion,
+        "_exp_pair",
+        _swapped_pair,
+        [
+            "dehn-twist",
+            "tau-formulas",
+            "separating-series",
+            "l-invariance",
+            "operator-identities",
+            "omega-ideal",
+        ],
     ),
     "homology matrix transposed": (suite, "homology_matrix", _transposed, ["transvection"]),
     "conjugate(w, y) as y w": (

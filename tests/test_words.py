@@ -89,6 +89,27 @@ def test_invert_concat_conjugate():
         concat(random_word(rng, 1, 2), random_word(rng, 2, 2))
 
 
+def test_concat_cancels_at_the_seam_as_a_full_reduction_does():
+    # both words are reduced, so only the seam can cancel; the oracle reduces
+    # every letter of the joined words again
+    rng = random.Random(3707)
+    cuts = set()
+    for genus in (1, 2, 3):
+        empty = GroupWord(genus)
+        for _ in range(40):
+            u = random_word(rng, genus, rng.randint(0, 12))
+            v = random_word(rng, genus, rng.randint(0, 12))
+            tail = u.letters[rng.randint(0, len(u)):]
+            partial = GroupWord(genus, invert(GroupWord(genus, tail)).letters + v.letters)
+            for a, b in [(u, v), (u, invert(u)), (u, partial), (empty, u), (u, empty)]:
+                expected = words._reduce(a.letters + b.letters, 4 * genus)
+                got = concat(a, b)
+                assert got.letters == expected and got.genus == genus
+                cut = (len(a) + len(b) - len(expected)) // 2
+                cuts.add("none" if not cut else "partial" if cut < min(len(a), len(b)) else "full")
+    assert cuts == {"none", "partial", "full"}
+
+
 def test_commutator_and_boundary():
     a1, b1 = generator_word(2, 0), generator_word(2, 1)
     assert word_to_string(commutator(a1, b1)) == "a1 b1 A1 B1"
